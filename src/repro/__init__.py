@@ -29,63 +29,44 @@ Quickstart::
     sched = unbalanced_send(rel.sizes, m=64, epsilon=0.1, seed=1)
     report = evaluate_schedule(sched, rel, global_)
     print(report.completion_time, report.optimal_time)
+
+The top-level names load on first access (:mod:`repro._lazy`): ``import
+repro`` alone costs no NumPy, which keeps ``python -m repro serve``
+start-up to the standard library plus the serving front end.
 """
 
-from repro.core import (
-    MachineParams,
-    PenaltyFunction,
-    LinearPenalty,
-    ExponentialPenalty,
-    PolynomialPenalty,
-    CapacityPenalty,
-    LINEAR,
-    EXPONENTIAL,
-    Machine,
-    RunResult,
-    ModelViolation,
-    ProgramError,
-    RunAborted,
-    Message,
-)
-from repro.models import (
-    BSPg,
-    BSPm,
-    SelfSchedulingBSPm,
-    QSMg,
-    QSMm,
-    PRAM,
-    PRAMm,
-    ConcurrencyRule,
-    LogP,
-    TwoLevelBSP,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MachineParams",
-    "PenaltyFunction",
-    "LinearPenalty",
-    "ExponentialPenalty",
-    "PolynomialPenalty",
-    "CapacityPenalty",
-    "LINEAR",
-    "EXPONENTIAL",
-    "Machine",
-    "RunResult",
-    "ModelViolation",
-    "ProgramError",
-    "RunAborted",
-    "Message",
-    "BSPg",
-    "BSPm",
-    "SelfSchedulingBSPm",
-    "QSMg",
-    "QSMm",
-    "PRAM",
-    "PRAMm",
-    "ConcurrencyRule",
-    "LogP",
-    "TwoLevelBSP",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core": [
+        "MachineParams",
+        "PenaltyFunction",
+        "LinearPenalty",
+        "ExponentialPenalty",
+        "PolynomialPenalty",
+        "CapacityPenalty",
+        "LINEAR",
+        "EXPONENTIAL",
+        "Machine",
+        "RunResult",
+        "ModelViolation",
+        "ProgramError",
+        "RunAborted",
+        "Message",
+    ],
+    "repro.models": [
+        "BSPg",
+        "BSPm",
+        "SelfSchedulingBSPm",
+        "QSMg",
+        "QSMm",
+        "PRAM",
+        "PRAMm",
+        "ConcurrencyRule",
+        "LogP",
+        "TwoLevelBSP",
+    ],
+})
+__all__.append("__version__")

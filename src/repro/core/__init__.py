@@ -1,55 +1,38 @@
-"""Core machinery: parameters, penalty/cost functions, and the engine."""
+"""Core machinery: parameters, penalty/cost functions, and the engine.
 
-from repro.core.params import MachineParams
-from repro.core.costs import (
-    PenaltyFunction,
-    LinearPenalty,
-    ExponentialPenalty,
-    PolynomialPenalty,
-    CapacityPenalty,
-    LINEAR,
-    EXPONENTIAL,
-    superstep_charge,
-    slot_charges,
-)
-from repro.core.engine import (
-    Machine,
-    Proc,
-    ReadHandle,
-    RunResult,
-    ModelViolation,
-    ProgramError,
-    RunAborted,
-)
-from repro.core.events import (
-    Message,
-    ReadRequest,
-    WriteRequest,
-    SuperstepRecord,
-    CostBreakdown,
-)
+Exports load on first access (:mod:`repro._lazy`), so importing
+:mod:`repro.core.params` does not pull in NumPy or the engine.
+"""
 
-__all__ = [
-    "MachineParams",
-    "PenaltyFunction",
-    "LinearPenalty",
-    "ExponentialPenalty",
-    "PolynomialPenalty",
-    "CapacityPenalty",
-    "LINEAR",
-    "EXPONENTIAL",
-    "superstep_charge",
-    "slot_charges",
-    "Machine",
-    "Proc",
-    "ReadHandle",
-    "RunResult",
-    "ModelViolation",
-    "ProgramError",
-    "RunAborted",
-    "Message",
-    "ReadRequest",
-    "WriteRequest",
-    "SuperstepRecord",
-    "CostBreakdown",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.params": ["MachineParams"],
+    "repro.core.costs": [
+        "PenaltyFunction",
+        "LinearPenalty",
+        "ExponentialPenalty",
+        "PolynomialPenalty",
+        "CapacityPenalty",
+        "LINEAR",
+        "EXPONENTIAL",
+        "superstep_charge",
+        "slot_charges",
+    ],
+    "repro.core.engine": [
+        "Machine",
+        "Proc",
+        "ReadHandle",
+        "RunResult",
+        "ModelViolation",
+        "ProgramError",
+        "RunAborted",
+    ],
+    "repro.core.events": [
+        "Message",
+        "ReadRequest",
+        "WriteRequest",
+        "SuperstepRecord",
+        "CostBreakdown",
+    ],
+})

@@ -35,72 +35,47 @@ that question for a concrete run:
 CLI: ``--trace PATH`` / ``--metrics PATH`` / ``--ledger PATH`` on
 ``experiment``, ``chaos`` and ``profile``; ``python -m repro ledger`` /
 ``python -m repro top``.  See docs/observability.md.
+
+Exports load on first access (:mod:`repro._lazy`): the serve daemon's
+telemetry imports :mod:`repro.obs.metrics` without the NumPy-backed
+ledger.
 """
 
-from repro.obs.compare import BenchComparison, compare_bench, compare_files
-from repro.obs.export import (
-    chrome_trace,
-    cost_attribution_table,
-    write_chrome_trace,
-    write_metrics_json,
-)
-from repro.obs.ledger import (
-    LedgerView,
-    LoadLedger,
-    active_ledger,
-    binding_of,
-    install_ledger,
-    ledger_scope,
-    ledger_table,
-    uninstall_ledger,
-)
-from repro.obs.manifest import build_manifest, manifest_path, write_manifest
-from repro.obs.metrics import (
-    MetricsRegistry,
-    active_metrics,
-    install_metrics,
-    metrics_scope,
-    uninstall_metrics,
-)
-from repro.obs.prom import prometheus_exposition
-from repro.obs.tracer import (
-    Span,
-    Tracer,
-    active_tracer,
-    install_tracer,
-    tracing,
-    uninstall_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "active_tracer",
-    "install_tracer",
-    "uninstall_tracer",
-    "tracing",
-    "MetricsRegistry",
-    "active_metrics",
-    "install_metrics",
-    "uninstall_metrics",
-    "metrics_scope",
-    "LoadLedger",
-    "LedgerView",
-    "active_ledger",
-    "install_ledger",
-    "uninstall_ledger",
-    "ledger_scope",
-    "ledger_table",
-    "binding_of",
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_metrics_json",
-    "cost_attribution_table",
-    "prometheus_exposition",
-    "build_manifest",
-    "manifest_path",
-    "write_manifest",
-    "BenchComparison",
-    "compare_bench",
-    "compare_files",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.tracer": [
+        "Span",
+        "Tracer",
+        "active_tracer",
+        "install_tracer",
+        "uninstall_tracer",
+        "tracing",
+    ],
+    "repro.obs.metrics": [
+        "MetricsRegistry",
+        "active_metrics",
+        "install_metrics",
+        "uninstall_metrics",
+        "metrics_scope",
+    ],
+    "repro.obs.ledger": [
+        "LoadLedger",
+        "LedgerView",
+        "active_ledger",
+        "install_ledger",
+        "uninstall_ledger",
+        "ledger_scope",
+        "ledger_table",
+        "binding_of",
+    ],
+    "repro.obs.export": [
+        "chrome_trace",
+        "write_chrome_trace",
+        "write_metrics_json",
+        "cost_attribution_table",
+    ],
+    "repro.obs.prom": ["prometheus_exposition"],
+    "repro.obs.manifest": ["build_manifest", "manifest_path", "write_manifest"],
+    "repro.obs.compare": ["BenchComparison", "compare_bench", "compare_files"],
+})

@@ -11,6 +11,7 @@ check out the SHA, rerun the command with the recorded seed.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import time
 from typing import Any, Dict, Optional
@@ -26,12 +27,18 @@ __all__ = [
 MANIFEST_SCHEMA_VERSION = 1
 
 
+#: the directory of the ``repro`` package — its checkout's SHA is the
+#: one that produced a result, wherever the process was started from
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def current_git_sha(cwd: Optional[str] = None) -> str:
-    """The working tree's HEAD SHA, or ``"unknown"`` outside a checkout."""
+    """HEAD SHA of the checkout at ``cwd`` (default: the one the ``repro``
+    package is imported from), or ``"unknown"`` outside a checkout."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
+            cwd=_PACKAGE_DIR if cwd is None else cwd,
             capture_output=True,
             text=True,
             timeout=5,

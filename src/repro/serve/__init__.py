@@ -6,53 +6,33 @@ applied to the server's own request traffic), a crash-safe persistent
 response cache (:mod:`repro.store`), per-request deadlines that
 propagate into the engine, seeded-chaos-tested retry/quarantine, and
 graceful drain with zero lost accepted requests.  See ``docs/serving.md``.
+
+Exports load on first access (:mod:`repro._lazy`): the daemon's front
+end — HTTP, protocol, admission, response cache, telemetry — imports
+only the standard library, and NumPy plus the compute stack load on the
+first request that computes.
 """
 
-from repro.serve.admission import AdmissionConfig, AdmissionController, Round
-from repro.serve.chaos import ChaosPlan, WorkerKilled, plan_from_env
-from repro.serve.client import ServeClient, ServeRequestError
-from repro.serve.daemon import ReproServer
-from repro.serve.engine import ENGINES, ProcessEngine, RemoteCrash
-from repro.serve.executor import ExecutorConfig, RequestExecutor, run_scenario
-from repro.serve.protocol import (
-    ERROR_CODES,
-    KINDS,
-    PROTOCOL_VERSION,
-    Request,
-    ServeError,
-    canonical_params,
-    error_payload,
-    estimate_cost,
-    ok_payload,
-    request_fingerprint,
-)
-from repro.serve.telemetry import ServerMetrics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "ChaosPlan",
-    "ENGINES",
-    "ERROR_CODES",
-    "ExecutorConfig",
-    "KINDS",
-    "PROTOCOL_VERSION",
-    "ProcessEngine",
-    "RemoteCrash",
-    "ReproServer",
-    "Request",
-    "RequestExecutor",
-    "Round",
-    "ServeClient",
-    "ServeError",
-    "ServeRequestError",
-    "ServerMetrics",
-    "WorkerKilled",
-    "canonical_params",
-    "error_payload",
-    "estimate_cost",
-    "ok_payload",
-    "plan_from_env",
-    "request_fingerprint",
-    "run_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.admission": ["AdmissionConfig", "AdmissionController", "Round"],
+    "repro.serve.chaos": ["ChaosPlan", "WorkerKilled", "plan_from_env"],
+    "repro.serve.client": ["ServeClient", "ServeRequestError"],
+    "repro.serve.daemon": ["ReproServer"],
+    "repro.serve.engine": ["ENGINES", "ProcessEngine", "RemoteCrash"],
+    "repro.serve.executor": ["ExecutorConfig", "RequestExecutor", "run_scenario"],
+    "repro.serve.protocol": [
+        "ERROR_CODES",
+        "KINDS",
+        "PROTOCOL_VERSION",
+        "Request",
+        "ServeError",
+        "canonical_params",
+        "error_payload",
+        "estimate_cost",
+        "ok_payload",
+        "request_fingerprint",
+    ],
+    "repro.serve.telemetry": ["ServerMetrics"],
+})

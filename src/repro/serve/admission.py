@@ -24,22 +24,67 @@ x_i, global budget m = flits the backend may carry per slot*:
 
 The draw is seeded per ``(server_seed, round_index)`` so a replay of the
 same submission sequence schedules identically — chaos tests rely on it.
+A round holds at most ``max_batch`` requests, so the whole draw is plain
+integer arithmetic: the start slots come from a stdlib
+:class:`random.Random` seeded with the BLAKE2b digest of ``(seed,
+"admission", round_index)``, and the overloaded-slot count from a
+difference array over the window.  No NumPy is involved, which keeps
+the daemon's front end (HTTP, protocol, admission, response cache,
+telemetry) on the standard library.
+
+The overloaded-slot count is defined by a brute-force oracle: lay each
+request's ``cost`` flits cyclically, one per slot, starting at its
+drawn slot (``cost // W`` full turns plus ``cost % W`` slots), then
+count the slots carrying more than ``budget_m`` flits.
 """
 
 from __future__ import annotations
 
+import hashlib
+import random
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Deque, List, Optional, Tuple
 
-import numpy as np
-
 from repro.serve.protocol import Request, ServeError
-from repro.util.rng import as_generator, derive_seed_sequence
 
 __all__ = ["AdmissionConfig", "AdmissionController", "Round"]
+
+
+def _round_rng(seed: int, index: int) -> random.Random:
+    """The stdlib generator of round ``index`` under server seed ``seed``."""
+    blob = f"{seed}\x1fadmission\x1f{index}".encode()
+    digest = hashlib.blake2b(blob, digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
+def _overloaded_slots(
+    starts: List[int], costs: List[int], window: int, budget_m: int
+) -> int:
+    """Slots of a ``window``-slot cycle carrying more than ``budget_m``
+    flits when request ``i`` lays ``costs[i]`` flits one per slot from
+    ``starts[i]`` (the oracle of the module docstring, in O(W + n))."""
+    turns = 0
+    diff = [0] * (window + 1)
+    for start, cost in zip(starts, costs):
+        q, rem = divmod(cost, window)
+        turns += q
+        if rem:
+            end = start + rem
+            diff[start] += 1
+            if end <= window:
+                diff[end] -= 1
+            else:  # the tail wraps round to slot 0
+                diff[0] += 1
+                diff[end - window] -= 1
+    load = turns
+    over = 0
+    for slot in range(window):
+        load += diff[slot]
+        over += load > budget_m
+    return over
 
 
 @dataclass(frozen=True)
@@ -169,34 +214,21 @@ class AdmissionController:
     def _schedule(self, index: int, batch: List[Request]) -> Round:
         """The §6 draw over one batch (see module docstring)."""
         cfg = self.config
-        costs = np.asarray([r.cost for r in batch], dtype=np.int64)
-        total = int(costs.sum())
+        costs = [int(r.cost) for r in batch]
+        total = sum(costs)
         window = max(1, ceil((1.0 + cfg.epsilon) * total / cfg.budget_m))
-        rng = as_generator(derive_seed_sequence(cfg.seed, "admission", index))
-        starts = rng.integers(0, window, size=len(batch))
+        rng = _round_rng(cfg.seed, index)
+        drawn = [rng.randrange(window) for _ in batch]
         # the paper's oversized rule: senders with more flits than the
         # window has slots start deterministically at slot 0
-        starts[costs > window] = 0
-        order = sorted(
-            zip((int(s) for s in starts), batch), key=lambda e: (e[0], e[1].seq)
-        )
-        # overloaded-slot accounting: each request lays its cost cyclically
-        # one flit per slot from its start; slots carrying > m flits are
-        # overloaded (the paper charges these a penalty — the server just
-        # counts them as backpressure telemetry)
-        load = np.zeros(window, dtype=np.int64)
-        for start, req in zip(starts, batch):
-            q, rem = divmod(int(req.cost), window)
-            if q:
-                load += q
-            if rem:
-                slots = (int(start) + np.arange(rem)) % window
-                load[slots] += 1
-        overloaded = int((load > cfg.budget_m).sum())
+        starts = [0 if cost > window else s for cost, s in zip(costs, drawn)]
+        order = sorted(zip(starts, batch), key=lambda e: (e[0], e[1].seq))
+        # overloaded slots are the paper's penalized ones — the server
+        # just counts them as backpressure telemetry
         return Round(
             index=index,
             window=window,
             total_cost=total,
-            overloaded_slots=overloaded,
+            overloaded_slots=_overloaded_slots(starts, costs, window, cfg.budget_m),
             order=order,
         )

@@ -384,6 +384,8 @@ def _make_handler(server: ReproServer, request_timeout: float):
             self.send_header("Content-Length", str(len(blob)))
             for key, value in (extra_headers or {}).items():
                 self.send_header(key, value)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(blob)
 
@@ -397,13 +399,20 @@ def _make_handler(server: ReproServer, request_timeout: float):
             self._reply(err.http_status, error_payload(err))
 
         def _read_body(self) -> Dict[str, Any]:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
+            header = self.headers.get("Content-Length") or "0"
+            # ASCII digits only: int() would also take "-1", "+5" and "1_0"
+            if not (header.isascii() and header.isdigit()) or (
+                int(header) > MAX_BODY_BYTES
+            ):
+                # the body's extent is unknown or unread: the connection
+                # cannot carry another request after this reply
+                self.close_connection = True
                 raise ServeError(
                     "E_BAD_REQUEST",
-                    f"body of {length} bytes exceeds the {MAX_BODY_BYTES} "
-                    f"byte limit",
+                    f"Content-Length {header!r} is not a byte count in "
+                    f"[0, {MAX_BODY_BYTES}]",
                 )
+            length = int(header)
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 return json.loads(raw.decode() or "{}")

@@ -40,15 +40,20 @@ daemon loses capacity for milliseconds, never a request.
 Deadlines cross the boundary as *remaining seconds*, re-anchored to the
 worker's own monotonic clock at entry, so the engine never assumes the
 two processes share a clock epoch.
+
+``concurrent.futures.process`` (and with it ``multiprocessing``) is
+imported inside :class:`ProcessEngine`, so a thread-engine daemon never
+loads it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["ENGINES", "ProcessEngine", "RemoteCrash"]
 
@@ -98,7 +103,7 @@ def _engine_call(
     for why the exceptions themselves cannot).
     """
     from repro.core.engine import RunAborted
-    from repro.serve.executor import _run_experiment_kind, run_scenario
+    from repro.serve.executor import _aborted_error, _run_experiment_kind, run_scenario
     from repro.serve.protocol import ServeError
 
     deadline = None
@@ -123,14 +128,8 @@ def _engine_call(
     except ServeError as err:
         return ("serve_error", err.code, err.detail, dict(err.extra))
     except RunAborted as exc:
-        if exc.reason == "deadline":
-            return (
-                "serve_error",
-                "E_DEADLINE",
-                f"deadline expired mid-run at superstep {exc.superstep}",
-                {"superstep": exc.superstep},
-            )
-        return ("serve_error", "E_INTERNAL", f"run aborted: {exc}", {})
+        err = _aborted_error(exc)
+        return ("serve_error", err.code, err.detail, dict(err.extra))
     except Exception as exc:  # noqa: BLE001 - the whole point is translation
         import traceback as tb_mod
 
@@ -156,6 +155,7 @@ class ProcessEngine:
         with self._lock:
             if self._pool is None:
                 import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
 
                 try:
                     ctx = multiprocessing.get_context("fork")
@@ -196,6 +196,8 @@ class ProcessEngine:
         surface the in-thread handlers present, so the executor's retry
         loop needs no engine-specific branches.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.obs.tracer import active_tracer
         from repro.serve.protocol import ServeError
 

@@ -37,6 +37,10 @@ Determinism contract: handlers derive every RNG from the *request's*
 seed via :func:`repro.util.rng.derive_seed_sequence`, never from server
 state, so a daemon-served result equals the same library call made
 directly — cold, warm, or after a crash-retry.
+
+Everything the handlers compute with (NumPy, the engine, the models,
+scheduling) is imported inside them, so a daemon answering only pings
+and cache hits never loads it.
 """
 
 from __future__ import annotations
@@ -44,15 +48,16 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.core.engine import RunAborted
-from repro.serve.admission import AdmissionController, Round
+from repro.serve.admission import AdmissionController
 from repro.serve.chaos import ChaosPlan
 from repro.serve.protocol import KINDS, Request, ServeError
 from repro.serve.telemetry import ServerMetrics
 from repro.store.disk import DiskStore
-from repro.util.rng import derive_seed_sequence
+
+if TYPE_CHECKING:
+    from repro.core.engine import RunAborted
 
 __all__ = [
     "ExecutorConfig",
@@ -108,6 +113,19 @@ class ExecutorConfig:
 _WORKLOADS = ("uniform", "zipf", "balanced", "one_to_all")
 
 
+def _aborted_error(exc: RunAborted) -> ServeError:
+    """The structured reply for a run that raised ``RunAborted``: a
+    deadline abort is ``E_DEADLINE`` naming its superstep, any other
+    abort is ``E_INTERNAL``."""
+    if exc.reason == "deadline":
+        return ServeError(
+            "E_DEADLINE",
+            f"deadline expired mid-run at superstep {exc.superstep}",
+            superstep=exc.superstep,
+        )
+    return ServeError("E_INTERNAL", f"run aborted: {exc}")
+
+
 def _build_relation(workload: str, p: int, n: int, alpha: float, seed) -> Any:
     from repro.workloads import (
         balanced_h_relation,
@@ -144,6 +162,7 @@ def run_scenario(
     from repro.models.bsp_m import BSPm
     from repro.core.params import MachineParams
     from repro.scheduling import evaluate_schedule, route
+    from repro.util.rng import derive_seed_sequence
 
     p = int(params.get("p", 64))
     n = int(params.get("n", 20_000))
@@ -196,6 +215,7 @@ def run_scenario_batch(
     from repro.scheduling import evaluate_schedule
     from repro.scheduling.execute import execute_schedule_batch
     from repro.scheduling.static_send import unbalanced_send
+    from repro.util.rng import derive_seed_sequence
 
     base = params_list[0]
     p = int(base.get("p", 64))
@@ -574,14 +594,6 @@ class RequestExecutor:
                 payload = self._handle(req, batch)
             except ServeError:
                 raise
-            except RunAborted as exc:
-                if exc.reason == "deadline":
-                    raise ServeError(
-                        "E_DEADLINE",
-                        f"deadline expired mid-run at superstep {exc.superstep}",
-                        superstep=exc.superstep,
-                    )
-                raise ServeError("E_INTERNAL", f"run aborted: {exc}")
             except Exception as exc:
                 self.metrics.inc("worker.crashes")
                 with self._lock:
@@ -619,19 +631,23 @@ class RequestExecutor:
     ) -> Dict[str, Any]:
         if req.kind == "ping":
             return {"kind": "ping", "seed": req.seed}
-        if req.kind == "scenario":
-            if self._engine is not None:
-                return self._engine.call(
-                    req.kind, req.params, req.seed, req.deadline
-                )
+        if req.kind not in KINDS:
+            raise ServeError(
+                "E_BAD_REQUEST", f"unknown kind {req.kind!r}; choose one of {KINDS}"
+            )
+        deadline = req.deadline
+        if req.kind != "scenario":
+            self._check_deadline(req)  # experiments can't abort mid-run
+            deadline = None
+        if self._engine is not None:
+            return self._engine.call(req.kind, req.params, req.seed, deadline)
+        from repro.core.engine import RunAborted
+
+        try:
             if batch is not None:
                 return batch.payload_for(req)
-            return run_scenario(req.params, req.seed, deadline=req.deadline)
-        if req.kind in ("experiment", "sweep"):
-            self._check_deadline(req)  # experiments can't abort mid-run
-            if self._engine is not None:
-                return self._engine.call(req.kind, req.params, req.seed, None)
+            if req.kind == "scenario":
+                return run_scenario(req.params, req.seed, deadline=deadline)
             return _run_experiment_kind(req.kind, req.params, req.seed)
-        raise ServeError(
-            "E_BAD_REQUEST", f"unknown kind {req.kind!r}; choose one of {KINDS}"
-        )
+        except RunAborted as exc:
+            raise _aborted_error(exc)

@@ -5,36 +5,27 @@
 daemon restarts: atomic temp-file + rename writes, checksum-verified
 entries where corruption reads as a miss, and git-SHA-tagged invalidation
 via the :mod:`repro.obs` manifest machinery.  See ``docs/serving.md``.
+
+Exports load on first access (:mod:`repro._lazy`).
 """
 
-from repro.store.disk import (
-    STORE_SCHEMA_VERSION,
-    DiskStore,
-    DiskStoreStats,
-    default_store_path,
-    default_store_tag,
-    summarize_store,
-    wipe_store,
-)
-from repro.store.persistent import (
-    active_store,
-    configure_persistent_cache,
-    disable_persistent_cache,
-    maybe_enable_from_env,
-    persistent_cache_scope,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "STORE_SCHEMA_VERSION",
-    "DiskStore",
-    "DiskStoreStats",
-    "active_store",
-    "configure_persistent_cache",
-    "default_store_path",
-    "default_store_tag",
-    "disable_persistent_cache",
-    "maybe_enable_from_env",
-    "persistent_cache_scope",
-    "summarize_store",
-    "wipe_store",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.store.disk": [
+        "STORE_SCHEMA_VERSION",
+        "DiskStore",
+        "DiskStoreStats",
+        "default_store_path",
+        "default_store_tag",
+        "summarize_store",
+        "wipe_store",
+    ],
+    "repro.store.persistent": [
+        "active_store",
+        "configure_persistent_cache",
+        "disable_persistent_cache",
+        "maybe_enable_from_env",
+        "persistent_cache_scope",
+    ],
+})

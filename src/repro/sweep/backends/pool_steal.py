@@ -17,19 +17,23 @@ Why this replaces the fixed-chunk :class:`ProcessPoolExecutor` runner:
   every trial's optimum lookup is a cache hit exactly as in the serial
   run: ``fork`` workers inherit the parent's warm cache for free, and
   ``spawn`` workers get the snapshot shipped and installed explicitly;
-* **batched result drain** — the parent blocks for one result then
-  drains everything else already queued, so result IPC amortizes like
-  chunking did without chunking's scheduling downside.
+* **batched result drain** — the parent waits on every worker's result
+  pipe at once and handles all that are ready, so result IPC amortizes
+  like chunking did without chunking's scheduling downside.
 
 Dispatch protocol: each worker owns a private task queue holding **at
-most one** outstanding index; results come back on one shared queue.
-The parent re-arms a worker the instant its ``done`` arrives.  Keeping
-in-flight state parent-side is what makes death attribution *exact and
-race-free*: a dying worker flushes nothing (``os._exit`` skips the
-multiprocessing feeder thread), yet the parent always knows precisely
-which index it held.  One-deep dispatch costs a queue round-trip per
-task (~tens of µs) — noise against trial functions that run for
-milliseconds, and the price of never losing more than one task.
+most one** outstanding index, and a private result pipe it writes
+synchronously.  The parent re-arms a worker the instant its result
+arrives.  Keeping in-flight state parent-side is what makes death
+attribution *exact and race-free*: the parent always knows precisely
+which index a dying worker held, and the pipe's EOF — read only after
+everything the worker sent — marks the death.  Private pipes also mean
+a dying worker holds no lock its siblings need; a shared
+``multiprocessing.Queue`` wedged the whole pool whenever ``os._exit``
+killed a worker while its feeder thread still held the queue's write
+lock.  One-deep dispatch costs a round-trip per task (~tens of µs) —
+noise against trial functions that run for milliseconds, and the price
+of never losing more than one task.
 
 Determinism: workers ship each trial's payload (value, wall time, cache
 deltas, metrics scratch dump) back tagged with its task index; the
@@ -41,8 +45,8 @@ dispatch interleaved.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection as mp_connection
 import os
-import queue as queue_mod
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -58,8 +62,8 @@ from repro.util.rng import describe_seed
 
 __all__ = ["PoolStealBackend", "WorkerDied"]
 
-#: parent poll interval while waiting for results — the cadence of
-#: worker-liveness checks; results themselves arrive event-driven
+#: longest single wait for results before the parent re-checks its loop
+#: conditions; results and worker deaths themselves arrive event-driven
 _POLL_S = 0.05
 
 
@@ -71,7 +75,7 @@ def _worker_main(
     widx: int,
     tasks: Sequence[TrialTask],
     myq,
-    outq,
+    results,
     collect_metrics: bool,
     mode: str,
     retries: int,
@@ -102,13 +106,14 @@ def _worker_main(
     while True:
         idx = myq.get()
         if idx is None:
-            outq.put(("bye", widx, pid))
             return
         status, payload, attempts, _ = attempt_task(
             tasks[idx], collect_metrics, mode, retries,
             collect_spans=collect_spans, collect_ledger=collect_ledger,
         )
-        outq.put(("done", widx, idx, status, payload, attempts, pid))
+        # a synchronous send: the result is in the pipe before the next
+        # task can start, so a death in that task loses nothing sent
+        results.send((widx, idx, status, payload, attempts, pid))
 
 
 class PoolStealBackend:
@@ -141,10 +146,10 @@ class PoolStealBackend:
 
             snapshot = cache.snapshot_entries()
 
-        outq = ctx.Queue()
         pending = deque(range(n))
         procs: Dict[int, Any] = {}
         queues: Dict[int, Any] = {}
+        conns: Dict[int, Any] = {}  # widx -> read end of its result pipe
         in_flight: Dict[int, int] = {}  # widx -> dispatched task index
         retired: set = set()
         next_widx = 0
@@ -170,13 +175,15 @@ class PoolStealBackend:
             widx = next_widx
             next_widx += 1
             queues[widx] = ctx.Queue()
+            conns[widx], sender = ctx.Pipe(duplex=False)
             p = ctx.Process(
                 target=_worker_main,
-                args=(widx, tasks, queues[widx], outq, collect_metrics, mode,
+                args=(widx, tasks, queues[widx], sender, collect_metrics, mode,
                       retries, snapshot, collect_spans, collect_ledger),
                 name=f"repro-sweep-worker-{widx}",
             )
             p.start()
+            sender.close()  # the worker holds the only write end: EOF = exit
             procs[widx] = p
             dispatch(widx)
 
@@ -207,52 +214,37 @@ class PoolStealBackend:
 
         def handle(msg) -> None:
             nonlocal done, stop
-            kind = msg[0]
-            if kind == "done":
-                _, widx, idx, status, payload, attempts, pid = msg
-                in_flight.pop(widx, None)
-                counts[pid] = counts.get(pid, 0) + 1
-                if outcomes[idx] is None:
-                    outcomes[idx] = (status, payload, attempts)
-                    done += 1
-                if status == "err" and mode == "raise":
-                    stop = True  # the runner raises; stop handing out work
-                    return
-                # re-arm immediately: this is the work-stealing step — the
-                # fastest worker keeps pulling whatever is left
-                dispatch(widx)
-            elif kind == "bye":
-                _, widx, _pid = msg
-                retired.add(widx)
+            widx, idx, status, payload, attempts, pid = msg
+            in_flight.pop(widx, None)
+            counts[pid] = counts.get(pid, 0) + 1
+            if outcomes[idx] is None:
+                outcomes[idx] = (status, payload, attempts)
+                done += 1
+            if status == "err" and mode == "raise":
+                stop = True  # the runner raises; stop handing out work
+                return
+            # re-arm immediately: this is the work-stealing step — the
+            # fastest worker keeps pulling whatever is left
+            dispatch(widx)
 
         try:
             for _ in range(workers):
                 spawn()
             while done < n and raise_exc is None and not stop:
-                try:
-                    msg = outq.get(timeout=_POLL_S)
-                except queue_mod.Empty:
-                    msg = None
-                if msg is not None:
+                live = {conns[w]: w for w in procs if w not in retired}
+                for conn in mp_connection.wait(list(live), timeout=_POLL_S):
+                    w = live[conn]
+                    try:
+                        msg = conn.recv()
+                    except EOFError:
+                        # the worker exited: everything it sent came first
+                        procs[w].join()
+                        record_death(w, procs[w])
+                        # replace lost capacity; the central queue redistributes
+                        if pending and raise_exc is None:
+                            spawn()
+                        continue
                     handle(msg)
-                    # batched drain: everything already queued, in one go
-                    while True:
-                        try:
-                            handle(outq.get_nowait())
-                        except queue_mod.Empty:
-                            break
-                    continue
-                # no result this tick — reap any workers that died hard
-                dead = [
-                    (w, p) for w, p in procs.items()
-                    if w not in retired and not p.is_alive()
-                ]
-                for w, p in dead:
-                    record_death(w, p)
-                # replace lost capacity; the central queue redistributes
-                for _ in dead:
-                    if pending and raise_exc is None:
-                        spawn()
         finally:
             # retire the pool: sentinels for the cooperative path, then a
             # hard stop for anything still wedged
@@ -269,9 +261,10 @@ class PoolStealBackend:
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=1.0)
-            outq.close()
             for q in queues.values():
                 q.close()
+            for conn in conns.values():
+                conn.close()
 
         if raise_exc is not None:
             # the in-flight task's identity is already recorded as an err

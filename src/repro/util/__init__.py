@@ -1,31 +1,21 @@
 """Shared utilities: integer math, RNG plumbing, validation, reporting.
 
 These helpers are deliberately tiny and dependency-free so that every other
-subpackage can import them without cycles.
+subpackage can import them without cycles.  Exports load on first access
+(:mod:`repro._lazy`), so the stdlib-only helpers never pull in the
+NumPy-backed :mod:`repro.util.rng`.
 """
 
-from repro.util.intmath import ceil_div, ilog2, ilog, log_star, next_pow2
-from repro.util.rng import as_generator, spawn_children
-from repro.util.validation import (
-    check_positive,
-    check_nonnegative,
-    check_in_range,
-    check_prob,
-)
-from repro.util.reporting import Table, format_float
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ceil_div",
-    "ilog2",
-    "ilog",
-    "log_star",
-    "next_pow2",
-    "as_generator",
-    "spawn_children",
-    "check_positive",
-    "check_nonnegative",
-    "check_in_range",
-    "check_prob",
-    "Table",
-    "format_float",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.util.intmath": ["ceil_div", "ilog2", "ilog", "log_star", "next_pow2"],
+    "repro.util.rng": ["as_generator", "spawn_children"],
+    "repro.util.validation": [
+        "check_positive",
+        "check_nonnegative",
+        "check_in_range",
+        "check_prob",
+    ],
+    "repro.util.reporting": ["Table", "format_float"],
+})

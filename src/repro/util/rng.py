@@ -5,6 +5,12 @@ be ``None`` (fresh entropy), an integer, or an existing
 :class:`numpy.random.Generator`.  All randomness flows through NumPy
 generators so experiments are replayable bit-for-bit and independent parallel
 streams can be derived with :func:`spawn_children`.
+
+The one exception is the serve daemon's admission draw
+(:mod:`repro.serve.admission`): it seeds a stdlib :class:`random.Random`
+from the BLAKE2b digest of ``(seed, "admission", round)`` so the daemon's
+front end never imports NumPy.  It schedules requests only; no result
+depends on it.
 """
 
 from __future__ import annotations

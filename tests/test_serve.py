@@ -4,10 +4,18 @@ call — cold cache, warm cache, and after a seeded crash retry)."""
 
 from __future__ import annotations
 
+import json
+import math
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     AdmissionConfig,
@@ -126,6 +134,55 @@ class TestAdmission:
     def test_next_round_timeout_returns_none(self):
         ctl = AdmissionController(AdmissionConfig())
         assert ctl.next_round(timeout=0.01) is None
+
+    def test_pinned_draw(self):
+        """The stdlib draw for one fixed seed: a change to the draw (its
+        seeding, generator or slot rule) must show up as an edit here."""
+        ctl = AdmissionController(AdmissionConfig(budget_m=4, epsilon=0.0, seed=11))
+        for seq, cost in enumerate([1, 3, 9, 2, 30, 5]):
+            ctl.submit(_req(seq, cost))
+        rnd = ctl.next_round(timeout=1)
+        assert (rnd.index, rnd.window, rnd.total_cost) == (1, 13, 50)
+        assert [(s, r.seq) for s, r in rnd.order] == [
+            (0, 4), (0, 5), (2, 3), (3, 2), (7, 1), (12, 0),
+        ]
+        assert rnd.overloaded_slots == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        costs=st.lists(st.integers(1, 200), min_size=1, max_size=16),
+        budget_m=st.integers(1, 24),
+        epsilon=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**63),
+        index=st.integers(1, 10_000),
+    )
+    def test_draw_matches_the_cyclic_layout_oracle(
+        self, costs, budget_m, epsilon, seed, index
+    ):
+        cfg = AdmissionConfig(
+            budget_m=budget_m, epsilon=epsilon, seed=seed,
+            oversized_factor=200, max_batch=16,
+        )
+        batch = [_req(seq, cost) for seq, cost in enumerate(costs)]
+        rnd = AdmissionController(cfg)._schedule(index, batch)
+
+        window = max(1, math.ceil((1.0 + epsilon) * sum(costs) / budget_m))
+        assert rnd.window == window and rnd.total_cost == sum(costs)
+        assert sorted(r.seq for _, r in rnd.order) == list(range(len(costs)))
+        assert rnd.order == sorted(rnd.order, key=lambda e: (e[0], e[1].seq))
+        load = [0] * window
+        for start, req in rnd.order:
+            assert 0 <= start < window
+            if req.cost > window:
+                assert start == 0  # the paper's oversized-sender rule
+            for flit in range(req.cost):  # one flit per slot, cyclically
+                load[(start + flit) % window] += 1
+        assert rnd.overloaded_slots == sum(x > budget_m for x in load)
+        # seeded per (server seed, round): a replay draws the same slots
+        again = AdmissionController(cfg)._schedule(index, batch)
+        assert [(s, r.seq) for s, r in again.order] == [
+            (s, r.seq) for s, r in rnd.order
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -511,3 +568,130 @@ class TestUnixDomainSocket:
             ServeClient()
         with pytest.raises(ValueError, match="exactly one"):
             ServeClient("http://x", uds="/tmp/x.sock")
+
+
+# ----------------------------------------------------------------------
+# a fresh interpreter: the CLI daemon and the lean front end
+# ----------------------------------------------------------------------
+def _fresh_env():
+    """The environment of a fresh interpreter importing this ``repro``."""
+    import repro
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("value", ["abc", "1e3", "-1"])
+    def test_structured_400_then_clean_drain(self, value):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-store"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_fresh_env(),
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            host, port = line.split("http://")[1].split()[0].split(":")
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /v1/submit HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + value.encode() + b"\r\n\r\n"
+                )
+                raw = b""
+                while chunk := sock.recv(65536):  # the daemon closes after replying
+                    raw += chunk
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"400", raw
+            error = json.loads(body)["error"]
+            assert error["code"] == "E_BAD_REQUEST" and value in error["detail"]
+            proc.send_signal(15)  # SIGTERM: graceful drain
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "drained; bye" in out
+        assert "Traceback" not in err
+
+
+#: modules a daemon answering only pings and cache hits must never load
+COMPUTE_STACK = (
+    "numpy",
+    "repro.core.engine",
+    "repro.models",
+    "repro.scheduling",
+    "concurrent.futures.process",
+)
+
+_LEAN_DAEMON = """
+import http.client, json, sys
+import repro.harness, repro.serve.daemon
+from repro.serve.daemon import ReproServer
+from repro.store.disk import DiskStore
+
+store_dir, bodies, heavy = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3:]
+server = ReproServer(port=0, store=DiskStore(store_dir, tag="test"))
+server.start()
+conn = http.client.HTTPConnection(*server.address, timeout=60)
+replies = []
+for body in bodies:
+    conn.request("POST", "/v1/submit", json.dumps(body))
+    replies.append(json.loads(conn.getresponse().read()))
+server.drain(timeout=30)
+print(json.dumps({"replies": replies,
+                  "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+class TestLeanStartup:
+    """The daemon's front end — HTTP, protocol, admission, response cache
+    and telemetry — runs on the standard library alone."""
+
+    def test_cached_answers_never_load_the_compute_stack(self, tmp_path):
+        seeds = (42, 43)
+        server, client = make_server(tmp_path)  # another process's daemon
+        try:
+            cold = [client.submit("scenario", SCENARIO, seed=s) for s in seeds]
+        finally:
+            server.drain(timeout=30)
+        bodies = [{"kind": "ping"}] + [
+            {"kind": "scenario", "params": SCENARIO, "seed": s} for s in seeds
+        ]
+        out = subprocess.run(
+            [sys.executable, "-c", _LEAN_DAEMON, str(tmp_path / "store"),
+             json.dumps(bodies), *COMPUTE_STACK],
+            capture_output=True, text=True, timeout=120, env=_fresh_env(),
+        )
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        ping, *warm = report["replies"]
+        assert ping["ok"] is True
+        for seed, reply, first in zip(seeds, warm, cold):
+            assert reply["cached"] is True
+            assert reply["result"] == first["result"]
+            assert reply["result"] == _json_roundtrip(run_scenario(SCENARIO, seed))
+        assert report["loaded"] == []
+
+    def test_lazy_exports_resolve_in_a_fresh_interpreter(self):
+        code = (
+            "import importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    pkg = importlib.import_module(name)\n"
+            "    assert set(pkg.__all__) <= set(dir(pkg)), name\n"
+            "    for symbol in pkg.__all__:\n"
+            "        getattr(pkg, symbol)\n"
+            "from repro import BSPm\n"
+            "from repro.serve import ServeClient\n"
+            "print('ok')\n"
+        )
+        lazy = ["repro", "repro.core", "repro.obs", "repro.serve",
+                "repro.store", "repro.util"]
+        out = subprocess.run(
+            [sys.executable, "-c", code, *lazy],
+            capture_output=True, text=True, timeout=120, env=_fresh_env(),
+        )
+        assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr

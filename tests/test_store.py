@@ -182,6 +182,26 @@ class TestInvalidation:
         tag = default_store_tag()
         assert tag.startswith("v1+")
 
+    def test_default_tag_follows_the_package_not_the_cwd(self, tmp_path, monkeypatch):
+        """A daemon started outside its checkout still tags its store with
+        that checkout's SHA, so a code change invalidates cached answers."""
+        import shutil
+        import subprocess
+
+        import repro
+
+        if shutil.which("git") is None:
+            pytest.skip("git is unavailable")
+        repo_root = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=repo_root,
+            capture_output=True, text=True,
+        )
+        if head.returncode != 0:
+            pytest.skip("the repro package is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert default_store_tag() == f"v1+{head.stdout.strip()}"
+
     def test_summarize_does_not_invalidate(self, tmp_path):
         root = str(tmp_path / "s")
         DiskStore(root, tag="old").put(("k",), 1)

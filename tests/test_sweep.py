@@ -306,6 +306,44 @@ class TestOnErrorPolicy:
         assert res.backend_stats["worker_deaths"] == 1
         assert res.telemetry()["backend"]["worker_deaths"] == 1
 
+    def test_repeated_hard_deaths_never_wedge_the_pool(self):
+        """Stress the death path: a worker killed right after reporting a
+        result must never leave its siblings unable to report theirs (a
+        shared result queue's write lock, still held by the dead worker's
+        feeder thread, hung a few percent of these sweeps forever)."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import os\n"
+            "from repro.sweep import SweepSpec, run_sweep\n"
+            "def die(x, seed):\n"
+            "    if x == 3:\n"
+            "        os._exit(13)\n"
+            "    return x\n"
+            "spec = SweepSpec(name='deadly', fn=die, grid=[{'x': i} for i in range(6)])\n"
+            "for _ in range(60):\n"
+            "    res = run_sweep(spec, jobs=2, chunksize=1, on_error='skip')\n"
+            "    assert res.results == [0, 1, 2, None, 4, 5], res.results\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the wedged workers too
+            proc.communicate()
+            pytest.fail("a sweep wedged after a hard worker death")
+        assert proc.returncode == 0, err
+
     def test_invalid_policy_rejected_up_front(self):
         spec = SweepSpec(name="s", fn=_double, grid=[{"x": 1}])
         with pytest.raises(ValueError, match="on_error"):
