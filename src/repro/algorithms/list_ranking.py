@@ -51,6 +51,9 @@ __all__ = [
 
 NIL = -1
 
+#: runs of the randomized contraction before a stall is reported
+CONTRACTION_ATTEMPTS = 4
+
 
 def random_list(n: int, seed: SeedLike = None) -> np.ndarray:
     """A uniformly random linked list over nodes ``0..n-1`` as a successor
@@ -254,10 +257,16 @@ def list_ranking_contraction(
     """Randomized contraction list ranking on ``a = min(p, m)`` simulators
     (all ``p`` when the machine is locally limited).
 
-    Returns ``(run_result, ranks)``.  Raises :class:`RuntimeError` in the
-    exponentially unlikely event that ``max_rounds`` (default
-    ``4 ceil(lg n) + 16``) rounds did not contract the whole list — rerun
-    with a different seed or more rounds.
+    Returns ``(run_result, ranks)``.  The contraction is a Las Vegas
+    algorithm: ``max_rounds`` (default ``4 ceil(lg n) + 16``) rounds leave
+    some nodes unspliced with small but not negligible probability at
+    small ``n`` (about 1 in 700 runs at ``n = 15``, 32 rounds).  Such a
+    run is repeated with fresh per-processor seeds drawn from the same
+    generator, up to ``CONTRACTION_ATTEMPTS`` runs in all.  The returned
+    :class:`RunResult` carries the supersteps of every attempt, so its
+    ``time`` is the whole cost paid; a first attempt that finishes is
+    returned as is.  Raises :class:`RuntimeError` when every attempt
+    leaves nodes unspliced (e.g. ``max_rounds`` far too small).
     """
     if machine.uses_shared_memory:
         raise ValueError(
@@ -272,23 +281,45 @@ def list_ranking_contraction(
     if max_rounds is None:
         max_rounds = 4 * (ilog2(max(1, n)) + 1) + 16
     rng = as_generator(seed)
-    seeds = rng.integers(0, 2**62, size=p)
     blocks: List[Dict[int, int]] = [dict() for _ in range(p)]
     for u in range(n):
         blocks[u % a][u] = int(succ[u])
-    per_proc = [(blocks[i], int(seeds[i])) for i in range(p)]
-    res = machine.run(_contraction_program, args=(a, max_rounds), per_proc_args=per_proc)
+    runs: List[RunResult] = []
+    for _attempt in range(CONTRACTION_ATTEMPTS):
+        seeds = rng.integers(0, 2**62, size=p)
+        per_proc = [(blocks[i], int(seeds[i])) for i in range(p)]
+        runs.append(
+            machine.run(_contraction_program, args=(a, max_rounds), per_proc_args=per_proc)
+        )
+        left = sum(len(out["unfinished"]) for out in runs[-1].results if out)
+        if not left:
+            break
+    else:
+        raise RuntimeError(
+            f"contraction did not finish in {max_rounds} rounds on any of "
+            f"{CONTRACTION_ATTEMPTS} attempts ({left} nodes left on the last)"
+        )
+    res = runs[-1] if len(runs) == 1 else _concat_runs(runs)
     ranks = np.full(n, -1, dtype=np.int64)
     for out in res.results:
-        if not out:
-            continue
-        if out["unfinished"]:
-            raise RuntimeError(
-                f"contraction did not finish in {max_rounds} rounds "
-                f"({len(out['unfinished'])} nodes left on one simulator)"
-            )
-        for u, r in out["ranks"].items():
-            ranks[u] = r
+        if out:
+            for u, r in out["ranks"].items():
+                ranks[u] = r
     if n and (ranks < 0).any():
         raise RuntimeError("some nodes never received a final rank")
     return res, ranks
+
+
+def _concat_runs(runs: List[RunResult]) -> RunResult:
+    """One result holding every attempt's supersteps, the last one's
+    outputs, and (when a ledger recorded them) every attempt's rows."""
+    first, last = runs[0], runs[-1]
+    ledger = None
+    if first.ledger is not None and last.ledger is not None:
+        ledger = last.ledger.ledger.view(first.ledger.start, last.ledger.stop)
+    return RunResult(
+        params=last.params,
+        records=[rec for run in runs for rec in run.records],
+        results=last.results,
+        ledger=ledger,
+    )

@@ -1219,13 +1219,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests scheduled per admission round",
     )
     sv.add_argument(
-        "--workers", type=int, default=4, help="executor worker threads"
+        "--workers", type=int, default=4,
+        help="executor threads doing admission hand-off, caching and "
+        "retries; with --engine process also the pool size",
     )
     sv.add_argument(
         "--engine", choices=("thread", "process"), default="thread",
-        help="compute engine: 'thread' runs handlers on the executor "
-        "threads (default); 'process' ships scenario/experiment/sweep "
-        "compute to a persistent process pool for real parallelism",
+        help="compute engine: 'thread' runs all scenario/experiment/sweep "
+        "compute on one compute-lane thread (default); 'process' ships it "
+        "to a persistent process pool for real parallelism",
     )
     sv.add_argument(
         "--uds", default=None, metavar="PATH",

@@ -7,6 +7,13 @@ Layout:
 * a single **dispatcher** thread pulls Unbalanced-Send rounds from the
   :class:`repro.serve.admission.AdmissionController` and feeds requests,
   in service order, to a bounded pool of **worker** threads;
+* the workers do each request's bookkeeping — deadline and quarantine
+  checks, cache get/put, retry/backoff, chaos — and hand its compute to
+  the engine of :mod:`repro.serve.engine`: on the default thread engine
+  that is one **compute lane** thread that runs every compute in turn
+  (the GIL lets one thread compute at a time anyway, and a single
+  computing thread keeps a single malloc arena), on the process engine
+  a persistent process pool;
 * each request carries a ``threading.Event`` in ``Request.extra``; the
   HTTP handler that accepted it blocks on that event, so an admitted
   request always gets an answer — success or structured error — before
@@ -21,17 +28,15 @@ Layout:
   future submissions shed with ``E_QUARANTINED`` (poison-request
   containment).  :class:`repro.serve.chaos.ChaosPlan` injects the seeded
   worker kills these paths are tested against;
-* a worker popping a deadline-free ``scenario`` also pops every queued
-  request that matches it in everything but ``L`` (same seed and
-  params otherwise, up to ``max_coalesce``) and answers the group from
-  one fused :func:`run_scenario_batch` pass — per-request caching,
-  chaos, retry, and quarantine bookkeeping are untouched, and each
-  member's payload is bit-identical to its solo ``run_scenario`` call;
-* with ``ExecutorConfig(engine="process")`` the worker threads keep all
-  of the above bookkeeping but ship the pure compute to the persistent
-  process pool of :mod:`repro.serve.engine` — CPU-bound kinds then run
-  truly in parallel, and answers stay bit-identical to the in-thread
-  path (the handlers are pure in ``(params, seed)``).
+* on the thread engine, a worker popping a deadline-free ``scenario``
+  also pops every queued request that matches it in everything but
+  ``L`` (same seed and params otherwise, up to ``max_coalesce``) and
+  answers the group from one fused :func:`run_scenario_batch` pass on
+  the lane — per-request caching, chaos, retry, and quarantine
+  bookkeeping are untouched, and each member's payload is bit-identical
+  to its solo ``run_scenario`` call;
+* answers are bit-identical on both engines: the handlers are pure in
+  ``(params, seed)``.
 
 Determinism contract: handlers derive every RNG from the *request's*
 seed via :func:`repro.util.rng.derive_seed_sequence`, never from server
@@ -52,6 +57,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.serve.admission import AdmissionController
 from repro.serve.chaos import ChaosPlan
+from repro.serve.engine import ENGINES, ComputeLane, ProcessEngine
 from repro.serve.protocol import KINDS, Request, ServeError
 from repro.serve.telemetry import ServerMetrics
 from repro.store.disk import DiskStore
@@ -71,7 +77,7 @@ __all__ = [
 class ExecutorConfig:
     """Tunables of the execution/retry layer."""
 
-    workers: int = 4  # worker threads draining scheduled rounds
+    workers: int = 4  # bookkeeping threads (and the process pool's size)
     max_attempts: int = 3  # tries per submission before E_CRASHED
     backoff_base: float = 0.05  # seconds; attempt k sleeps base * 2^(k-1)
     backoff_cap: float = 2.0  # ceiling on a single backoff sleep
@@ -81,8 +87,6 @@ class ExecutorConfig:
     max_coalesce: int = 16  # requests fused into a single batch, at most
 
     def __post_init__(self) -> None:
-        from repro.serve.engine import ENGINES
-
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.engine not in ENGINES:
@@ -270,21 +274,24 @@ def _coalesce_key(req: Request) -> Optional[Any]:
 class _ScenarioBatch:
     """Lazily-computed fused result shared by one coalesced group.
 
-    The batch runs at most once, on the first member that actually needs
-    a compute (members answered from the response cache never trigger
-    it).  A member's retry reuses the already-computed value — the
-    handlers are pure in ``(params, seed)``, so recomputing could only
-    return the same payload.
+    The batch runs at most once, on the compute lane, for the first
+    member that actually needs a compute (members answered from the
+    response cache never trigger it).  A member's retry reuses the
+    already-computed value — the handlers are pure in ``(params, seed)``,
+    so recomputing could only return the same payload.
     """
 
-    def __init__(self, requests: "list[Request]") -> None:
+    def __init__(self, requests: "list[Request]", lane: ComputeLane) -> None:
         self.requests = list(requests)
+        self._lane = lane
         self._payloads: Optional[Dict[int, Dict[str, Any]]] = None
 
     def payload_for(self, req: Request) -> Dict[str, Any]:
         if self._payloads is None:
-            results = run_scenario_batch(
-                [r.params for r in self.requests], self.requests[0].seed
+            results = self._lane.run(
+                run_scenario_batch,
+                [r.params for r in self.requests],
+                self.requests[0].seed,
             )
             self._payloads = {
                 id(r): res for r, res in zip(self.requests, results)
@@ -357,11 +364,12 @@ class RequestExecutor:
         self.config = config or ExecutorConfig()
         self.store = store
         self.chaos = chaos or ChaosPlan()
-        self._engine = None
         if self.config.engine == "process":
-            from repro.serve.engine import ProcessEngine
-
             self._engine = ProcessEngine(self.config.workers)
+        else:
+            self._engine = ComputeLane(metrics)
+        # coalesced groups are fused on the lane; the pool spreads work
+        self._coalesce = self.config.coalesce and self.config.engine == "thread"
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._in_flight = 0
@@ -375,6 +383,7 @@ class RequestExecutor:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
+        self._engine.start()
         dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
         )
@@ -393,8 +402,7 @@ class RequestExecutor:
             self._work_ready.notify_all()
             self._idle.notify_all()
         self.admission.start_drain()
-        if self._engine is not None:
-            self._engine.shutdown()
+        self._engine.shutdown()
 
     def note_admitted(self) -> None:
         """Called by the server right after ``admission.submit`` succeeds.
@@ -485,7 +493,7 @@ class RequestExecutor:
                     return
                 req = self._work.pop(0)
                 group = [req]
-                if self._engine is None and self.config.coalesce and self._work:
+                if self._coalesce and self._work:
                     key = _coalesce_key(req)
                     if key is not None:
                         keep: "list[Request]" = []
@@ -507,7 +515,7 @@ class RequestExecutor:
                 else:
                     self.metrics.inc("batch.rounds")
                     self.metrics.inc("batch.coalesced", len(group))
-                    ctx = _ScenarioBatch(group)
+                    ctx = _ScenarioBatch(group, self._engine)
                     for member in group:
                         self._serve_one(member, batch=ctx)
             finally:
@@ -635,19 +643,6 @@ class RequestExecutor:
             raise ServeError(
                 "E_BAD_REQUEST", f"unknown kind {req.kind!r}; choose one of {KINDS}"
             )
-        deadline = req.deadline
-        if req.kind != "scenario":
-            self._check_deadline(req)  # experiments can't abort mid-run
-            deadline = None
-        if self._engine is not None:
-            return self._engine.call(req.kind, req.params, req.seed, deadline)
-        from repro.core.engine import RunAborted
-
-        try:
-            if batch is not None:
-                return batch.payload_for(req)
-            if req.kind == "scenario":
-                return run_scenario(req.params, req.seed, deadline=deadline)
-            return _run_experiment_kind(req.kind, req.params, req.seed)
-        except RunAborted as exc:
-            raise _aborted_error(exc)
+        if batch is not None:
+            return batch.payload_for(req)
+        return self._engine.call(req.kind, req.params, req.seed, req.deadline)

@@ -15,7 +15,8 @@ gauges
     ``serve.queue.depth``, ``serve.inflight``, ``serve.rounds``.
 histograms
     ``serve.wait_s`` (admission → start of service), ``serve.service_s``
-    (inside the handler), ``serve.round.window`` and
+    (inside the handler), ``serve.compute.wait_s`` (a compute's wait for
+    the thread engine's compute lane), ``serve.round.window`` and
     ``serve.round.overloaded_slots`` (the Unbalanced-Send draw).
 
 ``snapshot()`` is what ``GET /v1/metrics`` returns and what the CI smoke

@@ -18,9 +18,15 @@ and across daemon restarts.  Design constraints, in order:
   :mod:`repro.obs.manifest`).  Cached values are pure functions of their key
   *for a given tree*, so a store opened under a different code tag (git SHA
   or schema bump) wipes itself instead of serving stale values.
-* **Bounded.**  ``max_entries`` / ``max_bytes`` are enforced after every
-  write by evicting the least-recently-used entries (oldest mtime; a hit
-  refreshes the mtime).
+* **Bounded.**  ``max_entries`` / ``max_bytes`` are enforced by evicting
+  the least-recently-used entries (oldest mtime; a hit refreshes the
+  mtime).  A write does not rescan the directory: the handle keeps a
+  running ``(entries, bytes)`` tally, seeded by one scan at open, and
+  scans plus evicts only when the tally crosses a bound or every
+  :attr:`DiskStore.RESCAN_EVERY` writes.  The periodic rescan is what
+  sees other processes' writes, so with ``w`` writers on one directory
+  the bounds can be overshot by fewer than ``(w - 1) · RESCAN_EVERY``
+  entries between scans; every scan evicts back within them.
 
 Keys are tuples of primitives (the sweep cache's
 ``(rel.fingerprint(), m, ...)`` shapes); the full key is stored inside the
@@ -153,6 +159,9 @@ class DiskStore:
     a partial entry.
     """
 
+    #: writes between two full directory scans, whatever the tally says
+    RESCAN_EVERY = 128
+
     def __init__(
         self,
         root: str,
@@ -181,6 +190,12 @@ class DiskStore:
         self._write_errors = 0
         self._evictions = 0
         self._invalidated = 0
+        # running footprint: exact after a scan, then our own writes and
+        # unlinks (an overwrite counts as a new entry: the tally can only
+        # over-estimate, so it never delays an eviction)
+        self._count = 0
+        self._bytes = 0
+        self._writes_since_scan = 0
         self._open()
 
     # ------------------------------------------------------------------
@@ -201,6 +216,7 @@ class DiskStore:
         for name in os.listdir(self.entries_dir):
             if name.startswith(_TMP_PREFIX):
                 self._unlink(os.path.join(self.entries_dir, name))
+        self._rescan()
 
     def _read_meta(self) -> Optional[dict]:
         try:
@@ -269,7 +285,9 @@ class DiskStore:
             except ValueError:
                 # corrupt/truncated: drop it so the rewrite starts clean
                 self._corrupt_dropped += 1
-                self._unlink(path)
+                if self._unlink(path):
+                    self._count -= 1
+                    self._bytes -= len(data)
                 self._misses += 1
                 return False, None
             if stored_key != key:
@@ -312,7 +330,14 @@ class DiskStore:
                 self._unlink(tmp)
                 return False
             self._writes += 1
-            self._evict()
+            self._count += 1
+            self._bytes += len(blob)
+            self._writes_since_scan += 1
+            if (
+                self._writes_since_scan >= self.RESCAN_EVERY
+                or not self._within_bounds()
+            ):
+                self._evict()
             return True
 
     def _scan(self) -> List[Tuple[str, float, int]]:
@@ -333,20 +358,30 @@ class DiskStore:
             out.append((path, st.st_mtime, st.st_size))
         return out
 
-    def _evict(self) -> None:
+    def _rescan(self) -> List[Tuple[str, float, int]]:
+        """Scan the directory and reset the tally to what it holds."""
         entries = self._scan()
-        count = len(entries)
-        total = sum(size for _, _, size in entries)
-        if count <= self.max_entries and total <= self.max_bytes:
+        self._count = len(entries)
+        self._bytes = sum(size for _, _, size in entries)
+        self._writes_since_scan = 0
+        return entries
+
+    def _within_bounds(self) -> bool:
+        return self._count <= self.max_entries and self._bytes <= self.max_bytes
+
+    def _evict(self) -> None:
+        """Rescan, then drop least-recently-used entries until in bounds."""
+        entries = self._rescan()
+        if self._within_bounds():
             return
         entries.sort(key=lambda e: e[1])  # oldest mtime first = LRU
         for path, _, size in entries:
-            if count <= self.max_entries and total <= self.max_bytes:
+            if self._within_bounds():
                 break
             if self._unlink(path):
                 self._evictions += 1
-                count -= 1
-                total -= size
+                self._count -= 1
+                self._bytes -= size
 
     def contains(self, key: Hashable) -> bool:
         return os.path.exists(self._entry_path(key))
@@ -354,11 +389,13 @@ class DiskStore:
     def clear(self) -> int:
         """Drop every entry (counters survive); returns entries removed."""
         with self._lock:
-            return self._wipe_entries()
+            removed = self._wipe_entries()
+            self._count = self._bytes = self._writes_since_scan = 0
+            return removed
 
     def stats(self) -> DiskStoreStats:
         with self._lock:
-            entries = self._scan()
+            entries = self._rescan()
             return DiskStoreStats(
                 hits=self._hits,
                 misses=self._misses,

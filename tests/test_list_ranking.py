@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import BSPg, BSPm, MachineParams, QSMm
@@ -112,6 +112,26 @@ class TestContraction:
         with pytest.raises(RuntimeError):
             list_ranking_contraction(mach, succ, seed=9, max_rounds=1)
 
+    def test_stalled_run_is_retried_and_charged(self):
+        """``random_list(15, seed=15)`` on BSP(m=5) with seed 15 leaves one
+        node unspliced after the default 32 rounds; the second attempt
+        finishes, and the result is charged for both attempts."""
+        from repro.obs.ledger import ledger_scope
+
+        succ = random_list(15, seed=15)
+        with ledger_scope():
+            res, ranks = list_ranking_contraction(
+                BSPm(MachineParams(p=15, m=5, L=1)), succ, seed=15
+            )
+        assert np.array_equal(ranks, sequential_ranks(succ))
+        once, _ = list_ranking_contraction(
+            BSPm(MachineParams(p=15, m=5, L=1)), succ, seed=16
+        )
+        assert res.supersteps == 2 * once.supersteps  # fixed-length attempts
+        # the ledger rows of both attempts ride along and sum to model time
+        assert len(res.ledger) == res.supersteps
+        assert res.ledger.total_charge() == res.time
+
     def test_message_volume_is_linear(self):
         """Work-efficiency: total flits O(n), unlike Wyllie's Θ(n lg n)."""
         p = 128
@@ -126,6 +146,7 @@ class TestContraction:
 
 @settings(max_examples=15, deadline=None)
 @given(p=st.integers(2, 48), seed=st.integers(0, 10_000))
+@example(p=15, seed=15)  # the first attempt stalls: exercises the retry
 def test_both_algorithms_agree(p, seed):
     succ = random_list(p, seed=seed)
     oracle = sequential_ranks(succ)

@@ -424,6 +424,242 @@ class TestStreamingTelemetry:
 
 
 # ----------------------------------------------------------------------
+# the thread engine's compute lane
+# ----------------------------------------------------------------------
+class _HeldCompute:
+    """Wraps the scenario handlers: records the thread of every compute
+    and the seeds computed, and holds the compute of ``hold_seed`` until
+    :meth:`release` — a lane blocked on one long compute."""
+
+    def __init__(self, monkeypatch, hold_seed=None):
+        import repro.serve.executor as executor_mod
+
+        self.hold_seed = hold_seed
+        self.entered = threading.Event()
+        self._release = threading.Event()
+        self.threads = []
+        self.seeds = []
+        scenario = executor_mod.run_scenario
+        batch = executor_mod.run_scenario_batch
+
+        def held_scenario(params, seed, **kw):
+            self.threads.append(_thread_id())
+            self.seeds.append(seed)
+            if seed == self.hold_seed:
+                self.entered.set()
+                assert self._release.wait(60)
+            return scenario(params, seed, **kw)
+
+        def held_batch(params_list, seed):
+            self.threads.append(_thread_id())
+            self.seeds.append(seed)
+            return batch(params_list, seed)
+
+        monkeypatch.setattr(executor_mod, "run_scenario", held_scenario)
+        monkeypatch.setattr(executor_mod, "run_scenario_batch", held_batch)
+
+    def release(self):
+        self._release.set()
+
+
+def _thread_id():
+    return threading.current_thread().name, threading.get_ident()
+
+
+def _lane_jobs(server):
+    return len(server.executor._engine._jobs)
+
+
+def _wait_for(predicate, timeout=30.0):
+    end = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < end, "condition not reached"
+        time.sleep(0.01)
+
+
+class TestComputeLane:
+    def test_concurrent_cold_computes_share_one_thread(self, tmp_path, monkeypatch):
+        held = _HeldCompute(monkeypatch)
+        server, client = make_server(
+            tmp_path, executor=ExecutorConfig(workers=4, backoff_base=0.01)
+        )
+        params = [dict(SCENARIO, p=8, n=400, L=float(1 + i % 2)) for i in range(8)]
+        seeds = [200 + i // 2 for i in range(8)]  # L-pairs may coalesce
+        replies = [None] * 8
+
+        def go(i):
+            replies[i] = client.submit("scenario", params[i], seed=seeds[i])
+
+        try:
+            threads = [threading.Thread(target=go, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            server.drain(timeout=30)
+        for i, reply in enumerate(replies):
+            assert reply["cached"] is False
+            assert reply["result"] == _json_roundtrip(run_scenario(params[i], seeds[i]))
+        assert held.threads
+        ((name, _ident),) = set(held.threads)  # one thread ran them all
+        assert name == "repro-serve-compute"
+
+    def test_ping_and_cache_hit_overtake_a_held_compute(self, tmp_path, monkeypatch):
+        server, client = make_server(tmp_path)
+        held = _HeldCompute(monkeypatch, hold_seed=2)
+        try:
+            cold = client.submit("scenario", SCENARIO, seed=1)
+            slow = {}
+            t = threading.Thread(
+                target=lambda: slow.update(r=client.submit("scenario", SCENARIO, seed=2))
+            )
+            t.start()
+            assert held.entered.wait(30)
+            assert client.ping()["ok"]
+            warm = client.submit("scenario", SCENARIO, seed=1)
+            assert warm["cached"] is True and warm["result"] == cold["result"]
+            assert t.is_alive()  # the held compute is still running
+            held.release()
+            t.join(timeout=60)
+        finally:
+            held.release()
+            server.drain(timeout=30)
+        assert slow["r"]["result"] == _json_roundtrip(run_scenario(SCENARIO, 2))
+
+    def test_deadline_expiring_in_the_lane_queue_sheds(self, tmp_path, monkeypatch):
+        server, client = make_server(tmp_path)
+        held = _HeldCompute(monkeypatch, hold_seed=2)
+        try:
+            blocker = threading.Thread(
+                target=client.submit, args=("scenario", SCENARIO), kwargs={"seed": 2}
+            )
+            blocker.start()
+            assert held.entered.wait(30)
+            outcome = {}
+
+            def late():
+                try:
+                    client.submit("scenario", SCENARIO, seed=3, deadline_s=1.0)
+                except ServeRequestError as exc:
+                    outcome["error"] = exc
+
+            t = threading.Thread(target=late)
+            t.start()
+            _wait_for(lambda: _lane_jobs(server) == 1)  # queued, not yet expired
+            time.sleep(1.2)
+            held.release()
+            t.join(timeout=60)
+            blocker.join(timeout=60)
+        finally:
+            held.release()
+            server.drain(timeout=30)
+        err = outcome["error"]
+        assert err.code == "E_DEADLINE" and err.http_status == 504
+        assert "queued for compute" in err.detail
+        assert 3 not in held.seeds  # shed before building a relation
+        wait = server.metrics.snapshot()["histograms"]["serve.compute.wait_s"]
+        assert wait["count"] >= 2 and wait["sum"] >= 1.0
+
+    def test_drain_with_queued_lane_work_loses_nothing(self, tmp_path, monkeypatch):
+        server, client = make_server(tmp_path)
+        held = _HeldCompute(monkeypatch, hold_seed=2)
+        seeds = [2, 4, 5, 6]
+        replies = {}
+
+        def go(seed):
+            replies[seed] = client.submit("scenario", SCENARIO, seed=seed)
+
+        threads = [threading.Thread(target=go, args=(s,)) for s in seeds]
+        try:
+            threads[0].start()
+            assert held.entered.wait(30)
+            for t in threads[1:]:
+                t.start()
+            _wait_for(lambda: _lane_jobs(server) >= 1)
+            _wait_for(lambda: server.executor.outstanding() == len(seeds))
+            drained = {}
+            drainer = threading.Thread(
+                target=lambda: drained.update(clean=server.drain(timeout=60))
+            )
+            drainer.start()
+            time.sleep(0.2)
+            assert drainer.is_alive()  # waiting on the held lane
+            held.release()
+            drainer.join(timeout=60)
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            held.release()
+            server.drain(timeout=30)
+        assert drained["clean"] is True
+        assert sorted(replies) == seeds
+        for seed in seeds:
+            want = _json_roundtrip(run_scenario(SCENARIO, seed))
+            assert replies[seed]["result"] == want
+
+    def test_wait_histogram_is_exported(self, served):
+        server, client = served
+        client.submit("scenario", dict(SCENARIO, p=8, n=400), seed=7)
+        hist = client.metrics()["histograms"]["serve.compute.wait_s"]
+        assert hist["count"] >= 1
+        text = client.metrics_prom()
+        assert "# TYPE serve_compute_wait_s histogram" in text
+        assert any(
+            line.startswith("serve_compute_wait_s_count ")
+            for line in text.splitlines()
+        )
+
+    def test_lane_stress_every_caller_gets_its_own_answer(self):
+        from repro.serve.engine import ComputeLane
+
+        lane = ComputeLane()
+        lane.start()
+        results = {}
+
+        def caller(k):
+            results[k] = [
+                lane.run(lambda i=i: (k, i, threading.get_ident())) for i in range(200)
+            ]
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            lane.shutdown()
+        assert len({ident for rows in results.values() for *_, ident in rows}) == 1
+        for k in range(8):
+            assert [row[:2] for row in results[k]] == [(k, i) for i in range(200)]
+
+    def test_lane_hands_back_values_and_errors(self):
+        from repro.serve.engine import ComputeLane
+
+        lane = ComputeLane()
+        lane.start()
+        try:
+            assert lane.run(lambda: threading.current_thread().name) == (
+                "repro-serve-compute"
+            )
+            with pytest.raises(ZeroDivisionError):
+                lane.run(lambda: 1 / 0)
+            with pytest.raises(ServeError) as exc:
+                lane.run(lambda: None, deadline=time.monotonic() - 1.0)
+            assert exc.value.code == "E_DEADLINE"
+        finally:
+            lane.shutdown()
+        # once the lane has drained, a job runs on the caller's thread
+        _wait_for(lambda: lane._closed)
+        assert lane.run(threading.current_thread) is threading.current_thread()
+
+
+# ----------------------------------------------------------------------
 # process engine + UDS transport
 # ----------------------------------------------------------------------
 class TestProcessEngine:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import errno
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -81,6 +83,123 @@ class TestDiskStoreBasics:
         with pytest.raises(OSError) as exc:
             wipe_store(str(other))
         assert exc.value.errno == errno.ENOTEMPTY
+
+
+class TestWriteTally:
+    """A write updates a running ``(entries, bytes)`` tally instead of
+    rescanning the directory; a scan (plus LRU eviction) runs only when
+    the tally crosses a bound or every ``RESCAN_EVERY`` writes.  Checked
+    by counting directory-metadata calls, not by timing."""
+
+    @pytest.fixture
+    def fs_calls(self, monkeypatch):
+        calls = {"stat": 0, "listdir": 0}
+        real_stat, real_listdir = os.stat, os.listdir
+
+        def stat(*args, **kwargs):
+            calls["stat"] += 1
+            return real_stat(*args, **kwargs)
+
+        def listdir(*args, **kwargs):
+            calls["listdir"] += 1
+            return real_listdir(*args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", stat)
+        monkeypatch.setattr(os, "listdir", listdir)
+        return calls
+
+    @staticmethod
+    def _on_disk(store):
+        return sorted(n for n in os.listdir(store.entries_dir) if n.endswith(_SUFFIX))
+
+    def test_writes_within_bounds_never_scan(self, tmp_path, fs_calls):
+        s = DiskStore(str(tmp_path / "s"), max_entries=1000, tag="t")
+        fs_calls.update(stat=0, listdir=0)
+        for i in range(DiskStore.RESCAN_EVERY - 1):
+            assert s.put(("k", i), i)
+        assert fs_calls == {"stat": 0, "listdir": 0}
+        assert s.stats().entries == DiskStore.RESCAN_EVERY - 1
+
+    def test_crossing_a_bound_scans_once_and_evicts_lru(self, tmp_path, fs_calls):
+        s = DiskStore(str(tmp_path / "s"), max_entries=4, tag="t")
+        for i in range(4):
+            s.put(("k", i), i)
+            os.utime(s._entry_path(("k", i)), (i, i))  # distinct mtimes
+        fs_calls.update(stat=0, listdir=0)
+        s.put(("k", 4), 4)  # the fifth entry crosses max_entries
+        assert fs_calls == {"stat": 5, "listdir": 1}
+        assert len(self._on_disk(s)) == 4
+        assert not s.contains(("k", 0)) and s.contains(("k", 4))
+        assert s.stats().evictions == 1
+
+    def test_byte_bound_is_tallied(self, tmp_path):
+        blob = "x" * 1000
+        s = DiskStore(str(tmp_path / "s"), max_bytes=3500, tag="t")
+        for i in range(10):
+            s.put(("k", i), blob)
+        st = s.stats()
+        assert st.bytes <= 3500 and st.entries == 3 and st.evictions == 7
+
+    def test_periodic_rescan(self, tmp_path, fs_calls):
+        s = DiskStore(str(tmp_path / "s"), max_entries=1000, tag="t")
+        s.RESCAN_EVERY = 10
+        fs_calls.update(stat=0, listdir=0)
+        for i in range(25):
+            s.put(("k", i), i)
+        assert fs_calls["listdir"] == 2  # after writes 10 and 20
+
+    def test_corrupt_drop_and_clear_keep_the_tally(self, tmp_path, fs_calls):
+        s = DiskStore(str(tmp_path / "s"), max_entries=2, tag="t")
+        s.put(("a",), 1)
+        s.put(("b",), 2)
+        with open(s._entry_path(("a",)), "wb") as fh:
+            fh.write(b"garbage")
+        assert s.get(("a",)) == (False, None)  # dropped: one entry left
+        fs_calls.update(stat=0, listdir=0)
+        s.put(("c",), 3)  # two entries: within bounds, no scan
+        assert fs_calls["listdir"] == 0
+        s.clear()
+        s.put(("d",), 4)
+        s.put(("e",), 5)
+        assert fs_calls["listdir"] == 1  # the one in clear()
+        assert len(self._on_disk(s)) == 2
+
+    def test_threads_sharing_a_handle_keep_the_bound(self, tmp_path):
+        s = DiskStore(str(tmp_path / "s"), max_entries=16, tag="t")
+
+        def writer(k):
+            for i in range(40):
+                s.put(("k", k, i), i)
+
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        # 320 writes: the last periodic rescan was at write 256, so a lost
+        # tally update would leave more than 16 entries behind
+        assert len(self._on_disk(s)) == 16
+
+    def test_two_writers_on_one_directory(self, tmp_path):
+        """Each handle sees the other's writes at its next rescan, so the
+        directory never holds more than ``max_entries + RESCAN_EVERY - 1``
+        entries between writes, and every scan evicts back into bounds."""
+        root = str(tmp_path / "s")
+        a = DiskStore(root, max_entries=8, tag="t")
+        b = DiskStore(root, max_entries=8, tag="t")
+        a.RESCAN_EVERY = b.RESCAN_EVERY = 4
+        for i in range(64):
+            (a if i % 2 else b).put(("k", i), i)
+            assert len(self._on_disk(a)) <= 8 + 4 - 1
+        for i in range(4):  # a rescans within its next 4 writes
+            a.put(("a", i), i)
+        assert len(self._on_disk(a)) <= 8
 
 
 class TestCrashRecovery:
