@@ -1,4 +1,4 @@
-"""Engine throughput regression harness for the fused superstep path.
+"""Engine throughput regression harness for the superstep barrier loop.
 
 Measures simulator wall-clock throughput (messages or requests per second)
 on three hot profiles and pins the corresponding *model* times, which must
@@ -6,8 +6,8 @@ be bit-identical across engine rewrites:
 
 * **routing** — the 40k-message route-verify profile from
   docs/performance.md (Unbalanced-Send schedule executed end-to-end on a
-  BSP(m) and delivery-verified; on the fused default this takes the
-  compiled-superstep direct path of ``repro.scheduling.execute``).
+  BSP(m) and delivery-verified; this takes the compiled-replay fast path
+  of ``repro.scheduling.execute``).
 * **qsm-phases** — a phase-heavy QSM(m) workload (alternating
   ``write_many`` / ``read_many`` phases over dense shared memory, arena
   freeze path).
@@ -21,10 +21,8 @@ be bit-identical across engine rewrites:
   (``BENCH_BATCHED_FLOOR``, default 5x) is gated only when batched pricing
   actually engaged.
 
-The routing profile is additionally measured with the fused path disabled
-(``fused_vs_legacy`` ratio), and the qsm profile asserts the
-no-allocation-growth contract: steady-state reruns on one machine must not
-regrow the preallocated arenas.
+The qsm profile asserts the no-allocation-growth contract: steady-state
+reruns on one machine must not regrow the preallocated arenas.
 
 Run standalone to (re)generate the regression baseline::
 
@@ -45,7 +43,6 @@ import numpy as np
 
 from repro import BSPm, MachineParams, QSMm
 from repro.algorithms.total_exchange import run_total_exchange
-from repro.core.engine import fused_default, set_fused_default
 from repro.scheduling import unbalanced_send
 from repro.scheduling.execute import execute_schedule
 from repro.workloads import uniform_random_relation
@@ -54,7 +51,7 @@ from _common import emit
 
 # The seed engine (pre-columnar) sustained ~200k msg/s on the routing
 # profile (docs/performance.md); the columnar fast path held >= 5x and the
-# fused/compiled path must hold >= 15x (>= 3x the columnar baseline).
+# arena/compiled path must hold >= 15x (>= 3x the columnar baseline).
 SEED_ROUTING_MSGS_PER_S = 200_000.0
 SPEEDUP_FLOOR = 15.0
 
@@ -75,23 +72,11 @@ def _routing_profile():
     t0 = time.perf_counter()
     res = execute_schedule(machine, sched)
     dt = time.perf_counter() - t0
-    # same schedule through the legacy trampoline path, for the ratio
-    previous = fused_default()
-    set_fused_default(False)
-    try:
-        t0 = time.perf_counter()
-        res_legacy = execute_schedule(BSPm(MachineParams(p=256, m=64, L=1)), sched)
-        dt_legacy = time.perf_counter() - t0
-    finally:
-        set_fused_default(previous)
-    assert res_legacy.time == res.time  # optimization contract
     return {
         "messages": int(rel.n),
         "seconds": dt,
         "msgs_per_s": rel.n / dt,
         "model_time": res.time,
-        "legacy_msgs_per_s": rel.n / dt_legacy,
-        "fused_vs_legacy": dt_legacy / dt,
     }
 
 
@@ -113,18 +98,15 @@ def _qsm_profile(p=256, rounds=12, k=24):
     machine = QSMm(MachineParams(p=p, m=32, L=2))
     machine.use_dense_memory(span)
     machine.run(_qsm_program, args=(rounds, k, span))  # warm the arenas
-    arena_grows = (
-        [a.grows for a in machine._arenas] if machine._arenas else None
-    )
+    arena_grows = [a.grows for a in machine._arenas]
     t0 = time.perf_counter()
     res = machine.run(_qsm_program, args=(rounds, k, span))
     dt = time.perf_counter() - t0
-    if arena_grows is not None:
-        # no-allocation-growth contract: a steady-state rerun on the same
-        # machine must never regrow the preallocated arenas
-        assert [a.grows for a in machine._arenas] == arena_grows, (
-            "fused arenas grew on a steady-state rerun"
-        )
+    # no-allocation-growth contract: a steady-state rerun on the same
+    # machine must never regrow the preallocated arenas
+    assert [a.grows for a in machine._arenas] == arena_grows, (
+        "arenas grew on a steady-state rerun"
+    )
     requests = 2 * rounds * k * p
     return {
         "requests": requests,
@@ -217,9 +199,6 @@ def _report(data):
         rows.append(["routing (40k route-verify)", data["routing"]["messages"],
                      data["routing"]["seconds"], data["routing"]["msgs_per_s"],
                      data["routing"]["model_time"]])
-        rows.append(["routing (legacy trampoline)", data["routing"]["messages"],
-                     "-", data["routing"]["legacy_msgs_per_s"],
-                     data["routing"]["model_time"]])
     if "qsm-phases" in data:
         rows.append(["qsm phases (dense mem)", data["qsm-phases"]["requests"],
                      data["qsm-phases"]["seconds"], data["qsm-phases"]["reqs_per_s"],
@@ -233,12 +212,10 @@ def _report(data):
         rows.append([f"batched replay (B={b['trials']})", b["trials"],
                      b["batched_seconds"], b["trials_per_s"], "-"])
     emit(
-        "engine throughput (fused superstep path)",
+        "engine throughput (superstep barrier loop)",
         ["profile", "volume", "seconds", "throughput/s", "model time"],
         rows,
     )
-    if "routing" in data:
-        print(f"fused vs legacy (routing): {data['routing']['fused_vs_legacy']:.2f}x")
     if "batched-replay" in data:
         b = data["batched-replay"]
         print(

@@ -1,28 +1,26 @@
-"""Preallocated superstep arenas for the fused engine path.
+"""Preallocated superstep arenas for the engine's barrier loop.
 
-The legacy engine buffers each processor's operations in per-processor
-chunk lists and *gathers* them into columnar batches at the barrier
-(:func:`repro.core.engine._gather_msg_batch` and friends).  The fused path
-inverts this: every ``send``/``send_many``/``read``/``write`` appends
-directly into a machine-owned arena — a set of preallocated, growable
-``int64`` columns shared by all processors — so the barrier freeze is a
-single slice-copy per column instead of a Python-level merge pass, and no
-per-call ``MessageBatch``/``RequestBatch`` chunks (or their per-chunk
-``np.full`` source columns) are ever allocated.
+Every ``send``/``send_many``/``read``/``write`` appends directly into a
+machine-owned arena — a set of preallocated, growable ``int64`` columns
+shared by all processors — so the barrier freeze is a single slice-copy
+per column instead of a Python-level merge pass, and no per-call
+``MessageBatch``/``RequestBatch`` chunks (or their per-chunk ``np.full``
+source columns) are ever allocated.
 
 Correctness contract
 --------------------
-``freeze()`` must produce batches *value-identical* to the legacy gather:
-same column values in the same row order, and the same payload-column
-representation rules (``None`` if every payload is ``None``, a single
-array when all chunks are arrays, a list otherwise — see
-:func:`repro.core.events._concat_columns`).  This holds because the engine
-advances processors sequentially in pid order within a superstep, so arena
-append order *is* the legacy gather order.  The one exception — programs
+``freeze()`` produces the superstep's batches in pid-major issue order:
+each processor's operations in the order it issued them, processors in
+pid order, with one payload-column representation rule (``None`` if every
+payload is ``None``, a single array when all chunks are arrays, a list
+otherwise — see :func:`repro.core.events._concat_columns`).  The engine
+advances processors sequentially in pid order within a superstep, so
+append order already *is* pid-major order.  The one exception — programs
 where some processors are plain functions (executed at construction time)
 and others are generators (executed at the first barrier) — is detected via
 a pid-monotonicity check and repaired at freeze time with a stable sort by
-source pid, which restores the legacy pid-major order exactly.
+source pid, which restores pid-major order exactly.  The frozen records
+are pinned against golden records by ``tests/test_fused_kernel.py``.
 
 Arenas are reused across supersteps and across runs on the same machine;
 ``grows`` counts capacity growths so benchmarks can assert steady-state
@@ -50,8 +48,7 @@ _I64 = np.int64
 
 
 def _int_addr_column(addrs: list) -> Any:
-    """Int64 array when every address is an integer, else the list itself
-    (mirrors the engine's scalar-request freezer)."""
+    """Int64 array when every address is an integer, else the list itself."""
     if addrs and all(isinstance(a, (int, np.integer)) for a in addrs):
         return np.asarray(addrs, dtype=_I64)
     return addrs
@@ -110,8 +107,7 @@ class SendArena(_ColumnArena):
         self.consecutive = np.empty(cap, dtype=bool)
         self._payload_chunks: List[Tuple[Column, int]] = []
         # scalar merge buffers: consecutive scalar sends (possibly spanning
-        # processors) collapse into one chunk, exactly like the legacy
-        # gather's (pid, count) runs
+        # processors) collapse into one chunk of (pid, count) runs
         self._run_pids: List[int] = []
         self._run_counts: List[int] = []
         self._s_dest: List[int] = []
@@ -371,7 +367,7 @@ class RequestArena(_ColumnArena):
         return batch
 
     def _reorder(self, batch: RequestBatch) -> RequestBatch:
-        """Restore legacy pid-major order after a mixed plain/generator
+        """Restore pid-major order after a mixed plain/generator
         program appended out of pid order (rare; see module docstring).
         Each handle span belongs to one processor's contiguous appends, so
         spans stay contiguous under the stable sort and only shift."""

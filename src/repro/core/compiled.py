@@ -14,9 +14,9 @@ entirely.
 Which programs qualify
 ----------------------
 * the h-relation routing program of :mod:`repro.scheduling.execute` (one
-  ``send_many`` per processor, one barrier — ``execute_schedule`` applies
-  the equivalent direct fast path automatically, without even a recording
-  run);
+  ``send_many`` per processor, one barrier — ``compile_schedule`` builds
+  its frame straight from the schedule, without even a recording run, and
+  ``execute_schedule`` replays it automatically);
 * :func:`repro.algorithms.total_exchange.run_total_exchange` (a fixed
   latin-square schedule, via ``execute_schedule``);
 * any fixed-schedule QSM phase program whose addresses don't depend on
@@ -159,9 +159,7 @@ class CompiledProgram:
                     m=machine.params.m, L=machine.params.L, g=machine.params.g,
                 )
                 run_span.model_start = tracer.model_clock
-            observe = make_superstep_observer(
-                tracer, mreg, machine, self.p, run_span, fused=True
-            )
+            observe = make_superstep_observer(tracer, mreg, machine, self.p, run_span)
         records: List[SuperstepRecord] = []
         try:
             for index, (work, msg_b, read_b, write_b) in enumerate(self.frames):
@@ -180,8 +178,7 @@ class CompiledProgram:
                 records.append(record)
                 self._apply_writes(machine, write_b)
                 if observe is not None:
-                    t1 = _time.perf_counter()
-                    observe(record, t0, t1, t1, t1)
+                    observe(record, t0, _time.perf_counter())
         finally:
             if run_span is not None:
                 tracer.end(

@@ -50,7 +50,6 @@ literal ``c_m`` is also recorded in ``record.stats['c_m_paper']``.
 
 from __future__ import annotations
 
-import os as _os
 import time as _time
 from collections import Counter
 from dataclasses import dataclass
@@ -72,15 +71,13 @@ import numpy as np
 
 from repro.core.arena import RequestArena, SendArena
 from repro.core.events import (
-    Column,
     CostBreakdown,
     Message,
     MessageBatch,
-    RequestBatch,
     SuperstepRecord,
     _column_take,
 )
-from repro.core.kernels import stable_group_order
+from repro.core.kernels import group_bounds, stable_group_order
 from repro.core.params import MachineParams
 from repro.obs.ledger import active_ledger as _active_ledger
 from repro.obs.metrics import active_metrics as _active_metrics
@@ -97,37 +94,9 @@ __all__ = [
     "Proc",
     "Machine",
     "RunResult",
-    "fused_default",
-    "set_fused_default",
 ]
 
 _I64 = np.int64
-
-# ----------------------------------------------------------------------
-# Fused-path default: the arena-based freeze+price+deliver barrier is on
-# unless REPRO_FUSED=0 (or a caller passes fused=False to Machine.run).
-# Both paths are bit-identical (tests/test_fused_kernel.py); the toggle
-# exists for A/B benchmarking and as an escape hatch.
-# ----------------------------------------------------------------------
-_fused_default_flag = _os.environ.get("REPRO_FUSED", "").lower() not in (
-    "0",
-    "off",
-    "false",
-)
-
-
-def fused_default() -> bool:
-    """Whether :meth:`Machine.run` uses the fused arena path by default."""
-    return _fused_default_flag
-
-
-def set_fused_default(value: bool) -> bool:
-    """Set the process-wide fused default; returns the previous value."""
-    global _fused_default_flag
-    old = _fused_default_flag
-    _fused_default_flag = bool(value)
-    return old
-
 
 class ModelViolation(Exception):
     """The program broke a rule of the machine model (e.g. two injections by
@@ -461,68 +430,30 @@ def _as_index_array(values: Any, name: str) -> np.ndarray:
 class Proc:
     """Per-processor execution context handed to SPMD programs.
 
-    Operations accumulate into per-processor *chunks* — scalar calls append
-    to plain Python lists, batch calls append whole arrays — and the engine
-    concatenates everything into the superstep's columnar record at the
-    barrier, preserving issue order exactly.  On the fused path the chunk
-    lists are bypassed: operations append straight into the machine's
-    preallocated arenas (:mod:`repro.core.arena`) and the barrier freeze is
-    a slice-copy.  Both paths produce value-identical records.
+    Every operation appends straight into the arenas of the run
+    (:mod:`repro.core.arena`), shared by all processors, so the barrier
+    freeze is a slice-copy per column that preserves issue order exactly.
     """
 
-    def __init__(self, pid: int, nprocs: int, machine: "Machine") -> None:
+    def __init__(
+        self,
+        pid: int,
+        nprocs: int,
+        machine: "Machine",
+        arenas: Tuple[SendArena, RequestArena, RequestArena],
+    ) -> None:
         self.pid = pid
         self.nprocs = nprocs
         self._machine = machine
         self.inbox: InboxView = _EMPTY_INBOX
         self._work = 0.0
-        # fused-path arena references (attached by Machine.run)
-        self._arena_send: Optional[SendArena] = None
-        self._arena_read: Optional[RequestArena] = None
-        self._arena_write: Optional[RequestArena] = None
-        # scalar accumulation lists (dest, size, slot, consecutive, payload)
-        self._sc_dest: List[int] = []
-        self._sc_size: List[int] = []
-        self._sc_slot: List[int] = []
-        self._sc_consec: List[bool] = []
-        self._sc_payload: List[Any] = []
-        self._send_chunks: List[MessageBatch] = []
-        # scalar read lists (addr, slot, handle) and write lists
-        self._sc_raddr: List[Any] = []
-        self._sc_rslot: List[int] = []
-        self._sc_rhandle: List[ReadHandle] = []
-        self._read_chunks: List[RequestBatch] = []
-        self._sc_waddr: List[Any] = []
-        self._sc_wslot: List[int] = []
-        self._sc_wvalue: List[Any] = []
-        self._write_chunks: List[RequestBatch] = []
+        self._arena_send, self._arena_read, self._arena_write = arenas
         self._next_slot = 0
         self._stagger_k = 0
 
     # -- engine bookkeeping ---------------------------------------------------
     def _reset_superstep(self) -> None:
-        # The record assembly in run() copies everything out, so in-place
-        # clear() is safe and avoids reallocating 15 lists per processor
-        # per superstep; each accumulator group is only cleared when it was
-        # used (measurable on phase-heavy QSM workloads).
         self._work = 0.0
-        if self._sc_dest or self._send_chunks:
-            self._sc_dest.clear()
-            self._sc_size.clear()
-            self._sc_slot.clear()
-            self._sc_consec.clear()
-            self._sc_payload.clear()
-            self._send_chunks.clear()
-        if self._sc_raddr or self._read_chunks:
-            self._sc_raddr.clear()
-            self._sc_rslot.clear()
-            self._sc_rhandle.clear()
-            self._read_chunks.clear()
-        if self._sc_waddr or self._write_chunks:
-            self._sc_waddr.clear()
-            self._sc_wslot.clear()
-            self._sc_wvalue.clear()
-            self._write_chunks.clear()
         self._next_slot = 0
         self._stagger_k = 0
 
@@ -571,57 +502,6 @@ class Proc:
         groups = -(-self.nprocs // m)
         return (k0 + np.arange(count, dtype=_I64)) * groups + self.pid // m
 
-    # -- freezing into columnar batches ---------------------------------------
-    def _flush_scalar_sends(self) -> None:
-        if not self._sc_dest:
-            return
-        n = len(self._sc_dest)
-        payload: Any = self._sc_payload
-        if all(p is None for p in payload):
-            payload = None
-        self._send_chunks.append(
-            MessageBatch(
-                np.full(n, self.pid, dtype=_I64),
-                np.asarray(self._sc_dest, dtype=_I64),
-                np.asarray(self._sc_size, dtype=_I64),
-                np.asarray(self._sc_slot, dtype=_I64),
-                np.asarray(self._sc_consec, dtype=bool),
-                payload,
-            )
-        )
-        self._sc_dest, self._sc_size, self._sc_slot = [], [], []
-        self._sc_consec, self._sc_payload = [], []
-
-    def _flush_scalar_reads(self) -> None:
-        if not self._sc_raddr:
-            return
-        n = len(self._sc_raddr)
-        self._read_chunks.append(
-            RequestBatch(
-                np.full(n, self.pid, dtype=_I64),
-                _int_addr_column(self._sc_raddr),
-                np.asarray(self._sc_rslot, dtype=_I64),
-                None,
-                [(h, i, i + 1) for i, h in enumerate(self._sc_rhandle)],
-            )
-        )
-        self._sc_raddr, self._sc_rslot, self._sc_rhandle = [], [], []
-
-    def _flush_scalar_writes(self) -> None:
-        if not self._sc_waddr:
-            return
-        n = len(self._sc_waddr)
-        self._write_chunks.append(
-            RequestBatch(
-                np.full(n, self.pid, dtype=_I64),
-                _int_addr_column(self._sc_waddr),
-                np.asarray(self._sc_wslot, dtype=_I64),
-                self._sc_wvalue,
-                [],
-            )
-        )
-        self._sc_waddr, self._sc_wslot, self._sc_wvalue = [], [], []
-
     # -- program API ------------------------------------------------------------
     def work(self, amount: float = 1.0) -> None:
         """Charge ``amount`` units of local computation this superstep."""
@@ -662,15 +542,7 @@ class Proc:
             if slot < 0:
                 raise ValueError(f"slot must be >= 0, got {slot}")
             self._bump_slot(slot, size)
-        arena = self._arena_send
-        if arena is not None:
-            arena.append_scalar(self.pid, dest, size, slot, consecutive, payload)
-            return
-        self._sc_dest.append(dest)
-        self._sc_size.append(size)
-        self._sc_slot.append(slot)
-        self._sc_consec.append(consecutive)
-        self._sc_payload.append(payload)
+        self._arena_send.append_scalar(self.pid, dest, size, slot, consecutive, payload)
 
     def send_many(
         self,
@@ -705,7 +577,7 @@ class Proc:
                 f"destination {bad} out of range for {self.nprocs} processors"
             )
         if sizes is None:
-            size = None  # all-unit; materialized only on the legacy path
+            size = None  # all-unit
             unit = True
         else:
             size = _as_index_array(sizes, "sizes")
@@ -734,23 +606,7 @@ class Proc:
                 self._next_slot = max(self._next_slot, int((slot + size).max()))
         if payloads is not None and len(payloads) != n:
             raise ProgramError(f"payloads has {len(payloads)} entries for {n} messages")
-        arena = self._arena_send
-        if arena is not None:
-            arena.append_batch(self.pid, dest, size, slot, bool(consecutive), payloads)
-            return
-        if size is None:
-            size = np.ones(n, dtype=_I64)
-        self._flush_scalar_sends()
-        self._send_chunks.append(
-            MessageBatch(
-                np.full(n, self.pid, dtype=_I64),
-                dest,
-                size,
-                slot,
-                np.full(n, bool(consecutive), dtype=bool),
-                payloads,
-            )
-        )
+        self._arena_send.append_batch(self.pid, dest, size, slot, bool(consecutive), payloads)
 
     def _require_shared_memory(self) -> None:
         if not self._machine.uses_shared_memory:
@@ -759,39 +615,28 @@ class Proc:
                 "use send()/inbox, not read()/write()"
             )
 
+    def _request_slot(self, slot: Optional[int]) -> int:
+        if slot is None:
+            slot = self._next_slot
+        elif slot < 0:
+            raise ValueError(f"slot must be >= 0, got {slot}")
+        if slot >= self._next_slot:
+            self._next_slot = slot + 1
+        return slot
+
     def read(self, addr: Any, *, slot: Optional[int] = None) -> ReadHandle:
         """Issue a QSM shared-memory read; value available after the barrier."""
         self._require_shared_memory()
-        if slot is None:
-            slot = self._next_slot
-            self._next_slot = slot + 1
-        elif slot >= self._next_slot:
-            self._next_slot = slot + 1
+        slot = self._request_slot(slot)
         handle = ReadHandle(addr)
-        arena = self._arena_read
-        if arena is not None:
-            arena.append_scalar_read(self.pid, addr, slot, handle)
-            return handle
-        self._sc_raddr.append(addr)
-        self._sc_rslot.append(slot)
-        self._sc_rhandle.append(handle)
+        self._arena_read.append_scalar_read(self.pid, addr, slot, handle)
         return handle
 
     def write(self, addr: Any, value: Any, *, slot: Optional[int] = None) -> None:
         """Issue a QSM shared-memory write, visible from the next phase."""
         self._require_shared_memory()
-        if slot is None:
-            slot = self._next_slot
-            self._next_slot = slot + 1
-        elif slot >= self._next_slot:
-            self._next_slot = slot + 1
-        arena = self._arena_write
-        if arena is not None:
-            arena.append_scalar_write(self.pid, addr, slot, value)
-            return
-        self._sc_waddr.append(addr)
-        self._sc_wslot.append(slot)
-        self._sc_wvalue.append(value)
+        slot = self._request_slot(slot)
+        self._arena_write.append_scalar_write(self.pid, addr, slot, value)
 
     def _request_slots_for(self, n: int, slots: Any) -> np.ndarray:
         if slots is None:
@@ -831,16 +676,7 @@ class Proc:
             handle._values = []
             return handle
         slot = self._request_slots_for(n, slots)
-        arena = self._arena_read
-        if arena is not None:
-            arena.append_batch_read(self.pid, addr, slot, handle)
-            return handle
-        self._flush_scalar_reads()
-        self._read_chunks.append(
-            RequestBatch(
-                np.full(n, self.pid, dtype=_I64), addr, slot, None, [(handle, 0, n)]
-            )
-        )
+        self._arena_read.append_batch_read(self.pid, addr, slot, handle)
         return handle
 
     def write_many(self, addrs: Any, values: Any, *, slots: Any = None) -> None:
@@ -854,14 +690,7 @@ class Proc:
             raise ProgramError(f"values has {len(values)} entries for {n} writes")
         slot = self._request_slots_for(n, slots)
         value = values if isinstance(values, (list, np.ndarray)) else list(values)
-        arena = self._arena_write
-        if arena is not None:
-            arena.append_batch_write(self.pid, addr, slot, value)
-            return
-        self._flush_scalar_writes()
-        self._write_chunks.append(
-            RequestBatch(np.full(n, self.pid, dtype=_I64), addr, slot, value, [])
-        )
+        self._arena_write.append_batch_write(self.pid, addr, slot, value)
 
     def receive(self) -> InboxView:
         """Return and clear the messages delivered at the last barrier.
@@ -924,145 +753,6 @@ class RunResult:
         return out
 
 
-def _int_addr_column(addrs: list) -> Any:
-    """Int64 array when every address is an integer, else the list itself."""
-    if addrs and all(isinstance(a, (int, np.integer)) for a in addrs):
-        return np.asarray(addrs, dtype=_I64)
-    return addrs
-
-
-def _gather_msg_batch(procs: List[Proc]) -> MessageBatch:
-    """Freeze all processors' sends into one columnar batch, in pid order.
-
-    Scalar sends from consecutive processors are merged into shared Python
-    lists and converted with a single ``np.asarray`` per column — building
-    per-processor arrays would dominate phase-heavy workloads where each
-    processor sends only a handful of messages.
-    """
-    chunks: List[MessageBatch] = []
-    src_runs: List[Tuple[int, int]] = []  # (pid, count) — expanded by repeat
-    dest: List[int] = []
-    size: List[int] = []
-    slot: List[int] = []
-    consec: List[bool] = []
-    payload: List[Any] = []
-
-    def flush() -> None:
-        nonlocal src_runs, dest, size, slot, consec, payload
-        if dest:
-            pl: Column = None if all(x is None for x in payload) else payload
-            src = np.repeat(
-                np.asarray([pid for pid, _ in src_runs], dtype=_I64),
-                np.asarray([k for _, k in src_runs], dtype=_I64),
-            )
-            chunks.append(
-                MessageBatch(
-                    src,
-                    np.asarray(dest, dtype=_I64),
-                    np.asarray(size, dtype=_I64),
-                    np.asarray(slot, dtype=_I64),
-                    np.asarray(consec, dtype=bool),
-                    pl,
-                )
-            )
-            src_runs, dest, size, slot, consec, payload = [], [], [], [], [], []
-
-    for proc in procs:
-        if proc._send_chunks:
-            flush()
-            chunks.extend(proc._send_chunks)
-        k = len(proc._sc_dest)
-        if k:
-            src_runs.append((proc.pid, k))
-            dest.extend(proc._sc_dest)
-            size.extend(proc._sc_size)
-            slot.extend(proc._sc_slot)
-            consec.extend(proc._sc_consec)
-            payload.extend(proc._sc_payload)
-    flush()
-    return MessageBatch.concat(chunks)
-
-
-def _gather_read_batch(procs: List[Proc]) -> RequestBatch:
-    """Freeze all processors' reads into one columnar batch (pid order)."""
-    chunks: List[RequestBatch] = []
-    pid_runs: List[Tuple[int, int]] = []  # (pid, count) — expanded by repeat
-    addr_l: List[Any] = []
-    slot_l: List[int] = []
-    handle_l: List[ReadHandle] = []
-
-    def flush() -> None:
-        nonlocal pid_runs, addr_l, slot_l, handle_l
-        if addr_l:
-            pids = np.repeat(
-                np.asarray([pid for pid, _ in pid_runs], dtype=_I64),
-                np.asarray([k for _, k in pid_runs], dtype=_I64),
-            )
-            chunks.append(
-                RequestBatch(
-                    pids,
-                    _int_addr_column(addr_l),
-                    np.asarray(slot_l, dtype=_I64),
-                    None,
-                    [(h, i, i + 1) for i, h in enumerate(handle_l)],
-                )
-            )
-            pid_runs, addr_l, slot_l, handle_l = [], [], [], []
-
-    for proc in procs:
-        if proc._read_chunks:
-            flush()
-            chunks.extend(proc._read_chunks)
-        k = len(proc._sc_raddr)
-        if k:
-            pid_runs.append((proc.pid, k))
-            addr_l.extend(proc._sc_raddr)
-            slot_l.extend(proc._sc_rslot)
-            handle_l.extend(proc._sc_rhandle)
-    flush()
-    return RequestBatch.concat(chunks)
-
-
-def _gather_write_batch(procs: List[Proc]) -> RequestBatch:
-    """Freeze all processors' writes into one columnar batch (pid order)."""
-    chunks: List[RequestBatch] = []
-    pid_runs: List[Tuple[int, int]] = []  # (pid, count) — expanded by repeat
-    addr_l: List[Any] = []
-    slot_l: List[int] = []
-    value_l: List[Any] = []
-
-    def flush() -> None:
-        nonlocal pid_runs, addr_l, slot_l, value_l
-        if addr_l:
-            pids = np.repeat(
-                np.asarray([pid for pid, _ in pid_runs], dtype=_I64),
-                np.asarray([k for _, k in pid_runs], dtype=_I64),
-            )
-            chunks.append(
-                RequestBatch(
-                    pids,
-                    _int_addr_column(addr_l),
-                    np.asarray(slot_l, dtype=_I64),
-                    value_l,
-                    [],
-                )
-            )
-            pid_runs, addr_l, slot_l, value_l = [], [], [], []
-
-    for proc in procs:
-        if proc._write_chunks:
-            flush()
-            chunks.extend(proc._write_chunks)
-        k = len(proc._sc_waddr)
-        if k:
-            pid_runs.append((proc.pid, k))
-            addr_l.extend(proc._sc_waddr)
-            slot_l.extend(proc._sc_wslot)
-            value_l.extend(proc._sc_wvalue)
-    flush()
-    return RequestBatch.concat(chunks)
-
-
 def _addr_group_stats(addr_col: Any) -> Tuple[int, Any]:
     """``(max multiplicity, distinct keys)`` of an address column.
 
@@ -1107,17 +797,17 @@ class Machine:
         #: Optional :class:`~repro.faults.FaultInjector`; ``None`` (the
         #: default) keeps the engine on the zero-overhead fault-free path.
         self.fault_injector: Optional[Any] = None
-        # fused-path arenas: created on first fused run, reused across
+        # superstep arenas: created on the first run, reused across
         # supersteps and runs (steady-state runs allocate no new capacity)
         self._arenas: Optional[Tuple[SendArena, RequestArena, RequestArena]] = None
         self._arenas_busy = False
 
-    def _acquire_arenas(self) -> Optional[Tuple[SendArena, RequestArena, RequestArena]]:
-        """Hand out the machine's arenas for one run, or ``None`` when a
-        run is already using them (nested runs fall back to the legacy
-        gather path rather than sharing buffers)."""
+    def _acquire_arenas(self) -> Tuple[SendArena, RequestArena, RequestArena]:
+        """Hand out the machine's arenas for one run, or a fresh set when a
+        run is already using them (a program that calls :meth:`run` on its
+        own machine must not append into the outer run's buffers)."""
         if self._arenas_busy:
-            return None
+            return SendArena(), RequestArena(), RequestArena()
         if self._arenas is None:
             self._arenas = (SendArena(), RequestArena(), RequestArena())
         self._arenas_busy = True
@@ -1271,7 +961,6 @@ class Machine:
         max_time: Optional[float] = None,
         deadline: Optional[float] = None,
         audit: bool = False,
-        fused: Optional[bool] = None,
     ) -> RunResult:
         """Execute ``program`` SPMD-style on all processors.
 
@@ -1309,12 +998,6 @@ class Machine:
             engine-vs-evaluator cost reconciliation) via
             :mod:`repro.faults.audit`; violations raise
             :class:`~repro.faults.audit.AuditViolation`.
-        fused:
-            Use the fused arena barrier (operations append into
-            preallocated machine-owned arenas; the freeze is a slice-copy).
-            ``None`` (the default) defers to the process-wide default —
-            see :func:`fused_default` / ``REPRO_FUSED``.  Both paths are
-            bit-identical in model times, records and results.
 
         Returns
         -------
@@ -1350,19 +1033,10 @@ class Machine:
                 reason=deadline_reason,
             )
 
-        procs = [Proc(pid, p, self) for pid in range(p)]
-        use_fused = _fused_default_flag if fused is None else bool(fused)
-        arenas = self._acquire_arenas() if use_fused else None
+        arenas = self._acquire_arenas()
         records: List[SuperstepRecord] = []
         try:
-            if arenas is not None:
-                # attach before program construction: plain-function
-                # programs execute (and send) inside the loop below
-                send_a, read_a, write_a = arenas
-                for proc in procs:
-                    proc._arena_send = send_a
-                    proc._arena_read = read_a
-                    proc._arena_write = write_a
+            procs = [Proc(pid, p, self, arenas) for pid in range(p)]
             gens: List[Optional[Generator]] = []
             results: List[Any] = [None] * p
             for pid, proc in enumerate(procs):
@@ -1400,8 +1074,7 @@ class Machine:
                 if ledger is not None:
                     ledger_start = ledger.begin_run(type(self).__name__, self.params)
                 observe = make_superstep_observer(
-                    tracer, mreg, self, p, run_span, fused=arenas is not None,
-                    ledger=ledger,
+                    tracer, mreg, self, p, run_span, ledger=ledger
                 )
             try:
                 self._run_loop(
@@ -1417,7 +1090,7 @@ class Machine:
                         supersteps=len(records),
                     )
         finally:
-            if arenas is not None:
+            if arenas is self._arenas:
                 self._arenas_busy = False
         return RunResult(
             params=self.params, records=records, results=results,
@@ -1438,13 +1111,13 @@ class Machine:
         auditor,
         deadline,
         observe,
-        arenas=None,
+        arenas,
         deadline_reason="max_time",
     ) -> None:
         """The barrier loop of :meth:`run` (split out so the run-level trace
-        span can close on every exit path).  With ``arenas`` the superstep
-        record is frozen from the machine's arenas (fused path); otherwise
-        it is gathered from the processors' chunk lists."""
+        span can close on every exit path).  Each superstep record is
+        frozen from the run's arenas."""
+        send_a, read_a, write_a = arenas
         index = 0
         first = True
         while True:
@@ -1470,39 +1143,26 @@ class Machine:
                     alive[pid] = False
             if not any_advanced and not first:
                 break
-            # observability phase stamps (wall clock only, never pricing):
-            # freeze = t0..t1, price = t1..t2, deliver (incl. fault
-            # injection + audit) = t2..end — skipped entirely when disabled
+            # observability wall stamp (never pricing): the barrier spans
+            # freeze + price + deliver, incl. fault injection and audit
             t0 = _time.perf_counter() if observe is not None else 0.0
-            if arenas is not None:
-                send_a, read_a, write_a = arenas
-                record = SuperstepRecord(
-                    index=index,
-                    work=[proc._work for proc in procs],
-                    msg_batch=send_a.freeze(),
-                    read_batch=read_a.freeze(with_values=False),
-                    write_batch=write_a.freeze(with_values=True),
-                )
-                send_a.reset()
-                read_a.reset()
-                write_a.reset()
-            else:
-                record = SuperstepRecord(
-                    index=index,
-                    work=[proc._work for proc in procs],
-                    msg_batch=_gather_msg_batch(procs),
-                    read_batch=_gather_read_batch(procs),
-                    write_batch=_gather_write_batch(procs),
-                )
+            record = SuperstepRecord(
+                index=index,
+                work=[proc._work for proc in procs],
+                msg_batch=send_a.freeze(),
+                read_batch=read_a.freeze(with_values=False),
+                write_batch=write_a.freeze(with_values=True),
+            )
+            send_a.reset()
+            read_a.reset()
+            write_a.reset()
             still_running = any(alive)
             if not record.is_empty or still_running or first:
-                t1 = _time.perf_counter() if observe is not None else 0.0
                 cost, breakdown, stats = self._price(record)
                 record.cost = cost
                 record.breakdown = breakdown
                 record.stats = stats
                 records.append(record)
-                t2 = _time.perf_counter() if observe is not None else 0.0
                 delivered = None
                 if injector is not None:
                     delivered, fault_stats = injector.apply(record.msg_batch, index, p)
@@ -1512,7 +1172,7 @@ class Machine:
                 if auditor is not None:
                     auditor(self, record, procs, delivered)
                 if observe is not None:
-                    observe(record, t0, t1, t2, _time.perf_counter())
+                    observe(record, t0, _time.perf_counter())
             index += 1
             first = False
             for proc in procs:
@@ -1541,7 +1201,8 @@ class Machine:
         column with one combined-key sort (the stable permutation of
         ``np.argsort(dest, kind="stable")`` computed ~7× faster, see
         :func:`repro.core.kernels.stable_group_order`) and hands each
-        processor an :class:`InboxView` slice; reads resolve against the
+        processor an :class:`InboxView` slice between its
+        :func:`~repro.core.kernels.group_bounds`; reads resolve against the
         memory in one pass (one fancy-indexing operation on
         :class:`DenseSharedMemory`); writes apply in record order.
 
@@ -1555,14 +1216,10 @@ class Machine:
         batch = record.msg_batch if msg_batch is None else msg_batch
         if batch.n:
             nprocs = len(procs)
-            counts = np.bincount(batch.dest, minlength=nprocs)
-            order = stable_group_order(batch.dest, int(counts.size) - 1)
-            bounds = np.empty(counts.size + 1, dtype=_I64)
-            bounds[0] = 0
-            np.cumsum(counts, out=bounds[1:])
-            for d in np.nonzero(counts)[0].tolist():
-                if d < nprocs:
-                    procs[d].inbox = InboxView(batch, order[bounds[d] : bounds[d + 1]])
+            bounds = group_bounds(batch.dest, nprocs)
+            order = stable_group_order(batch.dest, bounds.size - 2)
+            for d in np.flatnonzero(np.diff(bounds[: nprocs + 1])).tolist():
+                procs[d].inbox = InboxView(batch, order[bounds[d] : bounds[d + 1]])
         rb = record.read_batch
         mem = self.shared_memory
         if rb.n:

@@ -1,7 +1,7 @@
 """Fused numeric kernels for the superstep hot loop — Numba-optional.
 
 This module is the single home of the array-in/array-out primitives the
-fused engine path and the per-model pricing functions are built on:
+engine's barrier loop and the per-model pricing functions are built on:
 
 * :func:`penalty_charges` — the per-slot charge vector ``f_m(m_t)`` for the
   built-in penalty families, evaluated in one pass;
@@ -12,8 +12,9 @@ fused engine path and the per-model pricing functions are built on:
 * :func:`stable_group_order` — the delivery permutation (a stable argsort
   by small integer keys) computed via a combined-key ``np.sort``, which is
   ~7× faster than ``np.argsort(kind="stable")`` at engine scales;
-* :func:`group_bounds` — counting-sort group boundaries for the delivery
-  loop.
+* :func:`group_bounds` — counting-sort group boundaries, which slice the
+  delivery permutation into per-processor inboxes (engine delivery and the
+  compiled routing frame).
 
 JIT policy
 ----------

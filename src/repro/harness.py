@@ -476,19 +476,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(wname)
         return 0
     run = workloads[name]
-    from repro.core.engine import fused_default, set_fused_default
-
-    previous = fused_default()
-    if args.fused is not None:
-        set_fused_default(args.fused)
-    try:
-        run()  # warm-up: imports and first-call caches stay out of the profile
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run()
-        profiler.disable()
-    finally:
-        set_fused_default(previous)
+    run()  # warm-up: imports and first-call caches stay out of the profile
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run()
+    profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(args.top)
     return 0
@@ -1077,14 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--top", type=_positive_int, default=20,
         help="rows of the cumulative-time table (must be positive)",
-    )
-    pr.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the fused superstep path on (--fused) or off "
-        "(--no-fused) for the profiled workload; default follows the "
-        "engine (fused unless REPRO_FUSED=0)",
     )
     _add_obs_args(pr)
     pr.set_defaults(func=_cmd_profile)

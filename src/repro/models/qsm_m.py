@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.costs import EXPONENTIAL, PenaltyFunction
 from repro.core.engine import Machine
-from repro.core.events import SuperstepRecord
+from repro.core.events import CostBreakdown, SuperstepRecord
 from repro.core.params import MachineParams
 from repro.models.pricing import price_qsm_m
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.core.engine import Machine
-from repro.core.events import SuperstepRecord
+from repro.core.events import CostBreakdown, SuperstepRecord
 from repro.core.params import MachineParams
 from repro.models.pricing import price_self_scheduling
 

@@ -12,13 +12,9 @@ Per-superstep output (tracer active):
 * one ``superstep N`` span on the ``machine`` track — model clock
   positioned, carrying the full :class:`~repro.core.events.CostBreakdown`
   plus the pricing stats (incl. ``fault_*`` counters) as args;
-* wall-clock child spans on the ``engine`` track: three phase spans
-  ``freeze`` / ``price`` / ``deliver`` on the legacy gather path
-  (``price`` covers pricing, ``deliver`` covers fault injection +
-  delivery + audit), or a single ``fused_superstep`` span covering the
-  whole barrier on the fused arena path (the phases are one pass there;
-  the superstep span's :class:`~repro.core.events.CostBreakdown` args
-  reconcile identically in both modes);
+* one wall-clock ``fused_superstep`` child span on the ``engine`` track
+  covering the whole barrier (freeze, price, fault injection, delivery
+  and audit);
 * one span per *active* processor on its own ``proc N`` track, whose model
   duration is that processor's local bound ``max(work, sent, recvs)`` —
   the straggler view that makes imbalance visible in Perfetto.
@@ -86,22 +82,19 @@ def make_superstep_observer(
     machine,
     p: int,
     run_span: Optional[Span],
-    fused: bool = False,
     ledger=None,
 ) -> Callable:
     """Build the per-superstep callback the engine invokes at each barrier.
 
-    The callback signature is ``observe(record, t_freeze, t_price,
-    t_deliver, t_end)`` where the ``t_*`` values are ``perf_counter``
-    stamps at each phase boundary (freeze = record assembly start).
-    With ``fused=True`` the three phase spans collapse into one
-    ``fused_superstep`` span spanning the whole barrier.  ``ledger`` is
-    an optional :class:`~repro.obs.ledger.LoadLedger` recording one load
-    row per superstep from the already-priced record.
+    The callback signature is ``observe(record, t_start, t_end)`` where
+    the ``t_*`` values are ``perf_counter`` stamps at the start of the
+    record's freeze and at the end of the barrier.  ``ledger`` is an
+    optional :class:`~repro.obs.ledger.LoadLedger` recording one load row
+    per superstep from the already-priced record.
     """
     emit_procs = tracer is not None and p <= PROC_TRACK_LIMIT
 
-    def observe(record, t_freeze: float, t_price: float, t_deliver: float, t_end: float) -> None:
+    def observe(record, t_start: float, t_end: float) -> None:
         if tracer is not None:
             model_start = tracer.model_clock
             ss = tracer.add(
@@ -109,23 +102,14 @@ def make_superstep_observer(
                 cat="superstep",
                 track="machine",
                 parent=run_span,
-                wall_start=t_freeze,
-                wall_dur=t_end - t_freeze,
+                wall_start=t_start,
+                wall_dur=t_end - t_start,
                 model_start=model_start,
                 model_dur=record.cost,
                 args=_superstep_args(record),
             )
-            if fused:
-                tracer.add("fused_superstep", cat="phase", track="engine",
-                           parent=ss, wall_start=t_freeze,
-                           wall_dur=t_end - t_freeze)
-            else:
-                tracer.add("freeze", cat="phase", track="engine", parent=ss,
-                           wall_start=t_freeze, wall_dur=t_price - t_freeze)
-                tracer.add("price", cat="phase", track="engine", parent=ss,
-                           wall_start=t_price, wall_dur=t_deliver - t_price)
-                tracer.add("deliver", cat="phase", track="engine", parent=ss,
-                           wall_start=t_deliver, wall_dur=t_end - t_deliver)
+            tracer.add("fused_superstep", cat="phase", track="engine",
+                       parent=ss, wall_start=t_start, wall_dur=t_end - t_start)
             if emit_procs:
                 sends = record.sends_by_proc(p)
                 recvs = record.recvs_by_proc(p)

@@ -17,8 +17,11 @@ profile in docs/performance.md), so it is written in the columnar idiom
 end-to-end: the per-processor plan is three array slices (slot, dest,
 flit-id) produced by one argsort of the schedule's flit columns, the
 program is a single ``ctx.send_many`` call per processor, and delivery is
-verified by sorting the concatenated payload columns — no per-flit Python
-objects anywhere.
+verified by one histogram of the concatenated payload columns — no
+per-flit Python objects anywhere.  Unless the run is audited, faulted or
+observed, :func:`execute_schedule` does not run that program on the live
+loop at all: it replays the one superstep :func:`compile_schedule`
+assembles straight from the schedule, which is bit-identical.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from time import monotonic as _monotonic
 
 from repro.core.batched import replay_batch
 from repro.core.compiled import CompiledProgram
-from repro.core.engine import Machine, RunAborted, RunResult, fused_default
-from repro.core.events import MessageBatch, RequestBatch, SuperstepRecord
-from repro.core.kernels import stable_group_order
+from repro.core.engine import Machine, RunAborted, RunResult
+from repro.core.events import MessageBatch, RequestBatch
+from repro.core.kernels import group_bounds, stable_group_order
 from repro.obs.ledger import active_ledger
 from repro.obs.metrics import active_metrics
 from repro.obs.tracer import active_tracer
@@ -88,9 +91,8 @@ def _schedule_frame(sched: Schedule) -> Tuple[MessageBatch, List]:
     permutation (group the sorted batch by destination) yields each
     processor's inbox payload slice, ``[]`` when nothing arrived — exactly
     what ``ctx.receive().payloads`` returns on the trampoline path.
-    Computed once per schedule and shared by :func:`_execute_schedule_direct`
-    and :func:`compile_schedule`, so a batched replay pays for it once, not
-    once per trial.
+    Computed once per compilation (:func:`compile_schedule`), so a batched
+    replay pays for it once, not once per trial.
     """
     rel = sched.rel
     p = rel.p
@@ -108,10 +110,7 @@ def _schedule_frame(sched: Schedule) -> Tuple[MessageBatch, List]:
         np.ones(rel.n, dtype=bool),
         payload,
     )
-    counts = np.bincount(dest, minlength=p)
-    bounds = np.empty(counts.size + 1, dtype=np.int64)
-    bounds[0] = 0
-    np.cumsum(counts, out=bounds[1:])
+    bounds = group_bounds(dest, p)
     delivered = payload[stable_group_order(dest, p - 1)]
     results: List = []
     for pid in range(p):
@@ -120,42 +119,19 @@ def _schedule_frame(sched: Schedule) -> Tuple[MessageBatch, List]:
     return batch, results
 
 
-def _execute_schedule_direct(machine: Machine, sched: Schedule) -> RunResult:
-    """Compiled-superstep execution of the one-barrier routing program.
-
-    The routing program is straight-line (every processor issues one
-    ``send_many`` computed from the schedule, independent of anything it
-    receives), so its single superstep record can be assembled directly
-    from the schedule's flit columns — one stable group-by-source sort —
-    without constructing processors, generators or arenas at all.  The
-    record, model time and per-processor results are bit-identical to the
-    trampoline execution (pinned by ``tests/test_fused_kernel.py``).
-    """
-    batch, results = _schedule_frame(sched)
-    record = SuperstepRecord(
-        index=0,
-        work=[0.0] * sched.rel.p,
-        msg_batch=batch,
-        read_batch=RequestBatch.empty(),
-        write_batch=RequestBatch.empty(),
-    )
-    cost, breakdown, stats = machine._price(record)
-    record.cost = cost
-    record.breakdown = breakdown
-    record.stats = stats
-    return RunResult(params=machine.params, records=[record], results=results)
-
-
 def compile_schedule(sched: Schedule) -> CompiledProgram:
     """Compile a schedule's routing program without executing it.
 
-    The returned :class:`~repro.core.compiled.CompiledProgram` holds the
-    same single-superstep frame and delivery results the direct fast path
-    of :func:`execute_schedule` assembles, so ``compile_schedule(sched)
-    .replay(machine)`` is bit-identical to the fused ``execute_schedule``
-    result on any message-passing machine — and
-    :func:`repro.core.batched.replay_batch` can price one compilation
-    under a whole parameter batch.
+    The routing program is straight-line (every processor issues one
+    ``send_many`` computed from the schedule, independent of anything it
+    receives), so its single superstep frame and delivery results are
+    assembled directly from the schedule's flit columns, without
+    constructing processors, generators or arenas.  ``compile_schedule(
+    sched).replay(machine)`` is bit-identical to running the routing
+    program on the live loop on any message-passing machine (pinned by
+    ``tests/test_fused_kernel.py``); it is the fast path of
+    :func:`execute_schedule`, and :func:`repro.core.batched.replay_batch`
+    prices one compilation under a whole parameter batch.
     """
     batch, results = _schedule_frame(sched)
     frames = [
@@ -218,7 +194,7 @@ def execute_schedule(
     ``time.monotonic()`` timestamp (the serving path's per-request
     deadline) forwarded to :meth:`Machine.run`; an expired deadline raises
     :class:`~repro.core.engine.RunAborted` before superstep 0 on both the
-    trampoline and the compiled direct path.
+    trampoline and the compiled replay path.
     """
     if machine.uses_shared_memory:
         raise ValueError("schedules route point-to-point messages; use a BSP machine")
@@ -229,18 +205,17 @@ def execute_schedule(
         )
     tracer = active_tracer()
     if (
-        fused_default()
-        and not audit
+        not audit
         and machine.fault_injector is None
         and tracer is None
         and active_metrics() is None
         and active_ledger() is None
     ):
         # compiled-superstep fast path: the routing program is straight-
-        # line, so skip the trampoline entirely (see _execute_schedule_direct).
-        # The direct path has no superstep loop to check mid-run, so the
-        # deadline gate is the same abort-before-superstep-0 check the
-        # trampoline performs.
+        # line, so skip the trampoline entirely (see compile_schedule).
+        # Replay has no superstep loop to check mid-run, so the deadline
+        # gate is the same abort-before-superstep-0 check the trampoline
+        # performs.
         if deadline is not None and _monotonic() > deadline:
             raise RunAborted(
                 "run exceeded its absolute deadline at superstep 0",
@@ -249,7 +224,7 @@ def execute_schedule(
                 superstep=0,
                 reason="deadline",
             )
-        res = _execute_schedule_direct(machine, sched)
+        res = compile_schedule(sched).replay(machine)
         _verify_delivery(res, rel, machine)
         return res
     plan = _flit_plan(sched)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BSPg, BSPm, MachineParams, ModelViolation, ProgramError, QSMg
+from repro import BSPg, BSPm, MachineParams, ModelViolation, ProgramError, QSMg, QSMm
 from repro.core.engine import ReadHandle
 
 
@@ -275,6 +275,20 @@ class TestQSMRules:
         res = machine.run(prog)
         assert res.records[1].stats["kappa"] == 8.0
         assert res.records[1].cost >= 8.0
+
+    @pytest.mark.parametrize("model", [QSMg, QSMm])
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_negative_scalar_slot_rejected(self, op, model):
+        def prog(ctx):
+            if op == "read":
+                ctx.read(0, slot=-1)
+            else:
+                ctx.write(0, ctx.pid, slot=-3)
+            yield
+
+        machine = model(MachineParams(p=4, g=2.0, m=2))
+        with pytest.raises(ValueError, match="slot must be >= 0, got -"):
+            machine.run(prog)
 
     def test_send_on_qsm_rejected(self):
         def prog(ctx):

@@ -1,18 +1,26 @@
-"""Bit-identity gates for the fused superstep kernel.
+"""Bit-identity gates for the superstep barrier loop.
 
-The fused engine path (arena-backed freeze + kernel pricing + bincount
-delivery), the compiled-superstep replay, and the direct routing fast path
-are *optimizations*, not semantic changes: every model time, cost
-breakdown, stats dict, frozen record column and per-processor result must
-be exactly equal to the legacy gather path's.  This module is the gate —
-a full model × {plain, faulted, traced} matrix over scalar-call and
-columnar-call programs, plus the Numba-fallback and arena-reuse contracts.
+The live loop (arena-backed freeze + kernel pricing + bincount delivery),
+compiled-superstep replay and the compiled routing fast path of
+``execute_schedule`` are optimizations, not semantic changes: every model
+time, cost breakdown, stats dict (keys in order), frozen record column,
+per-processor result and post-run shared memory must equal what the
+engine's original gather loop produced.  Those runs are pinned in
+``golden_records.json``, recorded before the gather loop was removed; the
+gather and arena loops both reproduced them exactly.  This module is the
+gate — a full model × {plain, faulted, traced} matrix and a penalty-family
+matrix over scalar-call and columnar-call programs, checked against the
+golden records, plus the replay, Numba-fallback and arena-reuse contracts.
 """
+
+import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import engine, kernels
+from repro.core import kernels
 from repro.core.compiled import CompiledProgram, compile_program
 from repro.core.costs import (
     EXPONENTIAL,
@@ -119,7 +127,7 @@ def _assert_records_identical(res_a, res_b):
     assert len(res_a.records) == len(res_b.records)
     for ra, rb in zip(res_a.records, res_b.records):
         assert ra.cost == rb.cost
-        assert ra.stats == rb.stats
+        assert list(ra.stats.items()) == list(rb.stats.items())
         assert ra.breakdown == rb.breakdown
         assert ra.work == rb.work
         ma, mb = ra.msg_batch, rb.msg_batch
@@ -142,60 +150,127 @@ def _assert_results_identical(res_a, res_b):
         assert _norm(a) == _norm(b)
 
 
-def _run_both(model, *, faulted=False, traced=False):
-    """Run the model's workload program on the fused and legacy paths."""
+# ----------------------------------------------------------------------
+# Golden records
+# ----------------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).with_name("golden_records.json")
+
+
+def _encode(value):
+    """Type-tagged JSON form of a column, payload or result: arrays keep
+    their dtype and tuples stay tuples, so a change of representation (a
+    list payload column where an array was) fails as surely as a change
+    of value."""
+    from repro.faults.plan import CorruptedPayload
+
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, np.ndarray):
+        return {"ndarray": value.dtype.str, "values": _encode(value.tolist())}
+    if isinstance(value, np.generic):
+        return {"scalar": value.dtype.str, "value": value.item()}
+    if isinstance(value, tuple):
+        return {"tuple": [_encode(v) for v in value]}
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    if isinstance(value, CorruptedPayload):
+        return {"corrupted": _encode(value.original)}
+    raise TypeError(f"no golden encoding for {type(value).__name__}")
+
+
+def _encode_batch(batch, columns):
+    return {col: _encode(getattr(batch, col)) for col in columns}
+
+
+def _encode_run(res, machine):
+    """Everything a run pins: model time, each record's price and frozen
+    columns, the per-processor results and (QSM) the final memory."""
+    return {
+        "time": res.time,
+        "records": [
+            {
+                "index": r.index,
+                "cost": r.cost,
+                "breakdown": dataclasses.asdict(r.breakdown),
+                "stats": [[k, _encode(v)] for k, v in r.stats.items()],
+                "work": _encode(list(r.work)),
+                "msg": _encode_batch(
+                    r.msg_batch, ("src", "dest", "size", "slot", "consecutive", "payload")
+                ),
+                "read": _encode_batch(r.read_batch, ("pid", "addr", "slot", "value")),
+                "write": _encode_batch(r.write_batch, ("pid", "addr", "slot", "value")),
+            }
+            for r in res.records
+        ],
+        "results": _encode(res.results),
+        "memory": (
+            [[k, _encode(v)] for k, v in machine.shared_memory.items()]
+            if machine.uses_shared_memory
+            else None
+        ),
+    }
+
+
+def _run_case(model, *, faulted=False, traced=False, penalty=None):
+    """Run the model's workload program; return ``(encoded run, tracer)``."""
     program = _qsm_program if model in QSM_MODELS else _msg_program
-    out = []
-    for fused in (True, False):
-        mach = _machine(model)
-        if faulted:
-            mach.inject_faults(
-                FaultPlan(
-                    seed=7,
-                    drop_rate=0.2,
-                    duplicate_rate=0.15,
-                    reorder_rate=0.2,
-                    corrupt_rate=0.15,
-                )
+    mach = _machine(model, penalty=penalty)
+    if faulted:
+        mach.inject_faults(
+            FaultPlan(
+                seed=7,
+                drop_rate=0.2,
+                duplicate_rate=0.15,
+                reorder_rate=0.2,
+                corrupt_rate=0.15,
             )
-        if traced:
-            with tracing(Tracer()) as tracer:
-                res = mach.run(program, args=(P,), fused=fused)
-            res._tracer = tracer
-        else:
-            res = mach.run(program, args=(P,), fused=fused)
-        res._memory = dict(mach.shared_memory) if mach.uses_shared_memory else None
-        out.append(res)
-    return out
+        )
+    tracer = Tracer() if traced else None
+    if tracer is not None:
+        with tracing(tracer):
+            res = mach.run(program, args=(P,))
+    else:
+        res = mach.run(program, args=(P,))
+    return _encode_run(res, mach), tracer
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def _assert_matches_golden(got, expected):
+    assert got == expected
+    # == cannot tell 1 from 1.0 or True, nor see dict key order
+    assert json.dumps(got) == json.dumps(expected)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 @pytest.mark.parametrize("variant", ["plain", "faulted", "traced"])
-def test_fused_matches_legacy(model, variant):
-    res_f, res_l = _run_both(
+def test_fused_matches_legacy(model, variant, golden):
+    """The live loop reproduces the gather loop's golden records."""
+    got, tracer = _run_case(
         model, faulted=(variant == "faulted"), traced=(variant == "traced")
     )
-    _assert_records_identical(res_f, res_l)
-    _assert_results_identical(res_f, res_l)
-    if res_f._memory is not None:
-        assert res_f._memory == res_l._memory
-    if variant == "traced":
-        phases_f = {s.name for s in res_f._tracer.find(cat="phase")}
-        phases_l = {s.name for s in res_l._tracer.find(cat="phase")}
-        assert phases_f == {"fused_superstep"}
-        assert phases_l == {"freeze", "price", "deliver"}
+    # tracing must not change the run: traced runs match the plain record
+    case = "faulted" if variant == "faulted" else "plain"
+    _assert_matches_golden(got, golden[f"{case}-{model.__name__}"])
+    if tracer is not None:
+        assert {s.name for s in tracer.find(cat="phase")} == {"fused_superstep"}
 
 
-@pytest.mark.parametrize(
-    "penalty",
-    [LINEAR, EXPONENTIAL, PolynomialPenalty(degree=3.0)],
-    ids=["linear", "exponential", "polynomial"],
-)
-def test_penalty_families_identical_across_paths(penalty):
-    res_f = _machine(BSPm, penalty=penalty).run(_msg_program, args=(P,), fused=True)
-    res_l = _machine(BSPm, penalty=penalty).run(_msg_program, args=(P,), fused=False)
-    _assert_records_identical(res_f, res_l)
-    _assert_results_identical(res_f, res_l)
+PENALTIES = {
+    "linear": LINEAR,
+    "exponential": EXPONENTIAL,
+    "polynomial": PolynomialPenalty(degree=3.0),
+}
+
+
+@pytest.mark.parametrize("penalty", list(PENALTIES))
+def test_penalty_families_identical_across_paths(penalty, golden):
+    got, _ = _run_case(BSPm, penalty=PENALTIES[penalty])
+    _assert_matches_golden(got, golden[f"penalty-{penalty}"])
 
 
 def test_capacity_penalty_still_raises_on_fused_path():
@@ -206,19 +281,15 @@ def test_capacity_penalty_still_raises_on_fused_path():
 
     mach = BSPm(MachineParams(p=P, L=1.0, m=4), penalty=CapacityPenalty())
     with pytest.raises(OverflowError):
-        mach.run(overload, args=(P,), fused=True)
+        mach.run(overload, args=(P,))
 
 
 def test_direct_routing_matches_trampoline():
     rel = uniform_random_relation(32, 4_000, seed=2)
     sched = unbalanced_send(rel, 8, 0.2, seed=3)
     res_d = execute_schedule(BSPm(MachineParams(p=32, m=8, L=1)), sched)
-    previous = engine.fused_default()
-    engine.set_fused_default(False)
-    try:
-        res_t = execute_schedule(BSPm(MachineParams(p=32, m=8, L=1)), sched)
-    finally:
-        engine.set_fused_default(previous)
+    # audit=True forces the live loop (the auditor needs real barriers)
+    res_t = execute_schedule(BSPm(MachineParams(p=32, m=8, L=1)), sched, audit=True)
     _assert_records_identical(res_d, res_t)
     _assert_results_identical(res_d, res_t)
 
@@ -298,20 +369,35 @@ def test_numba_escape_hatch_disables_jit(monkeypatch):
 def test_arena_reuse_no_growth_on_rerun():
     """Steady-state reruns on one machine never regrow the arenas."""
     mach = _machine(BSPm)
-    mach.run(_msg_program, args=(P,), fused=True)
+    mach.run(_msg_program, args=(P,))
     assert mach._arenas is not None
     grows = [arena.grows for arena in mach._arenas]
     for _ in range(3):
-        mach.run(_msg_program, args=(P,), fused=True)
+        mach.run(_msg_program, args=(P,))
     assert [arena.grows for arena in mach._arenas] == grows
 
 
-def test_fused_default_toggle_and_env(monkeypatch):
-    previous = engine.fused_default()
-    try:
-        engine.set_fused_default(False)
-        assert engine.fused_default() is False
-        engine.set_fused_default(True)
-        assert engine.fused_default() is True
-    finally:
-        engine.set_fused_default(previous)
+def test_nested_run_gets_fresh_arenas(golden):
+    """A program that calls ``run`` on its own machine mid-superstep gets a
+    fresh arena set: the inner and the outer run each equal the program
+    run alone, and the machine's own arenas come back intact."""
+    mach = _machine(BSPm)
+    mach.run(_msg_program, args=(P,))
+    arenas = mach._arenas
+    inner = []
+
+    def outer(ctx, p):
+        steps = _msg_program(ctx, p)
+        next(steps)  # this processor's first-superstep sends are in the arenas
+        if ctx.pid == p // 2:
+            inner.append(mach.run(_msg_program, args=(p,)))
+        yield
+        return (yield from steps)
+
+    res = mach.run(outer, args=(P,))
+    assert len(inner) == 1
+    _assert_matches_golden(_encode_run(inner[0], mach), golden["plain-BSPm"])
+    _assert_matches_golden(_encode_run(res, mach), golden["plain-BSPm"])
+    assert mach._arenas is arenas and not mach._arenas_busy
+    rerun = mach.run(_msg_program, args=(P,))
+    _assert_matches_golden(_encode_run(rerun, mach), golden["plain-BSPm"])

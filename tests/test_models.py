@@ -1,9 +1,12 @@
 """Pricing tests for all five machine models, pinned against hand-computed
 superstep charges from the Section 2 formulas."""
 
+import typing
+
 import numpy as np
 import pytest
 
+import repro.models
 from repro import (
     BSPg,
     BSPm,
@@ -14,6 +17,7 @@ from repro import (
     QSMm,
     SelfSchedulingBSPm,
 )
+from repro.core.events import CostBreakdown
 from repro.models.pram import PRAM, ConcurrencyRule
 from repro.models.pram_m import PRAMm
 
@@ -269,3 +273,18 @@ class TestPRAMm:
         res = mach.run(prog, rom=[1, 2, 3, 4])
         assert res.results == [10] * 4
         assert res.time == 2.0
+
+
+MACHINE_CLASSES = [
+    name
+    for name in repro.models.__all__
+    if isinstance(getattr(repro.models, name), type)
+    and issubclass(getattr(repro.models, name), repro.models.Machine)
+]
+
+
+@pytest.mark.parametrize("name", MACHINE_CLASSES)
+def test_price_type_hints_resolve(name):
+    """Every model's ``_price`` annotations name types its module imports."""
+    hints = typing.get_type_hints(getattr(repro.models, name)._price)
+    assert hints["return"] == typing.Tuple[float, CostBreakdown, typing.Dict[str, float]]

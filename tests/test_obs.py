@@ -180,24 +180,12 @@ class TestSpanReconciliation:
             assert span.args["dominant"] == b.dominant()
 
     def test_engine_phases_are_walled(self):
-        # fused barrier (the default): one fused_superstep phase span;
-        # legacy gather path: the three walled freeze/price/deliver spans
-        from repro.core.engine import set_fused_default
-
-        old = set_fused_default(True)
-        try:
-            tr = Tracer()
-            _routed_run(tracer=tr)
-            phases = tr.find(cat="phase")
-            assert {s.name for s in phases} == {"fused_superstep"}
-            set_fused_default(False)
-            tr_legacy = Tracer()
-            _routed_run(tracer=tr_legacy)
-            legacy_phases = tr_legacy.find(cat="phase")
-            assert {s.name for s in legacy_phases} == {"freeze", "price", "deliver"}
-        finally:
-            set_fused_default(old)
-        for s in list(phases) + list(legacy_phases):
+        # one wall-clock fused_superstep phase span per barrier
+        tr = Tracer()
+        _routed_run(tracer=tr)
+        phases = tr.find(cat="phase")
+        assert {s.name for s in phases} == {"fused_superstep"}
+        for s in phases:
             assert s.model_dur is None and s.wall_dur >= 0.0
 
     def test_proc_spans_record_stragglers(self):
