@@ -17,9 +17,8 @@ be bit-identical across engine rewrites:
   across a B=64 grid of ``(m, L)`` machines, sequentially
   (``compiled.replay`` per machine) vs. in one
   :func:`repro.core.batched.replay_batch` pass.  Per-trial results must be
-  bit-identical (asserted unconditionally); the amortized-throughput floor
-  (``BENCH_BATCHED_FLOOR``, default 5x) is gated only when batched pricing
-  actually engaged.
+  bit-identical, and the amortized-throughput floor
+  (``BENCH_BATCHED_FLOOR``, default 5x) is asserted on every run.
 
 The qsm profile asserts the no-allocation-growth contract: steady-state
 reruns on one machine must not regrow the preallocated arenas.
@@ -60,8 +59,7 @@ SPEEDUP_FLOOR = 15.0
 ROUTING_MODEL_TIME = 750.2839547352119
 
 # Amortized per-trial throughput floor for the batched-replay profile:
-# replay_batch at B=64 must beat sequential replay by at least this factor
-# (only gated when batched pricing actually engaged — identity always is).
+# replay_batch at B=64 must beat sequential replay by at least this factor.
 BATCHED_SPEEDUP_FLOOR = float(os.environ.get("BENCH_BATCHED_FLOOR", "5.0"))
 
 
@@ -132,7 +130,7 @@ def _delivery_profile(p=192):
 
 
 def _batched_profile():
-    from repro.core.batched import replay_batch, supports_batched_replay
+    from repro.core.batched import replay_batch
     from repro.scheduling.execute import compile_schedule
 
     rel = uniform_random_relation(256, 40_000, seed=0)
@@ -149,11 +147,10 @@ def _batched_profile():
     seq = [compiled.replay(mach) for mach in seq_machines]
     dt_seq = time.perf_counter() - t0
     bat_machines = grid()
-    engaged = supports_batched_replay(bat_machines[0])
     t0 = time.perf_counter()
     bat = replay_batch(compiled, bat_machines)
     dt_bat = time.perf_counter() - t0
-    # identity contract — asserted unconditionally, engaged or not
+    # identity contract: every trial equals its sequential replay
     for mach, a, b in zip(seq_machines, seq, bat):
         assert b.time == a.time, f"model time moved at m={mach.params.m} L={mach.params.L}"
         assert len(b.records) == len(a.records)
@@ -165,7 +162,6 @@ def _batched_profile():
     B = len(seq_machines)
     return {
         "trials": B,
-        "engaged": engaged,
         "seq_seconds": dt_seq,
         "batched_seconds": dt_bat,
         "trials_per_s": B / dt_bat,
@@ -221,8 +217,7 @@ def _report(data):
         print(
             f"batched vs sequential replay (B={b['trials']}): "
             f"{b['batched_speedup']:.1f}x "
-            f"({b['amortized_trial_ms']:.3f} ms/trial amortized, "
-            f"engaged={b['engaged']})"
+            f"({b['amortized_trial_ms']:.3f} ms/trial amortized)"
         )
 
 
@@ -238,14 +233,12 @@ def _check(data):
         )
     if "batched-replay" in data:
         b = data["batched-replay"]
-        # the identity contract was asserted while profiling; the speedup
-        # floor applies only when batched pricing actually engaged
-        if b["engaged"]:
-            assert b["batched_speedup"] >= BATCHED_SPEEDUP_FLOOR, (
-                f"batched replay at B={b['trials']} is only "
-                f"{b['batched_speedup']:.1f}x sequential "
-                f"(need >= {BATCHED_SPEEDUP_FLOOR}x)"
-            )
+        # the identity contract was asserted while profiling
+        assert b["batched_speedup"] >= BATCHED_SPEEDUP_FLOOR, (
+            f"batched replay at B={b['trials']} is only "
+            f"{b['batched_speedup']:.1f}x sequential "
+            f"(need >= {BATCHED_SPEEDUP_FLOOR}x)"
+        )
 
 
 def write_baseline(path="BENCH_engine.json"):

@@ -98,6 +98,10 @@ __all__ = [
 
 _I64 = np.int64
 
+#: ``(cost, breakdown, stats)`` of one priced superstep.
+PriceResult = Tuple[float, CostBreakdown, Dict[str, float]]
+
+
 class ModelViolation(Exception):
     """The program broke a rule of the machine model (e.g. two injections by
     one processor in the same time slot of a globally-limited machine, or
@@ -782,8 +786,9 @@ class Machine:
     """Abstract bulk-synchronous machine.
 
     Concrete machines (BSP(g), BSP(m), QSM(g), QSM(m), self-scheduling
-    BSP(m)) implement :meth:`_price` and declare whether they expose shared
-    memory.  The engine loop lives here.
+    BSP(m), LogP, two-level BSP, PRAM, PRAM(m)) implement
+    :meth:`_price_batch` — their one pricing definition — and declare
+    whether they expose shared memory.  The engine loop lives here.
     """
 
     #: True for QSM machines, False for BSP machines.
@@ -840,9 +845,23 @@ class Machine:
     # ------------------------------------------------------------------
     # Hooks for concrete machines
     # ------------------------------------------------------------------
-    def _price(self, record: SuperstepRecord) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        """Return ``(cost, breakdown, stats)`` for a frozen superstep."""
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
+        """Price a frozen superstep once per machine of ``self``'s class.
+
+        The superstep's structure (``w``, ``h``, ``kappa``, the slot
+        histogram) is derived once from ``record``; element ``b`` is
+        ``(cost, breakdown, stats)`` priced from ``machines[b]``'s own
+        ``params`` (and penalty), with a fresh breakdown and stats dict per
+        machine.  :meth:`_price` is the batch of one and
+        :func:`~repro.core.batched.replay_batch` passes B machines.
+        """
         raise NotImplementedError
+
+    def _price(self, record: SuperstepRecord) -> PriceResult:
+        """Return ``(cost, breakdown, stats)`` for a frozen superstep."""
+        return self._price_batch(record, (self,))[0]
 
     # ------------------------------------------------------------------
     # Shared pricing helpers (all vectorized over the record's columns)

@@ -1,14 +1,15 @@
 """Fused numeric kernels for the superstep hot loop — Numba-optional.
 
 This module is the single home of the array-in/array-out primitives the
-engine's barrier loop and the per-model pricing functions are built on:
+engine's barrier loop and the models' ``_price_batch`` methods are built on:
 
 * :func:`penalty_charges` — the per-slot charge vector ``f_m(m_t)`` for the
   built-in penalty families, evaluated in one pass;
-* :func:`slot_charge_stats` — the full aggregate-bandwidth statistics of a
-  slot histogram (``c_m`` with idle-slot accounting, the literal paper
-  charge, span, overloaded-slot count, peak load) shared by BSP(m) and
-  QSM(m);
+* :func:`slot_charge_stats_batched` — the full aggregate-bandwidth
+  statistics of one slot histogram under B ``(m, penalty)`` columns
+  (``c_m`` with idle-slot accounting, the literal paper charge, span,
+  overloaded-slot count, peak load) shared by BSP(m) and QSM(m), whether
+  a superstep is priced for one machine or a batch of trials;
 * :func:`stable_group_order` — the delivery permutation (a stable argsort
   by small integer keys) computed via a combined-key ``np.sort``, which is
   ~7× faster than ``np.argsort(kind="stable")`` at engine scales;
@@ -26,13 +27,14 @@ when Numba is installed.  Reductions over the charge vector (the float
 sums behind ``c_m``) always run through ``np.sum`` so that summation order
 — and therefore every model time — is bit-identical across the JIT and
 fallback paths.  The equivalence is gated by ``tests/test_fused_kernel.py``
-in both configurations.
+in both configurations, and ``tests/test_pricing_oracle.py`` checks the
+priced charges against the ``repro.core.costs`` formulas in both.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -42,8 +44,6 @@ __all__ = [
     "KIND_EXPONENTIAL",
     "KIND_POLYNOMIAL",
     "penalty_charges",
-    "penalty_charges_batched",
-    "slot_charge_stats",
     "slot_charge_stats_batched",
     "stable_group_order",
     "group_bounds",
@@ -133,76 +133,27 @@ def penalty_charges(
     return _numpy_penalty_charges(counts, m, kind, param)
 
 
-def slot_charge_stats(
-    counts: np.ndarray, m: int, penalty
-) -> Tuple[float, float, float, int, int]:
-    """Aggregate-bandwidth statistics of a slot-injection histogram.
-
-    Returns ``(comm, c_m_paper, span, overloaded, max_load)`` where
-    ``comm = sum_t max(f_m(m_t), 1)`` is the engine's idle-slot-counting
-    charge, ``c_m_paper = sum_t f_m(m_t)`` the literal paper charge,
-    ``span`` the schedule span, ``overloaded`` the number of slots with
-    ``m_t > m`` and ``max_load`` the peak slot load.  This is the shared
-    pricing core of BSP(m) and QSM(m).
-
-    ``penalty`` is a :class:`~repro.core.costs.PenaltyFunction`; built-in
-    families route through :func:`penalty_charges` (JIT-able), custom
-    subclasses fall back to their own ``__call__``.
-    """
-    if counts.size == 0:
-        return 0.0, 0.0, 0.0, 0, 0
-    kind: Optional[int] = getattr(penalty, "kernel_kind", None)
-    if kind is not None:
-        charges = penalty_charges(counts, m, kind, getattr(penalty, "kernel_param", 0.0))
-    else:
-        charges = penalty(counts, m)
-    comm = float(np.sum(np.maximum(charges, 1.0)))
-    c_m_paper = float(np.sum(charges))
-    span = float(counts.size)
-    overloaded = int(np.sum(counts > m))
-    max_load = int(counts.max())
-    return comm, c_m_paper, span, overloaded, max_load
-
-
-def penalty_charges_batched(
-    counts: np.ndarray, m_col, kind: int, param: float = 0.0
-) -> np.ndarray:
-    """``(B, S)`` matrix of per-slot charges over one shared histogram.
-
-    Row ``b`` is bit-identical to ``penalty_charges(counts, m_col[b], kind,
-    param)`` *by construction*: rows with equal ``m`` are evaluated once
-    through the active 1-D kernel (JIT or NumPy fallback — whichever this
-    process selected) and broadcast back, so the batch axis adds no new
-    floating-point path that could drift from the sequential one.  A sweep
-    grid typically has far fewer distinct ``m`` values than trials, so this
-    is also the cheaper evaluation order.
-    """
-    m_arr = np.asarray(m_col, dtype=np.float64)
-    counts_arr = np.asarray(counts)
-    out = np.empty((m_arr.size, counts_arr.size), dtype=np.float64)
-    uniq, inverse = np.unique(m_arr, return_inverse=True)
-    for u in range(uniq.size):
-        out[inverse == u] = penalty_charges(counts_arr, uniq[u], kind, param)
-    return out
-
-
 def slot_charge_stats_batched(counts: np.ndarray, m_col, penalties):
-    """Batched :func:`slot_charge_stats` over one shared slot histogram.
+    """Aggregate-bandwidth statistics of one slot-injection histogram under
+    B parameter points.
 
     ``counts`` is the histogram of a single recorded superstep; ``m_col``
     and ``penalties`` give the per-trial aggregate-bandwidth limit and
-    penalty function for each of the ``B`` trials.  Returns ``(comm,
-    c_m_paper, span, overloaded, max_load)`` where ``comm``/``c_m_paper``/
-    ``overloaded`` are length-``B`` arrays and ``span``/``max_load`` are
-    scalars shared by every trial.
+    :class:`~repro.core.costs.PenaltyFunction` for each of the ``B``
+    trials (``B = 1`` for a single machine).  Returns ``(comm, c_m_paper,
+    span, overloaded, max_load)``: ``comm[b] = sum_t max(f_m(m_t), 1)`` is
+    the engine's idle-slot-counting charge, ``c_m_paper[b] = sum_t
+    f_m(m_t)`` the literal paper charge and ``overloaded[b]`` the number of
+    slots with ``m_t > m`` (length-``B`` arrays); the schedule ``span`` and
+    peak slot load ``max_load`` are scalars shared by every trial.
 
-    Bit-identity contract: row ``b`` equals ``slot_charge_stats(counts,
-    m_col[b], penalties[b])`` exactly — each distinct ``(penalty family,
-    m)`` charge vector comes from the same kernel call the sequential path
-    makes, and the per-trial reductions are the same ``np.sum`` applied
-    along ``axis=1`` of the stacked charge matrix (axis reductions over a
-    C-contiguous row use the same pairwise summation order as the 1-D
-    call).
+    Built-in penalty families route through :func:`penalty_charges`
+    (JIT-able), custom subclasses through their own ``__call__``; each
+    distinct ``(family, m)`` charge row is evaluated once and shared.  The
+    per-trial reductions are one ``np.sum`` along ``axis=1`` of the stacked
+    charge matrix, so every trial's floats are independent of which other
+    trials share its batch (a reduction over a C-contiguous row sums in the
+    same pairwise order as a 1-D ``np.sum``).
     """
     B = len(penalties)
     if counts.size == 0:

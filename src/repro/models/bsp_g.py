@@ -13,12 +13,11 @@ that "no special scheduling is needed for locally-limited models".
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Sequence
 
-from repro.core.engine import Machine
+from repro.core.engine import Machine, PriceResult
 from repro.core.events import CostBreakdown, SuperstepRecord
 from repro.core.params import MachineParams
-from repro.models.pricing import price_bsp_g
 
 __all__ = ["BSPg"]
 
@@ -32,11 +31,17 @@ class BSPg(Machine):
     def __init__(self, params: MachineParams) -> None:
         super().__init__(params)
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        p = self.params.p
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
         w = max(record.work) if record.work else 0.0
-        s_max, r_max = self._max_per_proc_sends_recvs(record, p)
-        h = max(s_max, r_max)
-        return price_bsp_g(w, h, record.total_flits, self.params.g, self.params.L)
+        h = max(self._max_per_proc_sends_recvs(record, self.params.p))
+        n = record.total_flits
+        out = []
+        for mach in machines:
+            breakdown = CostBreakdown(
+                work=w, local_band=mach.params.g * h, latency=mach.params.L
+            )
+            stats = {"h": float(h), "w": w, "n": float(n)}
+            out.append((breakdown.total(), breakdown, stats))
+        return out

@@ -21,15 +21,15 @@ is unknown.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.costs import EXPONENTIAL, PenaltyFunction
-from repro.core.engine import Machine
+from repro.core.engine import Machine, PriceResult
 from repro.core.events import CostBreakdown, SuperstepRecord
+from repro.core.kernels import slot_charge_stats_batched
 from repro.core.params import MachineParams
-from repro.models.pricing import price_bsp_m
 
 __all__ = ["BSPm"]
 
@@ -56,15 +56,35 @@ class BSPm(Machine):
         super().__init__(params)
         self.penalty = penalty
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        p = self.params.p
-        m = self.params.require_m()
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
         w = max(record.work) if record.work else 0.0
-        s_max, r_max = self._max_per_proc_sends_recvs(record, p)
-        h = max(s_max, r_max)
+        h = max(self._max_per_proc_sends_recvs(record, self.params.p))
+        n = record.total_flits
         counts = np.bincount(self._flit_slots(record))
-        return price_bsp_m(
-            w, h, record.total_flits, counts, m, self.penalty, self.params.L
+        comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(
+            counts,
+            [mach.params.require_m() for mach in machines],
+            [mach.penalty for mach in machines],
         )
+        out = []
+        for b, mach in enumerate(machines):
+            breakdown = CostBreakdown(
+                work=w,
+                local_band=float(h),
+                global_band=float(comm[b]),
+                latency=mach.params.L,
+            )
+            stats = {
+                "h": float(h),
+                "w": w,
+                "n": float(n),
+                "c_m": float(comm[b]),
+                "c_m_paper": float(c_m_paper[b]),
+                "span": span,
+                "overloaded_slots": float(overloaded[b]),
+                "max_slot_load": float(max_load),
+            }
+            out.append((breakdown.total(), breakdown, stats))
+        return out

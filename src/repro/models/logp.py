@@ -22,19 +22,19 @@ network latency; see Culler et al.'s h-relation analysis).  The capacity
 constraint is enforced as a hard :class:`~repro.core.engine.ModelViolation`
 when any processor is the destination of more than ``ceil(L/g)`` messages
 injected in one time slot — the executable form of "no graded penalty:
-overloading is simply forbidden".
+overloading is simply forbidden".  Each machine of a priced batch checks
+its own ``ceil(L/g)`` against the superstep's peak, which is counted once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import Machine, ModelViolation
+from repro.core.engine import Machine, ModelViolation, PriceResult
 from repro.core.events import CostBreakdown, SuperstepRecord
-from repro.core.params import MachineParams
 
 __all__ = ["LogP"]
 
@@ -43,40 +43,33 @@ class LogP(Machine):
     """LOGP machine: latency ``L``, overhead ``o``, gap ``g``, ``P = p``.
 
     ``params.o`` must be positive to be meaningfully LOGP; ``params.g`` is
-    the per-processor gap and ``params.L`` the latency.  The capacity
-    constraint ``ceil(L/g)`` per destination per slot can be disabled with
-    ``enforce_capacity=False``.
+    the per-processor gap and ``params.L`` the latency.
     """
 
     uses_shared_memory = False
     slot_limited = False
-
-    def __init__(self, params: MachineParams, enforce_capacity: bool = True) -> None:
-        super().__init__(params)
-        self.enforce_capacity = enforce_capacity
 
     @property
     def capacity(self) -> int:
         """The LOGP capacity constraint ``ceil(L/g)``."""
         return max(1, math.ceil(self.params.L / self.params.g))
 
-    def _check_capacity(self, record: SuperstepRecord) -> None:
-        """At most ceil(L/g) messages may be in transit to one processor;
-        we check it per injection slot (messages injected together arrive
-        together in a bulk-synchronous step).
-
-        The check itself is one weighted ``bincount`` over ``(dest, slot)``
-        keys; only when a violation exists do we replay the columns in
-        record order to report the first offender exactly as before.
-        """
-        cap = self.capacity
+    @staticmethod
+    def _peak_in_flight(record: SuperstepRecord) -> float:
+        """Most messages injected to one processor in one time slot (messages
+        injected together arrive together in a bulk-synchronous step): one
+        weighted ``bincount`` over ``(dest, slot)`` keys."""
         batch = record.msg_batch
         if not batch.n:
-            return
+            return 0.0
         span = int(batch.slot.max()) + 1
-        totals = np.bincount(batch.dest * span + batch.slot, weights=batch.size)
-        if totals.max() <= cap:
-            return
+        return np.bincount(batch.dest * span + batch.slot, weights=batch.size).max()
+
+    def _raise_capacity(self, record: SuperstepRecord) -> None:
+        """Report the first ``(dest, slot)`` over ``ceil(L/g)`` in record order
+        (called only once the peak is known to exceed it)."""
+        cap = self.capacity
+        batch = record.msg_batch
         in_flight: Dict[Tuple[int, int], int] = {}
         for dest, slot, size in zip(
             batch.dest.tolist(), batch.slot.tolist(), batch.size.tolist()
@@ -90,27 +83,33 @@ class LogP(Machine):
                     f"(capacity ceil(L/g) = {cap})"
                 )
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        if self.enforce_capacity:
-            self._check_capacity(record)
-        p = self.params.p
-        g, o, L = self.params.g, self.params.o, self.params.L
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
+        peak = self._peak_in_flight(record)
+        for mach in machines:
+            if peak > mach.capacity:
+                mach._raise_capacity(record)
         w = max(record.work) if record.work else 0.0
-        sends = record.sends_by_proc(p)
-        recvs = record.recvs_by_proc(p)
+        sends = record.sends_by_proc(self.params.p)
+        recvs = record.recvs_by_proc(self.params.p)
         per_proc_msgs = int((sends + recvs).max()) if sends.size else 0
-        if per_proc_msgs > 0:
-            comm = (per_proc_msgs - 1) * max(g, o) + 2 * o + L
-        else:
-            comm = 0.0
-        breakdown = CostBreakdown(work=w, local_band=comm, latency=L if per_proc_msgs else 0.0)
-        cost = max(w, comm)
-        stats = {
-            "h": float(max(int(sends.max()), int(recvs.max())) if sends.size else 0),
-            "w": w,
-            "n": float(record.total_flits),
-            "per_proc_msgs": float(per_proc_msgs),
-        }
-        return cost, breakdown, stats
+        h = float(max(int(sends.max()), int(recvs.max())) if sends.size else 0)
+        out = []
+        for mach in machines:
+            g, o, L = mach.params.g, mach.params.o, mach.params.L
+            if per_proc_msgs > 0:
+                comm = (per_proc_msgs - 1) * max(g, o) + 2 * o + L
+            else:
+                comm = 0.0
+            breakdown = CostBreakdown(
+                work=w, local_band=comm, latency=L if per_proc_msgs else 0.0
+            )
+            stats = {
+                "h": h,
+                "w": w,
+                "n": float(record.total_flits),
+                "per_proc_msgs": float(per_proc_msgs),
+            }
+            out.append((max(w, comm), breakdown, stats))
+        return out

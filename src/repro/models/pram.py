@@ -31,9 +31,9 @@ CRCW      1 per step (i.e. ``max(w, 1)``); concurrent and mixed access OK.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.engine import Machine, ModelViolation, _addr_group_stats
+from repro.core.engine import Machine, ModelViolation, PriceResult, _addr_group_stats
 from repro.core.events import CostBreakdown, SuperstepRecord
 from repro.core.params import MachineParams
 
@@ -82,29 +82,31 @@ class PRAM(Machine):
         max_w = _addr_group_stats(wb.addr)[0] if wb.n else 0
         return max_r, max_w
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
         w = max(record.work) if record.work else 0.0
-        max_r, max_w = self._contention(record)
-        kappa = max(max_r, max_w)
-        if self.rule is ConcurrencyRule.EREW and kappa > 1:
-            raise ModelViolation(
-                f"EREW PRAM step {record.index} has contention {kappa} > 1"
-            )
-        if self.rule is ConcurrencyRule.QRQW:
-            step_cost = max(w, float(kappa), 1.0)
-            contention = float(kappa)
-        else:
-            step_cost = max(w, 1.0)
-            contention = float(min(kappa, 1))
-        breakdown = CostBreakdown(work=w, contention=contention)
-        # A PRAM step always takes at least unit time.
-        cost = max(step_cost, breakdown.total(), 1.0)
-        stats = {
-            "w": w,
-            "kappa": float(kappa),
-            "reads": float(record.n_reads),
-            "writes": float(record.n_writes),
-        }
-        return cost, breakdown, stats
+        kappa = max(self._contention(record))
+        out = []
+        for mach in machines:
+            if mach.rule is ConcurrencyRule.EREW and kappa > 1:
+                raise ModelViolation(
+                    f"EREW PRAM step {record.index} has contention {kappa} > 1"
+                )
+            if mach.rule is ConcurrencyRule.QRQW:
+                step_cost = max(w, float(kappa), 1.0)
+                contention = float(kappa)
+            else:
+                step_cost = max(w, 1.0)
+                contention = float(min(kappa, 1))
+            breakdown = CostBreakdown(work=w, contention=contention)
+            # A PRAM step always takes at least unit time.
+            cost = max(step_cost, breakdown.total(), 1.0)
+            stats = {
+                "w": w,
+                "kappa": float(kappa),
+                "reads": float(record.n_reads),
+                "writes": float(record.n_writes),
+            }
+            out.append((cost, breakdown, stats))
+        return out

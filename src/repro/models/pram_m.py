@@ -17,12 +17,12 @@ Each synchronous step costs 1 (``max(w, 1)`` with explicit local work).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import ModelViolation
-from repro.core.events import CostBreakdown, SuperstepRecord
+from repro.core.engine import Machine, ModelViolation, PriceResult
+from repro.core.events import SuperstepRecord
 from repro.core.params import MachineParams
 from repro.models.pram import PRAM, ConcurrencyRule
 
@@ -63,11 +63,12 @@ class PRAMm(PRAM):
                             f"got {a!r}"
                         )
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        self._validate_addresses(record)
-        return super()._price(record)
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
+        for mach in machines:
+            mach._validate_addresses(record)
+        return super()._price_batch(record, machines)
 
     def run(self, program: Callable[..., Any], *, rom: Optional[Sequence[Any]] = None, **kwargs):
         """Run ``program(ctx, rom, *args)``; ``rom`` defaults to the machine's

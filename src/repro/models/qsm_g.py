@@ -22,12 +22,11 @@ Model rules enforced by the engine:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Sequence
 
-from repro.core.engine import Machine
+from repro.core.engine import Machine, PriceResult
 from repro.core.events import CostBreakdown, SuperstepRecord
 from repro.core.params import MachineParams
-from repro.models.pricing import price_qsm_g
 
 __all__ = ["QSMg"]
 
@@ -41,12 +40,18 @@ class QSMg(Machine):
     def __init__(self, params: MachineParams) -> None:
         super().__init__(params)
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
         w = max(record.work) if record.work else 0.0
         h = self._qsm_h(record)
         kappa = self._qsm_contention(record)
-        return price_qsm_g(
-            w, h, kappa, record.n_reads + record.n_writes, self.params.g
-        )
+        n = record.n_reads + record.n_writes
+        out = []
+        for mach in machines:
+            breakdown = CostBreakdown(
+                work=w, local_band=mach.params.g * h, contention=float(kappa)
+            )
+            stats = {"h": float(h), "w": w, "kappa": float(kappa), "n": float(n)}
+            out.append((breakdown.total(), breakdown, stats))
+        return out

@@ -14,15 +14,15 @@ inside the schedule span as elapsed time; the literal paper charge is in
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.costs import EXPONENTIAL, PenaltyFunction
-from repro.core.engine import Machine
+from repro.core.engine import Machine, PriceResult
 from repro.core.events import CostBreakdown, SuperstepRecord
+from repro.core.kernels import slot_charge_stats_batched
 from repro.core.params import MachineParams
-from repro.models.pricing import price_qsm_m
 
 __all__ = ["QSMm"]
 
@@ -40,14 +40,36 @@ class QSMm(Machine):
         super().__init__(params)
         self.penalty = penalty
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        m = self.params.require_m()
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
         w = max(record.work) if record.work else 0.0
         h = self._qsm_h(record)
         kappa = self._qsm_contention(record)
+        n = record.n_reads + record.n_writes
         counts = np.bincount(self._request_slots(record))
-        return price_qsm_m(
-            w, h, kappa, record.n_reads + record.n_writes, counts, m, self.penalty
+        comm, c_m_paper, span, overloaded, _ = slot_charge_stats_batched(
+            counts,
+            [mach.params.require_m() for mach in machines],
+            [mach.penalty for mach in machines],
         )
+        out = []
+        for b in range(len(machines)):
+            breakdown = CostBreakdown(
+                work=w,
+                local_band=float(h),
+                global_band=float(comm[b]),
+                contention=float(kappa),
+            )
+            stats = {
+                "h": float(h),
+                "w": w,
+                "kappa": float(kappa),
+                "c_m": float(comm[b]),
+                "c_m_paper": float(c_m_paper[b]),
+                "span": span,
+                "overloaded_slots": float(overloaded[b]),
+                "n": float(n),
+            }
+            out.append((breakdown.total(), breakdown, stats))
+        return out

@@ -15,12 +15,11 @@ factor empirically.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Sequence
 
-from repro.core.engine import Machine
+from repro.core.engine import Machine, PriceResult
 from repro.core.events import CostBreakdown, SuperstepRecord
 from repro.core.params import MachineParams
-from repro.models.pricing import price_self_scheduling
 
 __all__ = ["SelfSchedulingBSPm"]
 
@@ -35,14 +34,20 @@ class SelfSchedulingBSPm(Machine):
         params.require_m()
         super().__init__(params)
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        p = self.params.p
-        m = self.params.require_m()
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
         w = max(record.work) if record.work else 0.0
-        s_max, r_max = self._max_per_proc_sends_recvs(record, p)
-        h = max(s_max, r_max)
-        return price_self_scheduling(
-            w, h, record.total_flits, m, self.params.L
-        )
+        h = max(self._max_per_proc_sends_recvs(record, self.params.p))
+        n = record.total_flits
+        out = []
+        for mach in machines:
+            breakdown = CostBreakdown(
+                work=w,
+                local_band=float(h),
+                global_band=n / mach.params.require_m(),
+                latency=mach.params.L,
+            )
+            stats = {"h": float(h), "w": w, "n": float(n)}
+            out.append((breakdown.total(), breakdown, stats))
+        return out

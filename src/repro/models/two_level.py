@@ -15,9 +15,9 @@ footnote's "similar" made precise.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Sequence
 
-from repro.core.engine import Machine
+from repro.core.engine import Machine, PriceResult
 from repro.core.events import CostBreakdown, SuperstepRecord
 from repro.core.params import MachineParams
 
@@ -48,19 +48,20 @@ class TwoLevelBSP(Machine):
         self.g1 = g1
         self.g2 = g2
 
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        p = self.params.p
+    def _price_batch(
+        self, record: SuperstepRecord, machines: Sequence[Machine]
+    ) -> List[PriceResult]:
         w = max(record.work) if record.work else 0.0
-        s_max, r_max = self._max_per_proc_sends_recvs(record, p)
-        h = max(s_max, r_max)
+        h = max(self._max_per_proc_sends_recvs(record, self.params.p))
         n = record.total_flits
-        comm = self.g1 * n / p + self.g2 * h
-        breakdown = CostBreakdown(
-            work=w, local_band=self.g2 * h, global_band=self.g1 * n / p,
-            latency=self.params.L,
-        )
-        cost = max(w, comm, self.params.L)
-        stats = {"h": float(h), "w": w, "n": float(n), "comm": comm}
-        return cost, breakdown, stats
+        out = []
+        for mach in machines:
+            p, L = mach.params.p, mach.params.L
+            comm = mach.g1 * n / p + mach.g2 * h
+            breakdown = CostBreakdown(
+                work=w, local_band=mach.g2 * h, global_band=mach.g1 * n / p,
+                latency=L,
+            )
+            stats = {"h": float(h), "w": w, "n": float(n), "comm": comm}
+            out.append((max(w, comm, L), breakdown, stats))
+        return out

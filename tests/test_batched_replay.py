@@ -4,11 +4,12 @@ Gates — the same way fused≡legacy execution was gated when the fused path
 landed:
 
 * ``replay_batch(compiled, machines)[b]`` ≡ ``compiled.replay(machines[b])``
-  for all five paper models (costs, breakdowns, stats dicts incl. key
-  order, shared-memory state), plus its validation/fallback edges;
+  for all nine machine classes (costs, breakdowns, stats dicts incl. key
+  order, shared-memory state), plus its validation/fallback edges and the
+  model violations a single machine of a batch raises;
 * ``execute_schedule_batch`` / ``compile_schedule`` ≡ ``execute_schedule``;
-* the batched kernels (``penalty_charges_batched`` /
-  ``slot_charge_stats_batched``) row-for-row against their 1-D twins;
+* the slot-charge kernel ``slot_charge_stats_batched`` row-for-row
+  against the ``core/costs.py`` formulas;
 * ``stable_group_order`` against ``np.argsort(kind="stable")`` including
   the int64-overflow fallback boundary, and the arena freeze paths that
   now route through it;
@@ -29,26 +30,26 @@ import pytest
 from repro import (
     BSPg,
     BSPm,
+    LogP,
     MachineParams,
+    ModelViolation,
     PenaltyFunction,
     PolynomialPenalty,
+    PRAM,
+    PRAMm,
     QSMg,
     QSMm,
     SelfSchedulingBSPm,
+    TwoLevelBSP,
     EXPONENTIAL,
     LINEAR,
 )
 from repro.core.arena import RequestArena, SendArena
-from repro.core.batched import replay_batch, supports_batched_replay
-from repro.core.compiled import CompiledProgram, compile_program
+from repro.core.batched import replay_batch
+from repro.core.compiled import compile_program
+from repro.core.costs import slot_charges, superstep_charge
 from repro.core.kernels import (
     _COMBINED_SORT_LIMIT,
-    KIND_EXPONENTIAL,
-    KIND_LINEAR,
-    KIND_POLYNOMIAL,
-    penalty_charges,
-    penalty_charges_batched,
-    slot_charge_stats,
     slot_charge_stats_batched,
     stable_group_order,
 )
@@ -86,22 +87,10 @@ def _assert_runs_identical(seq, bat):
 
 
 # ----------------------------------------------------------------------
-# kernels: batched rows vs their 1-D twins
+# kernels: slot-charge rows vs the core/costs.py formulas
 # ----------------------------------------------------------------------
 class TestBatchedKernels:
     COUNTS = np.array([0, 1, 3, 7, 2, 9, 4, 0, 5], dtype=np.int64)
-
-    @pytest.mark.parametrize(
-        "kind,param",
-        [(KIND_LINEAR, 0.0), (KIND_EXPONENTIAL, 0.0), (KIND_POLYNOMIAL, 2.5)],
-    )
-    def test_penalty_charges_batched_rows(self, kind, param):
-        m_col = [2, 4, 2, 8, 3]
-        out = penalty_charges_batched(self.COUNTS, m_col, kind, param)
-        assert out.shape == (len(m_col), self.COUNTS.size)
-        for b, m in enumerate(m_col):
-            expect = penalty_charges(self.COUNTS, m, kind, param)
-            assert np.array_equal(out[b], expect)
 
     def test_slot_charge_stats_batched_mixed_penalties(self):
         pens = [LINEAR, EXPONENTIAL, PolynomialPenalty(3.0), _SqrtPenalty(), LINEAR]
@@ -109,15 +98,13 @@ class TestBatchedKernels:
         comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(
             self.COUNTS, m_col, pens
         )
+        assert span == float(self.COUNTS.size)
+        assert max_load == int(self.COUNTS.max())
         for b, (m, pen) in enumerate(zip(m_col, pens)):
-            e_comm, e_paper, e_span, e_over, e_max = slot_charge_stats(
-                self.COUNTS, m, pen
-            )
-            assert comm[b] == e_comm
-            assert c_m_paper[b] == e_paper
-            assert span == e_span
-            assert int(overloaded[b]) == e_over
-            assert max_load == e_max
+            charges = slot_charges(self.COUNTS, m, pen)
+            assert comm[b] == float(np.sum(np.maximum(charges, 1.0)))
+            assert c_m_paper[b] == superstep_charge(self.COUNTS, m, pen)
+            assert int(overloaded[b]) == int(np.sum(self.COUNTS > m))
 
     def test_slot_charge_stats_batched_empty(self):
         comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(
@@ -243,7 +230,6 @@ class TestReplayBatchMessagePassing:
                 (m, L) for m in (8, 16, 32, 64) for L in (1.0, 4.0, 16.0)
             )
         ]
-        assert supports_batched_replay(machines[0])
         batched = replay_batch(compiled, machines)
         for mach, bat in zip(machines, batched):
             _assert_runs_identical(compiled.replay(mach), bat)
@@ -395,6 +381,130 @@ class TestReplayBatchSharedMemory:
         for mach, bat in zip(machines, batched):
             twin = _qsm_machine(QSMg, span, p=self.P, g=mach.params.g)
             _assert_runs_identical(compiled.replay(twin), bat)
+
+
+# ----------------------------------------------------------------------
+# replay_batch: LogP, two-level BSP, PRAM and PRAM(m)
+# ----------------------------------------------------------------------
+def _msg_program(ctx, rounds):
+    # every processor but 0 sends to processor 0 in slot 0 (a peak of
+    # p - 1 messages in transit to one processor), plus a ring of 2-flit
+    # messages from slot 1
+    for r in range(rounds):
+        if ctx.pid:
+            ctx.send(0, r, slot=0)
+        ctx.send((ctx.pid + r + 1) % ctx.nprocs, r, size=2, slot=1)
+        ctx.work(ctx.pid % 3)
+        yield
+
+
+def _pram_program(ctx, rounds, stride):
+    # stride 1: one reader and one writer per location (EREW-legal);
+    # stride 2: pairs of processors share each location
+    for r in range(rounds):
+        cell = ctx.pid // stride
+        ctx.read((cell + r) % ctx.nprocs)
+        ctx.write((cell + r + 1) % ctx.nprocs, ctx.pid)
+        ctx.work(r)
+        yield
+
+
+def _pram_m_program(ctx, rom, rounds):
+    yield from _pram_program(ctx, rounds, 1)
+
+
+def _assert_violation_matches(sequential, batch):
+    """A batch with one violating machine raises that machine's own
+    sequential ``ModelViolation``."""
+    with pytest.raises(ModelViolation) as seq:
+        sequential()
+    with pytest.raises(ModelViolation) as bat:
+        batch()
+    assert str(bat.value) == str(seq.value)
+
+
+class TestReplayBatchOtherModels:
+    P = 8
+
+    @pytest.fixture(scope="class")
+    def msg_compiled(self):
+        recorder = LogP(MachineParams(p=self.P, g=1.0, o=0.5, L=8.0))
+        return compile_program(recorder, _msg_program, args=(3,))
+
+    @pytest.fixture(scope="class")
+    def pram_m_compiled(self):
+        recorder = PRAMm(MachineParams(p=self.P, m=16))
+        return compile_program(recorder, _pram_m_program, args=(3,))
+
+    def test_logp_mixed_params_identity(self, msg_compiled):
+        machines = [
+            LogP(MachineParams(p=self.P, g=g, o=o, L=L))
+            for g, o, L in ((1.0, 0.5, 8.0), (2.0, 3.0, 16.0), (1.5, 0.0, 12.0))
+        ]
+        for mach, bat in zip(machines, replay_batch(msg_compiled, machines)):
+            _assert_runs_identical(msg_compiled.replay(mach), bat)
+
+    def test_logp_capacity_violation_matches_sequential(self, msg_compiled):
+        bad = LogP(MachineParams(p=self.P, g=1.0, L=4.0))  # ceil(L/g) = 4 < 7
+        ok = LogP(MachineParams(p=self.P, g=1.0, L=8.0))
+        _assert_violation_matches(
+            lambda: msg_compiled.replay(bad),
+            lambda: replay_batch(msg_compiled, [ok, bad]),
+        )
+
+    def test_two_level_mixed_coefficients_identity(self, msg_compiled):
+        machines = [
+            TwoLevelBSP(MachineParams(p=p, L=L), g1=g1, g2=g2)
+            for p, L, g1, g2 in (
+                (self.P, 1.0, 1.0, 1.0),
+                (self.P, 4.0, 0.5, 2.0),
+                (2 * self.P, 2.0, 2.0, 0.25),
+            )
+        ]
+        for mach, bat in zip(machines, replay_batch(msg_compiled, machines)):
+            _assert_runs_identical(msg_compiled.replay(mach), bat)
+
+    @pytest.mark.parametrize(
+        "stride,rules", [(1, ("erew", "qrqw", "crcw", "qrqw")), (2, ("qrqw", "crcw"))]
+    )
+    def test_pram_mixed_rules_identity(self, stride, rules):
+        compiled = compile_program(
+            PRAM(MachineParams(p=self.P)), _pram_program, args=(3, stride)
+        )
+        machines = [PRAM(MachineParams(p=self.P), rule=rule) for rule in rules]
+        for mach, bat in zip(machines, replay_batch(compiled, machines)):
+            twin = PRAM(MachineParams(p=self.P), rule=mach.rule)
+            _assert_runs_identical(compiled.replay(twin), bat)
+            assert dict(mach.shared_memory) == dict(twin.shared_memory)
+
+    def test_erew_violation_matches_sequential(self):
+        compiled = compile_program(
+            PRAM(MachineParams(p=self.P)), _pram_program, args=(3, 2)
+        )
+        _assert_violation_matches(
+            lambda: compiled.replay(PRAM(MachineParams(p=self.P), rule="erew")),
+            lambda: replay_batch(
+                compiled,
+                [PRAM(MachineParams(p=self.P), rule=rule) for rule in ("crcw", "erew")],
+            ),
+        )
+
+    def test_pram_m_mixed_m_identity(self, pram_m_compiled):
+        machines = [PRAMm(MachineParams(p=self.P, m=m)) for m in (8, 16, 64)]
+        for mach, bat in zip(machines, replay_batch(pram_m_compiled, machines)):
+            twin = PRAMm(MachineParams(p=self.P, m=mach.params.m))
+            _assert_runs_identical(pram_m_compiled.replay(twin), bat)
+            assert dict(mach.shared_memory) == dict(twin.shared_memory)
+
+    def test_pram_m_address_violation_matches_sequential(self, pram_m_compiled):
+        # the program addresses cells 0..p-1, so m = 4 is too small
+        _assert_violation_matches(
+            lambda: pram_m_compiled.replay(PRAMm(MachineParams(p=self.P, m=4))),
+            lambda: replay_batch(
+                pram_m_compiled,
+                [PRAMm(MachineParams(p=self.P, m=m)) for m in (16, 4)],
+            ),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ from repro import LogP, MachineParams, ModelViolation
 from repro.models.logp import LogP as LogPDirect
 
 
-def make(p=8, g=2.0, o=1.5, L=8.0, **kw):
-    return LogP(MachineParams(p=p, g=g, o=o, L=L), **kw)
+def make(p=8, g=2.0, o=1.5, L=8.0):
+    return LogP(MachineParams(p=p, g=g, o=o, L=L))
 
 
 class TestPricing:
@@ -135,16 +135,6 @@ class TestCapacity:
             yield
         with pytest.raises(ModelViolation, match="capacity"):
             mach.run(prog)
-
-    def test_capacity_disabled(self):
-        mach = make(p=16, g=2.0, L=4.0, enforce_capacity=False)
-
-        def prog(ctx):
-            if ctx.pid != 0:
-                ctx.send(0, "x", slot=0)
-            yield
-
-        mach.run(prog)  # allowed
 
     def test_one_to_all_cost_matches_logp_formula(self):
         """The paper's opening example priced on LOGP: the root's p-1 sends

@@ -285,6 +285,13 @@ MACHINE_CLASSES = [
 
 @pytest.mark.parametrize("name", MACHINE_CLASSES)
 def test_price_type_hints_resolve(name):
-    """Every model's ``_price`` annotations name types its module imports."""
-    hints = typing.get_type_hints(getattr(repro.models, name)._price)
-    assert hints["return"] == typing.Tuple[float, CostBreakdown, typing.Dict[str, float]]
+    """Every model's ``_price`` and ``_price_batch`` annotations name types
+    their modules import, and ``_price`` stays the base class's batch of
+    one (a model defines its pricing only in ``_price_batch``)."""
+    cls = getattr(repro.models, name)
+    priced = typing.Tuple[float, CostBreakdown, typing.Dict[str, float]]
+    assert typing.get_type_hints(cls._price)["return"] == priced
+    batch_hints = typing.get_type_hints(cls._price_batch)
+    assert batch_hints["return"] == typing.List[priced]
+    assert batch_hints["machines"] == typing.Sequence[repro.models.Machine]
+    assert cls._price is repro.models.Machine._price
