@@ -11,6 +11,13 @@ loop (freeze is free, pricing and write application are the only work),
 skipping generator dispatch, per-call validation and arena assembly
 entirely.
 
+:meth:`CompiledProgram.replay_batch` is the one replay loop: it prices
+each frame once for B machines (:meth:`~repro.core.engine.Machine.
+_price_batch`), and :meth:`CompiledProgram.replay` is its batch of one.
+The loop prices first and observes afterwards — an installed tracer,
+metrics registry or ledger sees each trial's finished records, so an
+observed replay runs the same pass as an unobserved one.
+
 Which programs qualify
 ----------------------
 * the h-relation routing program of :mod:`repro.scheduling.execute` (one
@@ -34,7 +41,8 @@ Validity across machines
 ------------------------
 ``replay(machine)`` re-prices the recorded schedule under ``machine``'s
 cost model, so a single recording supports penalty-family and ``L``/``g``
-ablations (the sweep engine's main loop).  Replaying on a machine with a
+ablations (the sweep engine's main loop, one ``replay_batch`` pass per
+group of compatible cells).  Replaying on a machine with a
 *different* aggregate bandwidth ``m`` is only meaningful when the recorded
 program did not consult ``m`` when placing slots (``Proc.stagger_slot``
 does); slot-exclusivity is still re-checked by the target machine's
@@ -50,12 +58,9 @@ from __future__ import annotations
 import time as _time
 from typing import Any, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.engine import DenseSharedMemory, Machine, RunResult
-from repro.core.events import RequestBatch, SuperstepRecord
-from repro.obs.metrics import active_metrics as _active_metrics
-from repro.obs.tracer import active_tracer as _active_tracer
+from repro.core.engine import Machine, RunResult
+from repro.core.events import SuperstepRecord
+from repro.obs.instrument import open_run
 
 __all__ = ["CompiledProgram", "compile_program"]
 
@@ -75,7 +80,7 @@ class CompiledProgram:
     """A recorded superstep schedule plus the run's per-processor results.
 
     Build with :meth:`record` (or :func:`compile_program`); re-execute with
-    :meth:`replay`.  Frames share the recording run's frozen batches —
+    :meth:`replay` or :meth:`replay_batch`.  Frames share the recording run's frozen batches —
     records are immutable once a run returns, so replays on any number of
     machines alias them safely.
     """
@@ -124,7 +129,8 @@ class CompiledProgram:
 
     # ------------------------------------------------------------------
     def replay(self, machine: Machine) -> RunResult:
-        """Re-execute the recorded schedule on ``machine``.
+        """Re-execute the recorded schedule on ``machine``: the batch of one
+        of :meth:`replay_batch`.
 
         Each frame is re-priced under ``machine``'s cost model and its
         writes are applied to ``machine``'s shared memory (so post-run
@@ -134,73 +140,81 @@ class CompiledProgram:
         processors returned.  Replaying on the recording machine
         reproduces its ``RunResult`` bit-identically.
         """
-        if machine.uses_shared_memory != self.uses_shared_memory:
-            raise ValueError(
-                "compiled program was recorded on a "
-                f"{'shared-memory' if self.uses_shared_memory else 'message-passing'}"
-                f" machine; {type(machine).__name__} is not one"
-            )
-        if machine.params.p < self.p:
-            raise ValueError(
-                f"machine has {machine.params.p} processors, recorded "
-                f"program used {self.p}"
-            )
-        _check_no_injector(machine, "replay")
-        tracer = _active_tracer()
-        mreg = _active_metrics()
-        observe = run_span = None
-        if tracer is not None or mreg is not None:
-            from repro.obs.instrument import make_superstep_observer
+        return self.replay_batch((machine,))[0]
 
-            if tracer is not None:
-                run_span = tracer.begin(
-                    "replay", cat="engine", track="machine",
-                    machine=type(machine).__name__, p=self.p,
-                    m=machine.params.m, L=machine.params.L, g=machine.params.g,
+    def replay_batch(self, machines: Sequence[Machine]) -> List[RunResult]:
+        """Replay the recorded schedule on every machine in one pass — the
+        only replay loop.
+
+        All machines must share one concrete model class, have enough
+        processors, match the recording's memory kind and carry no fault
+        injector; every machine is validated before any pricing or write
+        application happens.  Each frame is priced by one
+        :meth:`~repro.core.engine.Machine._price_batch` call over all
+        machines, then its writes are applied per machine.  Element ``b``
+        therefore equals ``replay(machines[b])`` exactly: a trial's
+        pricing row does not depend on its batch-mates.
+
+        Observation follows the pass: each trial's finished records go to
+        the installed tracer, metrics registry and ledger in order
+        (:func:`repro.obs.instrument.open_run`, ``path="replay"``), which
+        also sets its ``RunResult.ledger``.
+        """
+        machines = list(machines)
+        if not machines:
+            return []
+        cls = type(machines[0])
+        for mach in machines:
+            if type(mach) is not cls:
+                raise ValueError(
+                    "replay_batch needs machines of one model class; got "
+                    f"{cls.__name__} and {type(mach).__name__}"
                 )
-                run_span.model_start = tracer.model_clock
-            observe = make_superstep_observer(tracer, mreg, machine, self.p, run_span)
-        records: List[SuperstepRecord] = []
-        try:
-            for index, (work, msg_b, read_b, write_b) in enumerate(self.frames):
-                t0 = _time.perf_counter() if observe is not None else 0.0
-                record = SuperstepRecord(
+            if mach.uses_shared_memory != self.uses_shared_memory:
+                raise ValueError(
+                    "compiled program was recorded on a "
+                    f"{'shared-memory' if self.uses_shared_memory else 'message-passing'}"
+                    f" machine; {type(mach).__name__} is not one"
+                )
+            if mach.params.p < self.p:
+                raise ValueError(
+                    f"machine has {mach.params.p} processors, recorded "
+                    f"program used {self.p}"
+                )
+            _check_no_injector(mach, "replay")
+        runs = [
+            RunResult(params=mach.params, records=[], results=list(self.results))
+            for mach in machines
+        ]
+        stamps = [_time.perf_counter()]  # frame boundaries, for the observers
+        for index, (work, msg_b, read_b, write_b) in enumerate(self.frames):
+            # every trial's record aliases the same frozen batches
+            records = [
+                SuperstepRecord(
                     index=index,
                     work=work,
                     msg_batch=msg_b,
                     read_batch=read_b,
                     write_batch=write_b,
                 )
-                cost, breakdown, stats = machine._price(record)
-                record.cost = cost
-                record.breakdown = breakdown
-                record.stats = stats
-                records.append(record)
-                self._apply_writes(machine, write_b)
-                if observe is not None:
-                    observe(record, t0, _time.perf_counter())
-        finally:
-            if run_span is not None:
-                tracer.end(
-                    run_span,
-                    model_dur=tracer.model_clock - run_span.model_start,
-                    supersteps=len(records),
-                )
-        return RunResult(
-            params=machine.params, records=records, results=list(self.results)
-        )
-
-    @staticmethod
-    def _apply_writes(machine: Machine, wb: RequestBatch) -> None:
-        if not wb.n:
-            return
-        mem = machine.shared_memory
-        if isinstance(mem, DenseSharedMemory) and isinstance(wb.addr, np.ndarray):
-            mem.put(wb.addr, wb.value)
-        else:
-            vals = wb.value
-            for i, a in enumerate(wb.addr_list()):
-                mem[a] = None if vals is None else vals[i]
+                for _ in machines
+            ]
+            priced = machines[0]._price_batch(records[0], machines)
+            for run, record, (cost, breakdown, stats) in zip(runs, records, priced):
+                record.cost, record.breakdown, record.stats = cost, breakdown, stats
+                run.records.append(record)
+            if write_b.n:
+                for mach in machines:
+                    mach._apply_writes(write_b)
+            stamps.append(_time.perf_counter())
+        for mach, run in zip(machines, runs):
+            observation = open_run(mach, self.p, "replay", wall_start=stamps[0])
+            if observation is None:
+                break
+            for record, t0, t1 in zip(run.records, stamps, stamps[1:]):
+                observation.observe(record, t0, t1)
+            run.ledger = observation.close(len(run.records), wall_end=stamps[-1])
+        return runs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -74,14 +74,13 @@ from repro.core.events import (
     CostBreakdown,
     Message,
     MessageBatch,
+    RequestBatch,
     SuperstepRecord,
     _column_take,
 )
 from repro.core.kernels import group_bounds, stable_group_order
 from repro.core.params import MachineParams
-from repro.obs.ledger import active_ledger as _active_ledger
-from repro.obs.metrics import active_metrics as _active_metrics
-from repro.obs.tracer import active_tracer as _active_tracer
+from repro.obs.instrument import open_run
 
 __all__ = [
     "ModelViolation",
@@ -1072,48 +1071,25 @@ class Machine:
             auditor = None
             if audit:
                 from repro.faults.audit import audit_record as auditor
-            # observability: one module-global read per run; spans/metrics
-            # only record already-priced costs, so model times stay
-            # bit-identical
-            tracer = _active_tracer()
-            mreg = _active_metrics()
-            ledger = _active_ledger()
-            observe = run_span = None
-            ledger_start = 0
-            if tracer is not None or mreg is not None or ledger is not None:
-                from repro.obs.instrument import make_superstep_observer
-
-                if tracer is not None:
-                    run_span = tracer.begin(
-                        "run", cat="engine", track="machine",
-                        machine=type(self).__name__, p=p,
-                        m=self.params.m, L=self.params.L, g=self.params.g,
-                    )
-                    run_span.model_start = tracer.model_clock
-                if ledger is not None:
-                    ledger_start = ledger.begin_run(type(self).__name__, self.params)
-                observe = make_superstep_observer(
-                    tracer, mreg, self, p, run_span, ledger=ledger
-                )
+            # observability records already-priced costs, so model times
+            # stay bit-identical; None when nothing is installed
+            run = open_run(self, p, "loop")
+            ledger = None
             try:
                 self._run_loop(
                     procs, gens, results, records, alive, p,
                     max_supersteps, max_time, injector, auditor, deadline_at,
-                    observe, arenas, deadline_reason,
+                    run.observe if run is not None else None, arenas,
+                    deadline_reason,
                 )
             finally:
-                if run_span is not None:
-                    tracer.end(
-                        run_span,
-                        model_dur=tracer.model_clock - run_span.model_start,
-                        supersteps=len(records),
-                    )
+                if run is not None:
+                    ledger = run.close(len(records))
         finally:
             if arenas is self._arenas:
                 self._arenas_busy = False
         return RunResult(
-            params=self.params, records=records, results=results,
-            ledger=ledger.view(ledger_start) if ledger is not None else None,
+            params=self.params, records=records, results=results, ledger=ledger
         )
 
     def _run_loop(
@@ -1250,15 +1226,19 @@ class Machine:
                 values = [get(a) for a in rb.addr_list()]
             for handle, start, stop in rb.handles:
                 handle._resolve_span(values, start, stop)
-        wb = record.write_batch
-        if wb.n:
-            addrs = wb.addr
-            if isinstance(mem, DenseSharedMemory) and isinstance(addrs, np.ndarray):
-                mem.put(addrs, wb.value)
-            else:
-                vals = wb.value
-                for i, a in enumerate(wb.addr_list()):
-                    mem[a] = None if vals is None else vals[i]
+        if record.write_batch.n:
+            self._apply_writes(record.write_batch)
+
+    def _apply_writes(self, wb: RequestBatch) -> None:
+        """Apply a superstep's write batch to shared memory in record
+        order (the live loop's delivery and replay share this step)."""
+        mem = self.shared_memory
+        if isinstance(mem, DenseSharedMemory) and isinstance(wb.addr, np.ndarray):
+            mem.put(wb.addr, wb.value)
+        else:
+            vals = wb.value
+            for i, a in enumerate(wb.addr_list()):
+                mem[a] = None if vals is None else vals[i]
 
     # ------------------------------------------------------------------
     def time(self, program: Callable[..., Any], **kwargs) -> float:

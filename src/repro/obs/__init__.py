@@ -20,7 +20,7 @@ that question for a concrete run:
   metrics dumps, and the terminal cost-attribution table.
 * :mod:`repro.obs.ledger` — the per-superstep bandwidth **load ledger**:
   which restriction (local ``g·h`` vs. global ``f_m(m_t)``) bound each
-  superstep's charge, recorded at the engine barrier under the same
+  superstep's charge, recorded from every priced superstep under the same
   zero-overhead contract as the tracer.
 * :mod:`repro.obs.manifest` — per-run provenance (params, seed
   expression, git SHA, penalty family, cache hit rate, artifact paths).

@@ -1,11 +1,23 @@
-"""Span/metric construction for the engine barrier — the slow-path half.
+"""Span/metric construction for the engine's runs — the slow-path half.
 
-The engine keeps its hot loop free of observability logic: when (and only
-when) a tracer or registry is active it imports this module once per run
-and calls :func:`make_superstep_observer`, whose closure does all span and
-counter construction.  Nothing here is imported when observability is
-disabled, and nothing here feeds back into pricing — model time is read
-from the already-priced :class:`~repro.core.events.SuperstepRecord`.
+Both execution paths observe through :func:`open_run`: the live barrier
+loop of :meth:`~repro.core.engine.Machine.run` (``path="loop"``) and the
+replay loop of :meth:`~repro.core.compiled.CompiledProgram.replay_batch`
+(``path="replay"``).  With no tracer, metrics registry or ledger
+installed it returns ``None`` after three module-global reads, and the
+caller skips observation entirely.  Otherwise the returned
+:class:`RunObservation` opens the run — the ``run`` span, the ledger's
+run header — and carries the per-superstep callback built by
+:func:`make_superstep_observer`; :meth:`RunObservation.close` ends the
+span and hands back the run's ledger view.  Nothing here feeds back into
+pricing: model time is read from the already-priced
+:class:`~repro.core.events.SuperstepRecord`, so looking never changes
+the path or the result.  The live loop observes each record at its
+barrier; replay observes each trial's finished records after the pass,
+trial by trial in order, stamped with the pass's per-frame wall clock.
+
+Per-run output (tracer active): one ``run`` span on the ``machine``
+track with a ``path`` arg of ``loop`` or ``replay``.
 
 Per-superstep output (tracer active):
 
@@ -14,7 +26,7 @@ Per-superstep output (tracer active):
   plus the pricing stats (incl. ``fault_*`` counters) as args;
 * one wall-clock ``fused_superstep`` child span on the ``engine`` track
   covering the whole barrier (freeze, price, fault injection, delivery
-  and audit);
+  and audit on the loop; pricing and write application on replay);
 * one span per *active* processor on its own ``proc N`` track, whose model
   duration is that processor's local bound ``max(work, sent, recvs)`` —
   the straggler view that makes imbalance visible in Perfetto.
@@ -24,10 +36,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.ledger import active_ledger
+from repro.obs.metrics import MetricsRegistry, active_metrics
+from repro.obs.tracer import Span, Tracer, active_tracer
 
-__all__ = ["make_superstep_observer", "PROC_TRACK_LIMIT"]
+__all__ = ["RunObservation", "open_run", "make_superstep_observer", "PROC_TRACK_LIMIT"]
 
 #: Per-processor spans are emitted only up to this processor count — past
 #: it a trace viewer is unusable anyway and the span volume dominates.
@@ -84,11 +97,12 @@ def make_superstep_observer(
     run_span: Optional[Span],
     ledger=None,
 ) -> Callable:
-    """Build the per-superstep callback the engine invokes at each barrier.
+    """Build the per-superstep callback of one observed run.
 
     The callback signature is ``observe(record, t_start, t_end)`` where
     the ``t_*`` values are ``perf_counter`` stamps at the start of the
-    record's freeze and at the end of the barrier.  ``ledger`` is an
+    record's freeze and at the end of the barrier (on replay: the start
+    and end of the frame's pricing in the pass).  ``ledger`` is an
     optional :class:`~repro.obs.ledger.LoadLedger` recording one load row
     per superstep from the already-priced record.
     """
@@ -142,3 +156,58 @@ def make_superstep_observer(
             metrics.histogram("engine.superstep_cost").observe(record.cost)
 
     return observe
+
+
+class RunObservation:
+    """One run under observation: its ``run`` span, its ledger rows and
+    the per-superstep callback :attr:`observe` (``observe(record,
+    t_start, t_end)``, see :func:`make_superstep_observer`)."""
+
+    __slots__ = ("observe", "_tracer", "_span", "_ledger", "_ledger_start")
+
+    def __init__(self, tracer, metrics, ledger, machine, p: int, path: str,
+                 wall_start: Optional[float]) -> None:
+        params = machine.params
+        span = None
+        if tracer is not None:
+            span = tracer.begin(
+                "run", cat="engine", track="machine",
+                machine=type(machine).__name__, p=p,
+                m=params.m, L=params.L, g=params.g, path=path,
+            )
+            if wall_start is not None:
+                span.wall_start = wall_start
+            span.model_start = tracer.model_clock
+        self._tracer, self._span, self._ledger = tracer, span, ledger
+        self._ledger_start = (
+            ledger.begin_run(type(machine).__name__, params) if ledger is not None else 0
+        )
+        self.observe = make_superstep_observer(tracer, metrics, machine, p, span, ledger=ledger)
+
+    def close(self, supersteps: int, wall_end: Optional[float] = None):
+        """End the ``run`` span (at ``wall_end`` when given, else now) and
+        return the run's :class:`~repro.obs.ledger.LedgerView`, or ``None``
+        when no ledger is installed."""
+        span = self._span
+        if span is not None:
+            tracer = self._tracer
+            tracer.end(span, model_dur=tracer.model_clock - span.model_start,
+                       supersteps=supersteps)
+            if wall_end is not None:
+                span.wall_dur = wall_end - span.wall_start
+        return self._ledger.view(self._ledger_start) if self._ledger is not None else None
+
+
+def open_run(machine, p: int, path: str,
+             wall_start: Optional[float] = None) -> Optional[RunObservation]:
+    """Open the observation of one run of ``machine`` on ``p`` processors,
+    or return ``None`` when no tracer, registry or ledger is installed.
+
+    ``path`` names the execution path on the ``run`` span (``"loop"`` or
+    ``"replay"``); ``wall_start`` back-dates the span to when a replay
+    pass began, since replay is observed after the pass.
+    """
+    tracer, metrics, ledger = active_tracer(), active_metrics(), active_ledger()
+    if tracer is None and metrics is None and ledger is None:
+        return None
+    return RunObservation(tracer, metrics, ledger, machine, p, path, wall_start)

@@ -6,7 +6,8 @@ limited machine charges each processor's traffic against ``g`` (cost
 against ``m`` (cost ``f_m(m_t)``).  The :class:`~repro.core.events.
 CostBreakdown` on every priced superstep already says which component won
 — but only run aggregates survived until now.  The :class:`LoadLedger`
-records, **inside the engine barrier**, one columnar row per superstep:
+records one columnar row per priced superstep — at the engine barrier on
+the live loop, after the pass on replay:
 
 ``step / run``
     superstep index and run ordinal (several runs may share one ledger —
@@ -35,8 +36,9 @@ records, **inside the engine barrier**, one columnar row per superstep:
     a Perfetto counter track (:func:`repro.obs.export.chrome_trace`).
 
 Contract: identical to :class:`~repro.obs.tracer.Tracer` — a module
-global that defaults to ``None``, read once per :meth:`Machine.run`; the
-disabled path costs one global read per run and model times are
+global that defaults to ``None``, read once per run (a
+:meth:`Machine.run`, or each trial of a replay); the disabled path costs
+one global read per run and model times are
 bit-identical with the ledger on or off (it *records* priced costs, it
 never participates in pricing).  Dumps merge in task order across sweep
 backends (:meth:`LoadLedger.merge_dump`), so ``jobs=N`` ledgers are
@@ -103,7 +105,7 @@ def binding_of(breakdown) -> str:
 
 
 class LoadLedger:
-    """Columnar per-superstep load rows, recorded at the engine barrier.
+    """Columnar per-superstep load rows, recorded from priced records.
 
     ``per_proc`` keeps the per-processor detail matrices (up to
     ``PROC_DETAIL_LIMIT`` processors); the scalar columns are always

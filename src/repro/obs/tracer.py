@@ -45,6 +45,7 @@ __all__ = [
     "active_tracer",
     "install_tracer",
     "uninstall_tracer",
+    "traced",
     "tracing",
     "export_spans",
     "splice_spans",
@@ -275,6 +276,18 @@ def uninstall_tracer() -> Optional[Tracer]:
     global _ACTIVE
     tracer, _ACTIVE = _ACTIVE, None
     return tracer
+
+
+@contextmanager
+def traced(name: str, cat: str = "", track: str = "main", **args: Any) -> Iterator[Optional[Span]]:
+    """A context span on the installed tracer, or nothing when none is
+    installed: for labelling a call that runs the same either way."""
+    tracer = _ACTIVE
+    if tracer is None:
+        yield None
+        return
+    with tracer.span(name, cat, track, **args) as span:
+        yield span
 
 
 @contextmanager

@@ -18,10 +18,12 @@ end-to-end: the per-processor plan is three array slices (slot, dest,
 flit-id) produced by one argsort of the schedule's flit columns, the
 program is a single ``ctx.send_many`` call per processor, and delivery is
 verified by one histogram of the concatenated payload columns — no
-per-flit Python objects anywhere.  Unless the run is audited, faulted or
-observed, :func:`execute_schedule` does not run that program on the live
-loop at all: it replays the one superstep :func:`compile_schedule`
-assembles straight from the schedule, which is bit-identical.
+per-flit Python objects anywhere.  Unless the run is audited or faulted,
+:func:`execute_schedule` does not run that program on the live loop at
+all: it replays the one superstep :func:`compile_schedule` assembles
+straight from the schedule, which is bit-identical.  An installed
+tracer, metrics registry or ledger observes that replay; it does not
+change the path.
 """
 
 from __future__ import annotations
@@ -32,14 +34,11 @@ import numpy as np
 
 from time import monotonic as _monotonic
 
-from repro.core.batched import replay_batch
 from repro.core.compiled import CompiledProgram
 from repro.core.engine import Machine, RunAborted, RunResult
 from repro.core.events import MessageBatch, RequestBatch
 from repro.core.kernels import group_bounds, stable_group_order
-from repro.obs.ledger import active_ledger
-from repro.obs.metrics import active_metrics
-from repro.obs.tracer import active_tracer
+from repro.obs.tracer import traced
 from repro.scheduling.schedule import Schedule, expand_per_flit
 from repro.scheduling.static_send import unbalanced_send
 from repro.util.rng import SeedLike
@@ -129,9 +128,9 @@ def compile_schedule(sched: Schedule) -> CompiledProgram:
     constructing processors, generators or arenas.  ``compile_schedule(
     sched).replay(machine)`` is bit-identical to running the routing
     program on the live loop on any message-passing machine (pinned by
-    ``tests/test_fused_kernel.py``); it is the fast path of
-    :func:`execute_schedule`, and :func:`repro.core.batched.replay_batch`
-    prices one compilation under a whole parameter batch.
+    ``tests/test_fused_kernel.py``); :func:`execute_schedule_batch` prices
+    one compilation under a whole parameter batch, and
+    :func:`execute_schedule` is its batch of one.
     """
     batch, results = _schedule_frame(sched)
     frames = [
@@ -140,40 +139,58 @@ def compile_schedule(sched: Schedule) -> CompiledProgram:
     return CompiledProgram(frames, results, sched.rel.p, False)
 
 
+def _check_router(machine: Machine, rel: HRelation) -> None:
+    if machine.uses_shared_memory:
+        raise ValueError("schedules route point-to-point messages; use a BSP machine")
+    if machine.params.p < rel.p:
+        raise ValueError(
+            f"machine has {machine.params.p} processors, relation needs {rel.p}"
+        )
+
+
 def execute_schedule_batch(
     machines: List[Machine],
     sched: Schedule,
     *,
     compiled: Optional[CompiledProgram] = None,
+    deadline: Optional[float] = None,
 ) -> List[RunResult]:
     """Run one schedule on a batch of machines in a single fused pass.
 
     Element ``b`` is bit-identical to ``execute_schedule(machines[b],
-    sched)``: the frame assembly and delivery permutation are computed
-    once (:func:`_schedule_frame`), pricing goes through
-    :func:`repro.core.batched.replay_batch`, and delivery is verified once
-    — the recorded results are shared, so one histogram check covers every
+    sched)``, whose replay path is this function's batch of one: the
+    frame assembly and delivery permutation are computed once
+    (:func:`_schedule_frame`), pricing goes through
+    :meth:`CompiledProgram.replay_batch`, and delivery is verified once —
+    the recorded results are shared, so one histogram check covers every
     trial.  Pass ``compiled`` (from :func:`compile_schedule`) to reuse a
     prior compilation across calls.  Machines with fault injectors are
-    refused, as on every compiled-replay path.
+    refused, as on every replay.  ``deadline`` is an absolute
+    ``time.monotonic()`` timestamp; replay has no superstep loop to check
+    mid-run, so an expired deadline raises
+    :class:`~repro.core.engine.RunAborted` before superstep 0, as the live
+    loop does.
     """
     machines = list(machines)
+    if not machines:
+        return []
     rel = sched.rel
     for machine in machines:
-        if machine.uses_shared_memory:
-            raise ValueError(
-                "schedules route point-to-point messages; use a BSP machine"
-            )
-        if machine.params.p < rel.p:
-            raise ValueError(
-                f"machine has {machine.params.p} processors, relation "
-                f"needs {rel.p}"
-            )
+        _check_router(machine, rel)
+    if deadline is not None and _monotonic() > deadline:
+        raise RunAborted(
+            "run exceeded its absolute deadline at superstep 0",
+            partial=RunResult(params=machines[0].params, records=[],
+                              results=[None] * rel.p),
+            superstep=0,
+            reason="deadline",
+        )
     if compiled is None:
         compiled = compile_schedule(sched)
-    out = replay_batch(compiled, machines)
-    if out:
-        _verify_delivery(out[0], rel, machines[0])
+    with traced("execute_schedule", cat="scheduling", track="machine",
+                p=rel.p, flits=rel.n):
+        out = compiled.replay_batch(machines)
+    _verify_delivery(out[0], rel, machines[0])
     return out
 
 
@@ -188,64 +205,27 @@ def execute_schedule(
 
     Raises :class:`AssertionError`-free :class:`ValueError` if any flit is
     lost or duplicated (this would be an engine bug — the check is the
-    library guarding its own invariants, not user error).  ``audit=True``
-    additionally runs every barrier through the invariant auditor
-    (:mod:`repro.faults.audit`).  ``deadline`` is an absolute
-    ``time.monotonic()`` timestamp (the serving path's per-request
-    deadline) forwarded to :meth:`Machine.run`; an expired deadline raises
-    :class:`~repro.core.engine.RunAborted` before superstep 0 on both the
-    trampoline and the compiled replay path.
+    library guarding its own invariants, not user error).  The routing
+    program is straight-line, so unless the run is audited or faulted it
+    is replayed from :func:`compile_schedule` — the batch of one of
+    :func:`execute_schedule_batch` — whether or not a tracer, metrics
+    registry or ledger is installed.  ``audit=True`` or an attached fault
+    injector runs the program on the live loop instead; ``audit`` checks
+    every barrier with the invariant auditor (:mod:`repro.faults.audit`).
+    ``deadline`` is an absolute ``time.monotonic()`` timestamp (the
+    serving path's per-request deadline); an expired deadline raises
+    :class:`~repro.core.engine.RunAborted` before superstep 0 on both
+    paths.
     """
-    if machine.uses_shared_memory:
-        raise ValueError("schedules route point-to-point messages; use a BSP machine")
+    if not audit and machine.fault_injector is None:
+        return execute_schedule_batch([machine], sched, deadline=deadline)[0]
     rel = sched.rel
-    if machine.params.p < rel.p:
-        raise ValueError(
-            f"machine has {machine.params.p} processors, relation needs {rel.p}"
-        )
-    tracer = active_tracer()
-    if (
-        not audit
-        and machine.fault_injector is None
-        and tracer is None
-        and active_metrics() is None
-        and active_ledger() is None
-    ):
-        # compiled-superstep fast path: the routing program is straight-
-        # line, so skip the trampoline entirely (see compile_schedule).
-        # Replay has no superstep loop to check mid-run, so the deadline
-        # gate is the same abort-before-superstep-0 check the trampoline
-        # performs.
-        if deadline is not None and _monotonic() > deadline:
-            raise RunAborted(
-                "run exceeded its absolute deadline at superstep 0",
-                partial=RunResult(params=machine.params, records=[],
-                                  results=[None] * rel.p),
-                superstep=0,
-                reason="deadline",
-            )
-        res = compile_schedule(sched).replay(machine)
-        _verify_delivery(res, rel, machine)
-        return res
-    plan = _flit_plan(sched)
-    if tracer is not None:
-        # context span for the engine's own `run` span: which relation and
-        # schedule this routing superstep came from
-        with tracer.span(
-            "execute_schedule", cat="scheduling", track="machine",
-            p=rel.p, flits=rel.n,
-        ):
-            res = machine.run(
-                _routing_program, per_proc_args=plan, nprocs=rel.p, audit=audit,
-                deadline=deadline,
-            )
-    else:
+    _check_router(machine, rel)
+    with traced("execute_schedule", cat="scheduling", track="machine",
+                p=rel.p, flits=rel.n):
         res = machine.run(
-            _routing_program,
-            per_proc_args=plan,
-            nprocs=rel.p,
-            audit=audit,
-            deadline=deadline,
+            _routing_program, per_proc_args=_flit_plan(sched), nprocs=rel.p,
+            audit=audit, deadline=deadline,
         )
     _verify_delivery(res, rel, machine)
     return res

@@ -44,6 +44,7 @@ writing responses, and only then shuts the listener down.
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import socketserver
@@ -65,6 +66,7 @@ from repro.serve.protocol import (
     estimate_cost,
     ok_payload,
     request_fingerprint,
+    scenario_params,
 )
 from repro.serve.telemetry import ServerMetrics
 from repro.store.disk import DiskStore
@@ -293,13 +295,18 @@ class ReproServer:
         deadline = None
         if deadline_s is not None:
             try:
-                deadline = now + float(deadline_s)
+                finite = math.isfinite(float(deadline_s))
             except (TypeError, ValueError):
+                finite = False
+            if not finite:
                 raise ServeError(
                     "E_BAD_REQUEST",
-                    f"deadline_s must be a number, got {deadline_s!r}",
+                    f"deadline_s must be a finite number, got {deadline_s!r}",
                 )
+            deadline = now + float(deadline_s)
         try:
+            if kind == "scenario":
+                scenario_params(params)
             cost = estimate_cost(kind, params)
         except (TypeError, ValueError) as exc:
             raise ServeError("E_BAD_REQUEST", f"bad params: {exc}")

@@ -1,9 +1,12 @@
 """The compute engines of ``repro serve``: where a request's pure compute
 runs once the executor's worker threads have done its bookkeeping.
 
-The compute is :func:`repro.serve.executor.run_scenario`, a coalesced
-:func:`repro.serve.executor.run_scenario_batch`, or an
-``experiment``/``sweep`` kind.  The bookkeeping stays on the executor's
+The compute is a scenario — :func:`repro.serve.executor.run_scenario_batch`
+for a coalesced group, or :func:`repro.serve.executor.run_scenario`, its
+batch of one, for a solo request — or an ``experiment``/``sweep`` kind.
+The scenario's params were validated at submit
+(:func:`repro.serve.protocol.scenario_params`), so a bad value never
+reaches an engine as a crash.  The bookkeeping stays on the executor's
 ``--workers`` threads on both engines: the admission hand-off, the
 response cache (including the store's fsync), retry/backoff,
 quarantine and chaos.  Both engines have one call surface —

@@ -30,11 +30,11 @@ Layout:
   worker kills these paths are tested against;
 * on the thread engine, a worker popping a deadline-free ``scenario``
   also pops every queued request that matches it in everything but
-  ``L`` (same seed and params otherwise, up to ``max_coalesce``) and
-  answers the group from one fused :func:`run_scenario_batch` pass on
-  the lane — per-request caching, chaos, retry, and quarantine
-  bookkeeping are untouched, and each member's payload is bit-identical
-  to its solo ``run_scenario`` call;
+  ``L`` (same seed and params otherwise, up to :data:`MAX_COALESCE`) and
+  answers the group from one :func:`run_scenario_batch` call on the
+  lane — the same function that answers a solo scenario as a batch of
+  one, so each member's payload is its solo answer.  Per-request
+  caching, chaos, retry, and quarantine bookkeeping are untouched;
 * answers are bit-identical on both engines: the handlers are pure in
   ``(params, seed)``.
 
@@ -66,6 +66,7 @@ if TYPE_CHECKING:
     from repro.core.engine import RunAborted
 
 __all__ = [
+    "MAX_COALESCE",
     "ExecutorConfig",
     "RequestExecutor",
     "run_scenario",
@@ -83,8 +84,6 @@ class ExecutorConfig:
     backoff_cap: float = 2.0  # ceiling on a single backoff sleep
     quarantine_after: int = 3  # cumulative failures before E_QUARANTINED
     engine: str = "thread"  # compute engine: in-thread or process pool
-    coalesce: bool = True  # fuse compatible queued scenarios into one pass
-    max_coalesce: int = 16  # requests fused into a single batch, at most
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -99,22 +98,20 @@ class ExecutorConfig:
             raise ValueError(
                 f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
-        if self.max_coalesce < 1:
-            raise ValueError(
-                f"max_coalesce must be >= 1, got {self.max_coalesce}"
-            )
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based)."""
         return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
 
+#: requests fused into a single coalesced scenario batch, at most
+MAX_COALESCE = 16
+
+
 # ----------------------------------------------------------------------
 # handlers — module-level pure functions so tests can call them directly
 # and assert bit-identity with the daemon's answers
 # ----------------------------------------------------------------------
-
-_WORKLOADS = ("uniform", "zipf", "balanced", "one_to_all")
 
 
 def _aborted_error(exc: RunAborted) -> ServeError:
@@ -144,118 +141,77 @@ def _build_relation(workload: str, p: int, n: int, alpha: float, seed) -> Any:
         return zipf_h_relation(p, n, alpha=alpha, seed=seed)
     if workload == "balanced":
         return balanced_h_relation(p, max(1, n // p), seed=seed)
-    if workload == "one_to_all":
-        return one_to_all_relation(p)
-    raise ServeError(
-        "E_BAD_REQUEST",
-        f"unknown workload {workload!r}; choose one of {_WORKLOADS}",
-    )
+    return one_to_all_relation(p)
 
 
 def run_scenario(
     params: Dict[str, Any], seed: int, *, deadline: Optional[float] = None
 ) -> Dict[str, Any]:
-    """Route one h-relation on a BSP(m): the ``scenario`` kind.
+    """Route one h-relation on a BSP(m): the ``scenario`` kind, and the
+    batch of one of :func:`run_scenario_batch`.
 
     Pure in ``(params, seed)`` — the daemon's answer for a scenario is
     exactly this function's return value, which is how the determinism
     tests compare served vs. direct execution.  ``deadline`` (absolute
-    monotonic) propagates into the engine and aborts mid-run with
+    monotonic) aborts the run before its superstep 0 with
     ``RunAborted(reason="deadline")``.
     """
-    from repro.models.bsp_m import BSPm
-    from repro.core.params import MachineParams
-    from repro.scheduling import evaluate_schedule, route
-    from repro.util.rng import derive_seed_sequence
-
-    p = int(params.get("p", 64))
-    n = int(params.get("n", 20_000))
-    m = int(params.get("m", 32))
-    L = float(params.get("L", 1.0))
-    epsilon = float(params.get("epsilon", 0.2))
-    alpha = float(params.get("alpha", 1.2))
-    workload = str(params.get("workload", "uniform"))
-
-    rel = _build_relation(
-        workload, p, n, alpha, derive_seed_sequence(seed, "scenario", workload)
-    )
-    machine = BSPm(MachineParams(p=p, m=m, L=L))
-    res, sched = route(
-        machine,
-        rel,
-        epsilon=epsilon,
-        seed=derive_seed_sequence(seed, "scenario", "route"),
-        deadline=deadline,
-    )
-    report = evaluate_schedule(sched, m=m, L=L)
-    return {
-        "kind": "scenario",
-        "workload": workload,
-        "p": p,
-        "n": int(rel.n),
-        "m": m,
-        "model_time": float(res.time),
-        "supersteps": int(res.supersteps),
-        "schedule": report.to_dict(),
-    }
+    return run_scenario_batch([params], seed, deadline=deadline)[0]
 
 
 def run_scenario_batch(
-    params_list: "list[Dict[str, Any]]", seed: int
+    params_list: "list[Dict[str, Any]]",
+    seed: int,
+    *,
+    deadline: Optional[float] = None,
 ) -> "list[Dict[str, Any]]":
-    """Fused execution of scenario requests that differ only in ``L``.
+    """Scenario requests that differ only in ``L``, in one fused pass.
 
     The scenario handler factors cleanly: the workload relation, the
     Unbalanced-Send schedule, and the recorded routing structure depend
     on ``(workload, p, n, m, epsilon, alpha, seed)`` but *not* on ``L``
-    — latency only re-prices the recorded supersteps.  So a burst of
+    — latency only re-prices the recorded superstep.  So a burst of
     compatible requests costs one relation build, one schedule, one
-    compiled program, and one :func:`repro.core.batched.replay_batch`
-    pass.  Element ``j`` is bit-identical to
-    ``run_scenario(params_list[j], seed)``.
+    compiled program, and one
+    :func:`repro.scheduling.execute.execute_schedule_batch` pass; a solo
+    scenario is the batch of one.  Params are read through
+    :func:`repro.serve.protocol.scenario_params`, which supplies the
+    defaults and rejects bad values with ``E_BAD_REQUEST``.
     """
     from repro.models.bsp_m import BSPm
     from repro.core.params import MachineParams
     from repro.scheduling import evaluate_schedule
     from repro.scheduling.execute import execute_schedule_batch
     from repro.scheduling.static_send import unbalanced_send
+    from repro.serve.protocol import scenario_params
     from repro.util.rng import derive_seed_sequence
 
-    base = params_list[0]
-    p = int(base.get("p", 64))
-    n = int(base.get("n", 20_000))
-    m = int(base.get("m", 32))
-    epsilon = float(base.get("epsilon", 0.2))
-    alpha = float(base.get("alpha", 1.2))
-    workload = str(base.get("workload", "uniform"))
-
+    trials = [scenario_params(pp) for pp in params_list]
+    base = trials[0]
+    p, m, workload = base["p"], base["m"], base["workload"]
     rel = _build_relation(
-        workload, p, n, alpha, derive_seed_sequence(seed, "scenario", workload)
+        workload, p, base["n"], base["alpha"],
+        derive_seed_sequence(seed, "scenario", workload),
     )
     sched = unbalanced_send(
-        rel, m, epsilon, seed=derive_seed_sequence(seed, "scenario", "route")
+        rel, m, base["epsilon"],
+        seed=derive_seed_sequence(seed, "scenario", "route"),
     )
-    machines = [
-        BSPm(MachineParams(p=p, m=m, L=float(pp.get("L", 1.0))))
-        for pp in params_list
+    machines = [BSPm(MachineParams(p=p, m=m, L=t["L"])) for t in trials]
+    runs = execute_schedule_batch(machines, sched, deadline=deadline)
+    return [
+        {
+            "kind": "scenario",
+            "workload": workload,
+            "p": p,
+            "n": int(rel.n),
+            "m": m,
+            "model_time": float(res.time),
+            "supersteps": int(res.supersteps),
+            "schedule": evaluate_schedule(sched, m=m, L=mach.params.L).to_dict(),
+        }
+        for mach, res in zip(machines, runs)
     ]
-    runs = execute_schedule_batch(machines, sched)
-    out = []
-    for mach, res in zip(machines, runs):
-        report = evaluate_schedule(sched, m=m, L=mach.params.L)
-        out.append(
-            {
-                "kind": "scenario",
-                "workload": workload,
-                "p": p,
-                "n": int(rel.n),
-                "m": m,
-                "model_time": float(res.time),
-                "supersteps": int(res.supersteps),
-                "schedule": report.to_dict(),
-            }
-        )
-    return out
 
 
 def _coalesce_key(req: Request) -> Optional[Any]:
@@ -369,7 +325,7 @@ class RequestExecutor:
         else:
             self._engine = ComputeLane(metrics)
         # coalesced groups are fused on the lane; the pool spreads work
-        self._coalesce = self.config.coalesce and self.config.engine == "thread"
+        self._coalesce = self.config.engine == "thread"
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._in_flight = 0
@@ -499,7 +455,7 @@ class RequestExecutor:
                         keep: "list[Request]" = []
                         for other in self._work:
                             if (
-                                len(group) < self.config.max_coalesce
+                                len(group) < MAX_COALESCE
                                 and _coalesce_key(other) == key
                             ):
                                 group.append(other)

@@ -21,12 +21,19 @@ Two protocol invariants matter for the rest of the stack:
   Unbalanced-Send admission discipline (:mod:`repro.serve.admission`) —
   the paper's "processor with x_i flits to send" maps to "request with
   x_i flits of simulated traffic".
+
+:func:`scenario_params` is the one definition of a scenario's parameters:
+the daemon rejects bad ones at submit with ``E_BAD_REQUEST``, and the
+scenario handler takes its defaults from it.  Like the rest of this
+module it is plain Python, so the daemon's front end never imports
+NumPy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -34,6 +41,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ERROR_CODES",
     "KINDS",
+    "SCENARIO_DEFAULTS",
+    "SCENARIO_WORKLOADS",
     "Request",
     "ServeError",
     "canonical_params",
@@ -41,6 +50,7 @@ __all__ = [
     "estimate_cost",
     "ok_payload",
     "request_fingerprint",
+    "scenario_params",
 ]
 
 PROTOCOL_VERSION = 1
@@ -130,6 +140,63 @@ def estimate_cost(kind: str, params: Dict[str, Any]) -> int:
         return max(1, n)
     trials = int(params.get("trials", 1))
     return max(1, n * max(1, trials))
+
+
+#: a scenario's parameters and their defaults
+SCENARIO_DEFAULTS: Dict[str, Any] = {
+    "p": 64, "n": 20_000, "m": 32, "L": 1.0,
+    "epsilon": 0.2, "alpha": 1.2, "workload": "uniform",
+}
+
+#: the relation shapes a scenario can route
+SCENARIO_WORKLOADS = ("uniform", "zipf", "balanced", "one_to_all")
+
+#: integer scenario params and their least valid value
+_SCENARIO_INTS = {"p": 1, "n": 0, "m": 1}
+
+
+def scenario_params(params: Dict[str, Any]) -> Dict[str, Any]:
+    """A scenario's params with every default filled in, or
+    ``E_BAD_REQUEST``.
+
+    ``p`` and ``m`` are integers >= 1 and ``n`` an integer >= 0 (an
+    integral float such as ``2e4`` is accepted); ``L``, ``epsilon`` and
+    ``alpha`` are finite numbers > 0; ``workload`` is one of
+    :data:`SCENARIO_WORKLOADS`.  Any other key is rejected.
+    """
+    unknown = sorted(set(params) - set(SCENARIO_DEFAULTS))
+    if unknown:
+        raise ServeError(
+            "E_BAD_REQUEST", f"scenario does not accept {unknown}",
+            accepted=sorted(SCENARIO_DEFAULTS),
+        )
+    out = {**SCENARIO_DEFAULTS, **params}
+    for key, value in out.items():
+        if key == "workload":
+            if value not in SCENARIO_WORKLOADS:
+                raise ServeError(
+                    "E_BAD_REQUEST",
+                    f"unknown workload {value!r}; choose one of {SCENARIO_WORKLOADS}",
+                )
+            continue
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if key in _SCENARIO_INTS:
+            least = _SCENARIO_INTS[key]
+            if not (number and math.isfinite(value) and value == int(value)
+                    and value >= least):
+                raise ServeError(
+                    "E_BAD_REQUEST",
+                    f"scenario {key} must be an integer >= {least}, got {value!r}",
+                )
+            out[key] = int(value)
+        else:
+            if not (number and math.isfinite(value) and value > 0):
+                raise ServeError(
+                    "E_BAD_REQUEST",
+                    f"scenario {key} must be a finite number > 0, got {value!r}",
+                )
+            out[key] = float(value)
+    return out
 
 
 def ok_payload(result: Any, **meta: Any) -> Dict[str, Any]:

@@ -212,6 +212,97 @@ class TestSpanReconciliation:
         assert runs[1].model_start == runs[0].model_start + runs[0].model_dur
 
 
+def _observer(kind):
+    """A fresh scope for one of the three observers, by name."""
+    return {"tracer": tracing, "metrics": metrics_scope, "ledger": ledger_scope}[kind]()
+
+
+def _ledger_rows(ledger):
+    dump = ledger.to_dict()
+    return dump["runs"], dump["columns"], dump["proc_columns"]
+
+
+def _ring_program(ctx, rounds):
+    for r in range(rounds):
+        ctx.work(ctx.pid % 3 + r)
+        ctx.send((ctx.pid + 1 + r) % ctx.nprocs, r, size=1 + ctx.pid % 2)
+        yield
+        ctx.receive()
+
+
+class TestObservedReplay:
+    """Looking never changes the path: an observed replay runs the same
+    pass as an unobserved one and feeds the observers afterwards."""
+
+    @pytest.mark.parametrize("observer", ["tracer", "metrics", "ledger"])
+    def test_execute_schedule_replays_under_every_observer(self, observer, monkeypatch):
+        from repro.core.engine import Machine
+
+        rel = uniform_random_relation(32, 2_000, seed=0)
+        sched = unbalanced_send(rel, 8, 0.2, seed=1)
+        plain = execute_schedule(_machine(p=32, m=8, L=1.0), sched)
+        with ledger_scope() as live:
+            execute_schedule(_machine(p=32, m=8, L=1.0), sched, audit=True)
+
+        def live_loop(*args, **kwargs):
+            raise AssertionError("an observer sent execute_schedule to the live loop")
+
+        monkeypatch.setattr(Machine, "run", live_loop)
+        with _observer(observer) as installed:
+            res = execute_schedule(_machine(p=32, m=8, L=1.0), sched)
+        assert res.time == plain.time
+        for got, want in zip(res.records, plain.records, strict=True):
+            assert (got.cost, got.breakdown, got.stats) == (
+                want.cost, want.breakdown, want.stats)
+        if observer == "ledger":
+            assert _ledger_rows(installed) == _ledger_rows(live)
+            assert res.ledger.charges == [r.cost for r in res.records]
+
+    def test_replay_batch_observes_like_sequential_replays(self, monkeypatch):
+        from repro.core.batched import replay_batch
+        from repro.core.compiled import compile_program
+
+        compiled = compile_program(_machine(p=16, m=4, L=2.0), _ring_program, args=(3,))
+        grid = [(m, L) for m in (2, 4, 8) for L in (1.0, 3.0)]
+
+        def machines():
+            return [_machine(p=16, m=m, L=L) for m, L in grid]
+
+        def observed(run):
+            with tracing() as tr, metrics_scope() as reg, ledger_scope() as book:
+                results = run()
+            spans = [
+                (s.name, s.cat, s.track, s.parent, s.model_start, s.model_dur, s.args)
+                for s in tr.spans
+            ]
+            return results, spans, reg.to_dict(), _ledger_rows(book)
+
+        priced = []
+        price_batch = BSPm._price_batch
+
+        def counting(self, record, batch):
+            priced.append(len(batch))
+            return price_batch(self, record, batch)
+
+        monkeypatch.setattr(BSPm, "_price_batch", counting)
+        batched, *batched_obs = observed(lambda: replay_batch(compiled, machines()))
+        assert priced == [len(grid)] * len(compiled.frames)
+        sequential, *sequential_obs = observed(
+            lambda: [compiled.replay(mach) for mach in machines()])
+        assert batched_obs == sequential_obs
+        for bat, seq in zip(batched, sequential, strict=True):
+            assert bat.ledger.charges == seq.ledger.charges == [
+                r.cost for r in seq.records]
+
+    def test_replay_run_span_names_its_path(self):
+        tr = Tracer()
+        _routed_run(tracer=tr)
+        with tracing(tr):
+            broadcast(_machine(), 1)
+        assert [s.args["path"] for s in tr.find(cat="engine", name="run")] == [
+            "replay", "loop"]
+
+
 class TestTransportSpans:
     @pytest.fixture(scope="class")
     def traced_transport(self):
@@ -875,6 +966,17 @@ class TestCLI:
         assert manifest["ledger_path"] == str(led)
         assert active_ledger() is None  # scope did not leak
         assert "binding:" in capsys.readouterr().out
+
+    def test_replayed_sweep_fills_the_ledger(self, tmp_path, capsys):
+        from repro.harness import main
+
+        pa, led = tmp_path / "pa.json", tmp_path / "led.json"
+        assert main(["experiment", "pricing_ablation", "--json", str(pa),
+                     "--ledger", str(led)]) == 0
+        cells = json.loads(pa.read_text())["cells"]
+        charges = json.loads(led.read_text())["columns"]["charge"]
+        assert len(cells) == 64
+        assert charges == [c["model_time"] for c in cells]
 
     def test_top_once_renders_telemetry_file(self, tmp_path, capsys):
         from repro.harness import main

@@ -31,6 +31,7 @@ from repro.serve import (
     request_fingerprint,
 )
 from repro.serve.executor import run_scenario
+from repro.serve.protocol import SCENARIO_DEFAULTS, scenario_params
 from repro.store.disk import DiskStore
 
 SCENARIO = {"p": 16, "n": 1500, "m": 64, "L": 2.0, "workload": "zipf"}
@@ -66,6 +67,17 @@ class TestProtocol:
         base = request_fingerprint("scenario", {"p": 4}, 7)
         assert request_fingerprint("scenario", {"p": 4}, 8) != base
         assert request_fingerprint("sweep", {"p": 4}, 7) != base
+
+    def test_scenario_params_fill_defaults(self):
+        assert scenario_params({}) == SCENARIO_DEFAULTS
+        got = scenario_params({"n": 2e4, "L": 3, "workload": "zipf"})
+        assert got["n"] == 20_000 and type(got["n"]) is int
+        assert got["L"] == 3.0 and type(got["L"]) is float
+        for bad in ({"n": 2.5}, {"p": True}, {"epsilon": math.inf},
+                    {"workload": "ring"}, {"p": "64"}):
+            with pytest.raises(ServeError) as exc:
+                scenario_params(bad)
+            assert exc.value.code == "E_BAD_REQUEST"
 
     def test_estimate_cost_shapes(self):
         assert estimate_cost("ping", {}) == 1
@@ -271,6 +283,43 @@ class TestSheds:
         assert exc.value.code == "E_BAD_REQUEST"
         assert "choices" in exc.value.extra
 
+    def test_bad_scenario_input_is_400_at_submit(self, served):
+        server, client = served
+        bad = [
+            ({"n": -5}, None), ({"p": 0}, None), ({"L": -3.0}, None),
+            ({"m": math.nan}, None), ({"shape": "zipf"}, None), ({}, math.nan),
+        ]
+        for params, deadline_s in bad:
+            with pytest.raises(ServeRequestError) as exc:
+                client.submit("scenario", dict(SCENARIO, **params), seed=1,
+                              deadline_s=deadline_s)
+            assert exc.value.code == "E_BAD_REQUEST", params
+            assert exc.value.http_status == 400
+        counters = client.metrics()["counters"]
+        assert counters.get("serve.worker.crashes", 0) == 0
+        assert counters.get("serve.requests.ok", 0) == 0  # none was admitted
+
+    def test_bad_L_does_not_poison_its_group(self, served):
+        server, client = served
+        replies = {}
+
+        def go(L):
+            try:
+                replies[L] = client.submit("scenario", dict(SCENARIO, L=L), seed=5)
+            except ServeRequestError as exc:
+                replies[L] = exc
+
+        threads = [threading.Thread(target=go, args=(L,)) for L in (1.0, -3.0)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert replies[1.0]["result"] == json.loads(
+            json.dumps(run_scenario(dict(SCENARIO, L=1.0), 5)))
+        assert replies[-3.0].http_status == 400
+        assert client.metrics()["counters"].get("serve.worker.crashes", 0) == 0
+
     def test_unknown_path_is_400(self, served):
         server, client = served
         with pytest.raises(ServeRequestError) as exc:
@@ -427,9 +476,10 @@ class TestStreamingTelemetry:
 # the thread engine's compute lane
 # ----------------------------------------------------------------------
 class _HeldCompute:
-    """Wraps the scenario handlers: records the thread of every compute
-    and the seeds computed, and holds the compute of ``hold_seed`` until
-    :meth:`release` — a lane blocked on one long compute."""
+    """Wraps the scenario handler (solo scenarios are its batch of one):
+    records the thread of every compute and the seeds computed, and holds
+    the compute of ``hold_seed`` until :meth:`release` — a lane blocked on
+    one long compute."""
 
     def __init__(self, monkeypatch, hold_seed=None):
         import repro.serve.executor as executor_mod
@@ -439,23 +489,16 @@ class _HeldCompute:
         self._release = threading.Event()
         self.threads = []
         self.seeds = []
-        scenario = executor_mod.run_scenario
         batch = executor_mod.run_scenario_batch
 
-        def held_scenario(params, seed, **kw):
+        def held_batch(params_list, seed, **kw):
             self.threads.append(_thread_id())
             self.seeds.append(seed)
             if seed == self.hold_seed:
                 self.entered.set()
                 assert self._release.wait(60)
-            return scenario(params, seed, **kw)
+            return batch(params_list, seed, **kw)
 
-        def held_batch(params_list, seed):
-            self.threads.append(_thread_id())
-            self.seeds.append(seed)
-            return batch(params_list, seed)
-
-        monkeypatch.setattr(executor_mod, "run_scenario", held_scenario)
         monkeypatch.setattr(executor_mod, "run_scenario_batch", held_batch)
 
     def release(self):
@@ -498,12 +541,13 @@ class TestComputeLane:
                 t.join(timeout=60)
         finally:
             server.drain(timeout=30)
-        for i, reply in enumerate(replies):
-            assert reply["cached"] is False
-            assert reply["result"] == _json_roundtrip(run_scenario(params[i], seeds[i]))
+        # before the direct calls below, which go through the wrapper too
         assert held.threads
         ((name, _ident),) = set(held.threads)  # one thread ran them all
         assert name == "repro-serve-compute"
+        for i, reply in enumerate(replies):
+            assert reply["cached"] is False
+            assert reply["result"] == _json_roundtrip(run_scenario(params[i], seeds[i]))
 
     def test_ping_and_cache_hit_overtake_a_held_compute(self, tmp_path, monkeypatch):
         server, client = make_server(tmp_path)
@@ -732,12 +776,13 @@ class TestProcessEngine:
             ),
         )
         try:
-            bad = {"p": 16, "n": 800, "m": 0}  # m=0 raises in MachineParams
+            # m=0 divides by zero inside the experiment, in the pool worker
+            bad = {"name": "unbalanced_send", "p": 16, "n": 800, "m": 0}
             with pytest.raises(ServeRequestError) as exc:
-                client.submit("scenario", bad, seed=0)
+                client.submit("experiment", bad, seed=0)
             assert exc.value.code == "E_CRASHED"
             with pytest.raises(ServeRequestError) as exc:
-                client.submit("scenario", bad, seed=0)
+                client.submit("experiment", bad, seed=0)
             assert exc.value.code == "E_QUARANTINED"
         finally:
             server.drain(timeout=30)
