@@ -30,9 +30,7 @@ knobs (the CI smoke uses all of them):
 ``BENCH_SWEEP_TRIALS``
     per-workload trials, default 25;
 ``BENCH_SWEEP_BACKENDS``
-    comma list of backends, default ``serial,pool-steal`` (add ``mpi``
-    on a box with mpi4py — see ``run_cluster_scaling.sh`` for the
-    multi-rank harness);
+    comma list of registered backends, default ``serial,pool-steal``;
 ``BENCH_SWEEP_FLOOR``
     speedup floor asserted at 4 jobs, default 2.5;
 ``BENCH_SWEEP_BATCHED_FLOOR``
@@ -52,7 +50,7 @@ import os
 import time
 
 from repro.experiments import unbalanced_send_vs_optimal
-from repro.sweep import available_backends, resolve_jobs
+from repro.sweep import BACKENDS as REGISTERED_BACKENDS, resolve_jobs
 
 from _common import emit
 
@@ -233,11 +231,11 @@ def test_parallel_scaling(benchmark):
 
 
 if __name__ == "__main__":
-    unknown = set(BACKENDS) - set(available_backends())
+    unknown = set(BACKENDS) - set(REGISTERED_BACKENDS)
     if unknown:
         raise SystemExit(
-            f"BENCH_SWEEP_BACKENDS includes unavailable backends {sorted(unknown)}; "
-            f"available here: {available_backends()}"
+            f"BENCH_SWEEP_BACKENDS includes unknown backends {sorted(unknown)}; "
+            f"registered: {sorted(REGISTERED_BACKENDS)}"
         )
     out_path = os.environ.get("BENCH_SWEEP_JSON", "BENCH_sweep.json")
     result = write_baseline(out_path)

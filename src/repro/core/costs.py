@@ -30,21 +30,19 @@ QSM(m)                  ``max(w, h, kappa, c_m)``
 
 All penalty functions here are vectorized over NumPy arrays of slot counts so
 that schedule evaluation over millions of slots stays in compiled code.
+:meth:`PenaltyFunction.charges` is the one definition of ``f_m``: the
+validated :meth:`PenaltyFunction.__call__` and the engine's pricing kernel
+(:func:`repro.core.kernels.slot_charge_stats_batched`) both evaluate it,
+for the built-in families and custom subclasses alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import Union
 
 import numpy as np
 
-from repro.core.kernels import (
-    KIND_EXPONENTIAL,
-    KIND_LINEAR,
-    KIND_POLYNOMIAL,
-    penalty_charges,
-)
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -80,13 +78,6 @@ class PenaltyFunction:
 
     name: str = "abstract"
 
-    #: Kernel id from :mod:`repro.core.kernels` for the built-in families
-    #: (``None`` routes custom subclasses through :meth:`overload`).  When
-    #: set, evaluation uses the fused — optionally Numba-JIT'd — kernel.
-    kernel_kind: ClassVar[Optional[int]] = None
-    #: Shape parameter forwarded to the kernel (polynomial degree).
-    kernel_param: float = 0.0
-
     def overload(self, rho: np.ndarray) -> np.ndarray:
         """Charge for overload ratios ``rho > 1`` (vectorized)."""
         raise NotImplementedError
@@ -97,14 +88,20 @@ class PenaltyFunction:
         counts_arr = np.asarray(counts, dtype=np.float64)
         if np.any(counts_arr < 0):
             raise ValueError("slot counts must be non-negative")
-        if self.kernel_kind is not None:
-            return penalty_charges(counts_arr, m, self.kernel_kind, self.kernel_param)
-        out = np.zeros_like(counts_arr)
-        in_band = (counts_arr >= 1) & (counts_arr <= m)
+        return self.charges(counts_arr, m)
+
+    def charges(self, counts: np.ndarray, m: int) -> np.ndarray:
+        """Unvalidated ``f_m`` on a float64 array of non-negative counts.
+
+        :meth:`__call__` validates its input and then calls this; the
+        pricing kernel (:func:`repro.core.kernels.slot_charge_stats_batched`)
+        calls it directly."""
+        out = np.zeros_like(counts)
+        in_band = (counts >= 1) & (counts <= m)
         out[in_band] = 1.0
-        over = counts_arr > m
+        over = counts > m
         if np.any(over):
-            out[over] = self.overload(counts_arr[over] / m)
+            out[over] = self.overload(counts[over] / m)
         return out
 
     def scalar(self, count: float, m: int) -> float:
@@ -128,7 +125,6 @@ class LinearPenalty(PenaltyFunction):
     sustained throughput ``m``."""
 
     name = "linear"
-    kernel_kind = KIND_LINEAR
 
     def overload(self, rho: np.ndarray) -> np.ndarray:
         return rho
@@ -140,7 +136,6 @@ class ExponentialPenalty(PenaltyFunction):
     which network performance deteriorates drastically."""
 
     name = "exponential"
-    kernel_kind = KIND_EXPONENTIAL
 
     def overload(self, rho: np.ndarray) -> np.ndarray:
         # Extreme overloads saturate to inf, which is the semantically
@@ -160,17 +155,12 @@ class PolynomialPenalty(PenaltyFunction):
 
     degree: float = 2.0
     name = "polynomial"
-    kernel_kind = KIND_POLYNOMIAL
 
     def __post_init__(self) -> None:
         if self.degree < 1.0:
             raise ValueError(
                 f"degree must be >= 1 so that f_m >= m_t/m, got {self.degree}"
             )
-
-    @property
-    def kernel_param(self) -> float:
-        return self.degree
 
     def overload(self, rho: np.ndarray) -> np.ndarray:
         return rho**self.degree

@@ -11,12 +11,9 @@ its independent units out through :func:`repro.sweep.run_sweep`: per-trial
 seeds are derived with :func:`repro.util.rng.derive_seed_sequence` on the
 stable path ``(experiment, point, trial)`` — never ``seed + t`` arithmetic,
 which collides across experiments sharing a root seed — and ``jobs > 1``
-executes trials on a pluggable backend (work-stealing process pool by
-default, optional MPI ranks via ``backend="mpi"``) with output
-bit-identical to ``jobs=1`` (pinned by ``tests/test_sweep.py`` and
-``tests/test_backends.py``).  Under the ``mpi`` backend, non-root ranks
-return ``None`` — callers running under ``mpirun`` must treat ``None`` as
-"worker rank, nothing to report".
+executes trials on a pluggable backend (the work-stealing process pool by
+default) with output bit-identical to ``jobs=1`` (pinned by
+``tests/test_sweep.py`` and ``tests/test_backends.py``).
 
 The trial functions (module-level ``_*_trial`` / ``_*_point``) are the
 units of parallelism: pure, picklable, seeded only through their
@@ -144,8 +141,6 @@ def unbalanced_send_vs_optimal(
         seed=seed,
     )
     sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
-    if sweep is None:
-        return None  # mpi worker rank: rank 0 holds the result
     by_point = sweep.results_by_point()
     out: Dict[str, Any] = {"p": p, "m": m, "epsilon": epsilon, "workloads": {}}
     for name, rel in cases.items():
@@ -216,8 +211,6 @@ def dynamic_stability(
         seed=seed,
     )
     sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
-    if sweep is None:
-        return None  # mpi worker rank: rank 0 holds the result
     out = {"p": p, "m": m, "g": local.g, "w": w,
            "sweep": [r for r in sweep.results if r is not None]}
     if sweep.skipped:
@@ -290,8 +283,6 @@ def stability_under_loss(
         seed=seed,
     )
     sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
-    if sweep is None:
-        return None  # mpi worker rank: rank 0 holds the result
     out = {"p": p, "m": m, "g": local.g, "w": w,
            "sweep": [r for r in sweep.results if r is not None]}
     if sweep.skipped:
@@ -329,8 +320,6 @@ def leader_recognition_gap(
         seed=seed,
     )
     sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
-    if sweep is None:
-        return None  # mpi worker rank: rank 0 holds the result
     out = {"m": m, "sweep": [r for r in sweep.results if r is not None]}
     if sweep.skipped:
         out["sweep_errors"] = _sweep_errors(sweep)
@@ -368,8 +357,6 @@ def self_scheduling_transfer_experiment(
         seed=seed,
     )
     sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
-    if sweep is None:
-        return None  # mpi worker rank: rank 0 holds the result
     by_point = sweep.results_by_point()
     out: Dict[str, Any] = {"p": p, "m": m, "epsilon": epsilon, "workloads": {}}
     for name in cases:
@@ -402,8 +389,6 @@ def sensitivity_grid(
         seed=seed,
     )
     sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
-    if sweep is None:
-        return None  # mpi worker rank: rank 0 holds the result
     cells = [c for c in sweep.results if c is not None]
     worst = min(cell["closed_over_numeric"] for cell in cells) if cells else float("nan")
     out = {"y_grid": y_grid, "cells": cells, "min_closed_over_numeric": worst}
@@ -514,8 +499,6 @@ def pricing_ablation(
         seed=seed,
     )
     sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend, batch=batch)
-    if sweep is None:
-        return None  # mpi worker rank: rank 0 holds the result
     cells = [
         {"point": rec.point, **(val if val is not None else {"model_time": None})}
         for rec, val in zip(sweep.records, sweep.results)

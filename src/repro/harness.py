@@ -89,19 +89,18 @@ def _effective_jobs(args: argparse.Namespace, default: int = 1) -> int:
 def _effective_backend(args: argparse.Namespace):
     """Resolve a subcommand's sweep backend: its own ``--backend``, else
     the top-level ``--backend``, else ``None`` (auto: serial for jobs=1,
-    work-stealing pool otherwise).  Unknown names and unavailable
-    backends are reported on stderr; callers treat ``False`` as "invalid,
-    exit 2"."""
+    work-stealing pool otherwise).  Unknown names are reported on stderr;
+    callers treat ``False`` as "invalid, exit 2"."""
     backend = getattr(args, "backend", None)
     if backend is None:
         backend = getattr(args, "root_backend", None)
     if backend is None or backend == "auto":
         return None
-    from repro.sweep import BackendUnavailableError, get_backend
+    from repro.sweep import get_backend
 
     try:
-        get_backend(backend)  # fail fast: unknown or unavailable
-    except (ValueError, BackendUnavailableError) as exc:
+        get_backend(backend)  # fail fast on an unknown name
+    except ValueError as exc:
         print(f"error: --backend: {exc}", file=sys.stderr)
         return False
     return backend
@@ -530,9 +529,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     except UnknownExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if result is None:
-        # mpi worker rank: it served the sweep; rank 0 prints the record
-        return 0
     text = json.dumps(result, indent=2, default=float)
     if args.json:
         with open(args.json, "w") as fh:
@@ -702,8 +698,6 @@ def _chaos_sweep(args: argparse.Namespace, seed: int) -> int:
             raise
         print(f"error: --on-error: {exc}", file=sys.stderr)
         return 2
-    if sweep is None:
-        return 0  # mpi worker rank: rank 0 prints the report
     summary = summarize_chaos_sweep(sweep.results)
     if not summary["trials"]:
         print(f"all {summary['skipped']} trial(s) skipped "
@@ -998,9 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="default sweep execution backend for sweep-capable subcommands "
-        "(a subcommand's own --backend wins): serial, pool-steal, or mpi "
-        "(needs the repro[mpi] extra and an mpirun launch); default auto — "
-        "serial for jobs=1, the work-stealing pool otherwise",
+        "(a subcommand's own --backend wins): serial or pool-steal; default "
+        "auto — serial for jobs=1, the work-stealing pool otherwise",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1333,9 +1326,8 @@ def _add_backend_arg(sp: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         metavar="NAME",
-        help="sweep execution backend: serial, pool-steal, or mpi (needs "
-        "the repro[mpi] extra and an mpirun launch); default auto — serial "
-        "for jobs=1, the work-stealing pool otherwise.  Output is "
+        help="sweep execution backend: serial or pool-steal; default auto — "
+        "serial for jobs=1, the work-stealing pool otherwise.  Output is "
         "bit-identical on every backend",
     )
 

@@ -5,11 +5,10 @@ The layer between a single priced superstep and a paper-scale experiment:
 Monte Carlo trials and parameter grids expand into pure, independently
 seeded :class:`TrialTask` units (:mod:`repro.sweep.spec`), execute on a
 pluggable backend (:mod:`repro.sweep.backends`) — a work-stealing
-persistent worker pool (``pool-steal``), a bit-identical in-process
-fallback (``serial``), or optional multi-host MPI ranks (``mpi``) —
-share expensive offline-optimal intermediates through a keyed memo cache
-(:mod:`repro.sweep.cache`), and come back as a columnar
-:class:`SweepResult` with wall-time / utilization / steal / cache
+persistent worker pool (``pool-steal``) or a bit-identical in-process
+fallback (``serial``) — share expensive offline-optimal intermediates
+through a keyed memo cache (:mod:`repro.sweep.cache`), and come back as a
+columnar :class:`SweepResult` with wall-time / utilization / steal / cache
 telemetry (:mod:`repro.sweep.telemetry`).  See ``docs/performance.md``.
 
 Quickstart::
@@ -30,11 +29,8 @@ Quickstart::
 
 from repro.sweep.backends import (
     BACKENDS,
-    BackendUnavailableError,
     ExecutorBackend,
-    available_backends,
     get_backend,
-    mpi_available,
     resolve_backend,
 )
 from repro.sweep.cache import (
@@ -57,12 +53,9 @@ from repro.sweep.telemetry import TELEMETRY_SCHEMA_VERSION, SweepResult, TrialRe
 
 __all__ = [
     "BACKENDS",
-    "BackendUnavailableError",
     "ExecutorBackend",
     "TELEMETRY_SCHEMA_VERSION",
-    "available_backends",
     "get_backend",
-    "mpi_available",
     "resolve_backend",
     "SweepSpec",
     "TrialTask",

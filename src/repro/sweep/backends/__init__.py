@@ -9,8 +9,6 @@ owns *placement* — where the trial functions actually execute:
 ``pool-steal``  persistent worker pool, shared task queue
                 (self-scheduling / work-stealing), per-task dispatch,
                 warm-started memo cache, exact per-task death accounting
-``mpi``         ``mpi4py.futures.MPICommExecutor`` across MPI ranks
-                (optional ``repro[mpi]`` extra; multi-host)
 ========== =============================================================
 
 ``resolve_backend(None, ...)`` (or ``"auto"``) picks ``serial`` for
@@ -21,31 +19,25 @@ code changes, and the serial path stays byte-for-byte what it was.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, Optional, Type
 
 from repro.sweep.backends.base import (
     BackendStats,
-    BackendUnavailableError,
     ExecutorBackend,
     TaskOutcome,
 )
-from repro.sweep.backends.mpi import MpiBackend, mpi_available
 from repro.sweep.backends.pool_steal import PoolStealBackend, WorkerDied
 from repro.sweep.backends.serial import SerialBackend
 
 __all__ = [
     "BACKENDS",
     "BackendStats",
-    "BackendUnavailableError",
     "ExecutorBackend",
-    "MpiBackend",
     "PoolStealBackend",
     "SerialBackend",
     "TaskOutcome",
     "WorkerDied",
-    "available_backends",
     "get_backend",
-    "mpi_available",
     "resolve_backend",
 ]
 
@@ -53,25 +45,13 @@ __all__ = [
 BACKENDS: Dict[str, Type] = {
     "serial": SerialBackend,
     "pool-steal": PoolStealBackend,
-    "mpi": MpiBackend,
 }
-
-
-def available_backends() -> List[str]:
-    """Backend names runnable in this environment (``mpi`` only when the
-    ``mpi4py`` extra is installed)."""
-    names = ["serial", "pool-steal"]
-    if mpi_available():
-        names.append("mpi")
-    return names
 
 
 def get_backend(name: str) -> ExecutorBackend:
     """Instantiate a registered backend by name.
 
-    Unknown names raise :class:`ValueError` listing the registry; the
-    ``mpi`` backend raises :class:`BackendUnavailableError` (with the
-    install hint) when ``mpi4py`` is missing.
+    Unknown names raise :class:`ValueError` listing the registry.
     """
     try:
         cls = BACKENDS[name]
@@ -80,10 +60,6 @@ def get_backend(name: str) -> ExecutorBackend:
             f"unknown sweep backend {name!r}; registered: "
             f"{', '.join(sorted(BACKENDS))}"
         ) from None
-    if name == "mpi" and not mpi_available():
-        raise BackendUnavailableError(
-            "the 'mpi' sweep backend needs mpi4py (pip install 'repro[mpi]')"
-        )
     return cls()
 
 

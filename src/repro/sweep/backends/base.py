@@ -1,10 +1,10 @@
 """Executor-backend contract and the shared per-trial execution core.
 
 A backend is the piece of :func:`repro.sweep.run_sweep` that decides
-*where* trials execute — in-process, on a work-stealing process pool, or
-across MPI ranks — while the runner keeps everything that makes results
-deterministic: task expansion, per-trial seed derivation, task-order
-reassembly, and task-order metrics merging.  The contract:
+*where* trials execute — in-process or on a work-stealing process pool —
+while the runner keeps everything that makes results deterministic: task
+expansion, per-trial seed derivation, task-order reassembly, and
+task-order metrics merging.  The contract:
 
 * ``run(tasks, ...)`` returns ``(outcomes, stats)`` where ``outcomes[i]``
   is the :class:`TaskOutcome` of ``tasks[i]`` — **task order, always**,
@@ -31,7 +31,7 @@ backends: a trial always runs against *scratch* instruments (masking
 whatever is installed in the executing process) and ships the dumps back
 in its payload; the runner splices spans and merges ledger/metric dumps
 in task order, so the assembled trace and ledgers are identical whether
-the trial ran in-process, on the pool, or on an MPI rank.
+the trial ran in-process or on the pool.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "TaskOutcome",
     "BackendStats",
     "ExecutorBackend",
-    "BackendUnavailableError",
     "execute_task",
     "attempt_task",
     "error_payload_for",
@@ -64,17 +63,11 @@ TaskOutcome = Tuple[str, Any, int]
 BackendStats = Dict[str, Any]
 
 
-class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot run in this environment (e.g. the
-    ``mpi`` backend without ``mpi4py`` installed); the message says how
-    to enable it."""
-
-
 @runtime_checkable
 class ExecutorBackend(Protocol):
     """What :func:`repro.sweep.run_sweep` needs from an execution engine."""
 
-    #: registry key, echoed in telemetry ("serial", "pool-steal", "mpi")
+    #: registry key, echoed in telemetry ("serial", "pool-steal")
     name: str
 
     def run(
@@ -85,13 +78,11 @@ class ExecutorBackend(Protocol):
         collect_metrics: bool,
         mode: str,
         retries: int,
-        tracer: Any = None,
         collect_spans: bool = False,
         collect_ledger: bool = False,
-    ) -> Optional[Tuple[List[Optional[TaskOutcome]], BackendStats]]:
+    ) -> Tuple[List[Optional[TaskOutcome]], BackendStats]:
         """Execute every task and return ``(outcomes, stats)`` in task
-        order.  A distributed backend may return ``None`` on non-root
-        ranks (the rank served tasks and has no result to report)."""
+        order."""
         ...
 
 

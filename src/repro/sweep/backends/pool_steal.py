@@ -129,7 +129,6 @@ class PoolStealBackend:
         collect_metrics: bool,
         mode: str,
         retries: int,
-        tracer: Any = None,
         collect_spans: bool = False,
         collect_ledger: bool = False,
     ) -> Tuple[List[Optional[TaskOutcome]], BackendStats]:

@@ -1,20 +1,20 @@
-"""The in-process backend: the bit-identity reference every other
-backend is gated against.
+"""The in-process backend: the bit-identity reference the pool backend
+is gated against.
 
 Runs tasks one after another in the calling process.  Trial spans and
 load-ledger rows are captured by the shared per-trial core
 (:func:`~repro.sweep.backends.base.execute_task` installs scratch
 instruments and ships their dumps in the payload), exactly as on the
-pool and MPI backends — the runner splices them in task order, so the
-serial trace/ledger is the same artifact the parallel backends produce,
-by construction.  Under ``mode="raise"`` it stops at the first failing
-trial, leaving trailing outcomes ``None``.
+pool backend — the runner splices them in task order, so the serial
+trace/ledger is the same artifact the pool produces, by construction.
+Under ``mode="raise"`` it stops at the first failing trial, leaving
+trailing outcomes ``None``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.sweep.backends.base import (
     BackendStats,
@@ -40,7 +40,6 @@ class SerialBackend:
         collect_metrics: bool,
         mode: str,
         retries: int,
-        tracer: Any = None,
         collect_spans: bool = False,
         collect_ledger: bool = False,
     ) -> Tuple[List[Optional[TaskOutcome]], BackendStats]:

@@ -2,10 +2,10 @@
 
 :func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into
 pure, independently seeded tasks and hands them to an
-:class:`~repro.sweep.backends.ExecutorBackend` — ``serial`` (in-process),
-``pool-steal`` (persistent work-stealing worker pool, the ``jobs>1``
-default), or ``mpi`` (optional multi-host ranks).  The runner keeps every
-determinism guarantee regardless of backend:
+:class:`~repro.sweep.backends.ExecutorBackend` — ``serial`` (in-process)
+or ``pool-steal`` (persistent work-stealing worker pool, the ``jobs>1``
+default).  The runner keeps every determinism guarantee regardless of
+backend:
 
 * **ordered reassembly** — backends return outcomes in task order, so
   ``results[i]`` always belongs to ``tasks()[i]`` no matter which worker
@@ -38,9 +38,6 @@ determinism guarantee regardless of backend:
   redistributes the rest.
 
 ``jobs=0`` / ``jobs=None`` auto-sizes to the machine's usable CPU count.
-``chunksize`` is accepted for backward compatibility and ignored: the
-work-stealing pool dispatches per task (chunking was a static guess at a
-cost distribution the queue now balances dynamically).
 """
 
 from __future__ import annotations
@@ -133,15 +130,14 @@ def _raise_trial_error(payload, cause=None):
 def run_sweep(
     spec: SweepSpec,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     on_error: str = "raise",
     backend: Optional[str] = None,
     batch: Optional[bool] = None,
-) -> Optional[SweepResult]:
+) -> SweepResult:
     """Execute every trial of ``spec`` and return a :class:`SweepResult`.
 
-    ``backend`` selects the execution engine by name (``"serial"``,
-    ``"pool-steal"``, ``"mpi"``); ``None``/``"auto"`` picks ``serial``
+    ``backend`` selects the execution engine by name (``"serial"`` or
+    ``"pool-steal"``); ``None``/``"auto"`` picks ``serial``
     for ``jobs=1`` and the work-stealing pool otherwise.  The ``results``
     list is in task order on every backend, and — because trial functions
     are pure and seeded per-task — identical on every backend.
@@ -154,10 +150,6 @@ def run_sweep(
     accounting is per task: under ``"skip"``/``"retry"`` a hard worker
     death on the pool backend skips exactly the in-flight trial, never a
     chunk, never the sweep.
-
-    Under the ``mpi`` backend, non-root ranks return ``None`` (they serve
-    tasks; rank 0 holds the result) — callers running under ``mpirun``
-    must treat ``None`` as "worker rank, exit cleanly".
 
     ``batch`` controls batched multi-trial execution: when the trial
     function opts in (``fn.batch_run``/``fn.batch_fingerprint``, see
@@ -344,21 +336,15 @@ def run_sweep(
 
     stats = {}
     try:
-        ret = be.run(
+        outcomes, stats = be.run(
             dispatch,
             jobs=jobs,
             collect_metrics=mreg is not None,
             mode=mode,
             retries=retries,
-            tracer=tracer,
             collect_spans=tracer is not None,
             collect_ledger=ledger is not None,
         )
-        if ret is None:
-            # mpi worker rank: it executed tasks for rank 0 and has no
-            # sweep result of its own
-            return None
-        outcomes, stats = ret
         for unit, outcome in zip(dispatch, outcomes):
             if outcome is None:
                 continue  # raise-mode early stop: never reached

@@ -1,5 +1,5 @@
 """Tests for the pluggable sweep executor backends: the registry, the
-serial/pool-steal/mpi parity matrix, work-stealing behavior under a
+serial/pool-steal parity matrix, work-stealing behavior under a
 straggler, and warm-started memo caches."""
 
 import time
@@ -9,14 +9,11 @@ import pytest
 from repro.experiments import run_experiment
 from repro.sweep import (
     BACKENDS,
-    BackendUnavailableError,
     ExecutorBackend,
     SweepSpec,
-    available_backends,
     cached_offline_report,
     clear_cache,
     get_backend,
-    mpi_available,
     resolve_backend,
     run_sweep,
 )
@@ -40,39 +37,21 @@ def _warm_lookup(m, seed):
     return float(report.completion_time)
 
 
-BACKEND_MATRIX = [
-    "serial",
-    "pool-steal",
-    pytest.param(
-        "mpi",
-        marks=pytest.mark.skipif(
-            not mpi_available(), reason="mpi4py not installed"
-        ),
-    ),
-]
-
-
 class TestRegistry:
     def test_registered_names(self):
-        assert sorted(BACKENDS) == ["mpi", "pool-steal", "serial"]
-
-    def test_available_backends_gate_mpi(self):
-        avail = available_backends()
-        assert "serial" in avail and "pool-steal" in avail
-        assert ("mpi" in avail) == mpi_available()
+        assert sorted(BACKENDS) == ["pool-steal", "serial"]
 
     def test_instances_satisfy_protocol(self):
-        for name in available_backends():
+        for name in BACKENDS:
             assert isinstance(get_backend(name), ExecutorBackend)
 
-    def test_unknown_backend_lists_registry(self):
-        with pytest.raises(ValueError, match="pool-steal"):
-            get_backend("bogus")
-
-    @pytest.mark.skipif(mpi_available(), reason="mpi4py is installed here")
-    def test_mpi_without_mpi4py_is_unavailable(self):
-        with pytest.raises(BackendUnavailableError, match="repro\\[mpi\\]"):
-            get_backend("mpi")
+    @pytest.mark.parametrize("name", ["bogus", "mpi"])
+    def test_unknown_backend_lists_registry(self, name):
+        with pytest.raises(
+            ValueError,
+            match=f"unknown sweep backend '{name}'; registered: pool-steal, serial",
+        ):
+            get_backend(name)
 
     def test_resolution_defaults(self):
         # jobs=1 and tiny grids stay serial; real parallel work gets the pool
@@ -89,16 +68,11 @@ class TestBackendParityMatrix:
     bit-identical to serial at the same seed."""
 
     @pytest.mark.parametrize("name", sorted(SMALL_KWARGS))
-    @pytest.mark.parametrize("backend", BACKEND_MATRIX)
+    @pytest.mark.parametrize("backend", ["serial", "pool-steal"])
     def test_backend_matches_serial(self, name, backend):
         kwargs = SMALL_KWARGS[name]
         serial = run_experiment(name, seed=42, jobs=1, **kwargs)
         other = run_experiment(name, seed=42, jobs=2, backend=backend, **kwargs)
-        if other is None:
-            # mpi worker rank under mpirun: this rank served the sweep's
-            # tasks; rank 0 holds the result and makes the assertion
-            assert backend == "mpi"
-            return
         assert other == serial
 
 

@@ -64,8 +64,8 @@ from repro.workloads import uniform_random_relation
 
 
 class _SqrtPenalty(PenaltyFunction):
-    """Custom subclass with no kernel family: exercises the per-instance
-    fallback row of ``slot_charge_stats_batched``."""
+    """Custom subclass: its ``slot_charge_stats_batched`` rows come from
+    the same ``PenaltyFunction.charges`` as the built-in families'."""
 
     name = "sqrt-test"
 

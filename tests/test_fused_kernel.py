@@ -10,7 +10,7 @@ engine's original gather loop produced.  Those runs are pinned in
 gather and arena loops both reproduced them exactly.  This module is the
 gate — a full model × {plain, faulted, traced} matrix and a penalty-family
 matrix over scalar-call and columnar-call programs, checked against the
-golden records, plus the replay, Numba-fallback and arena-reuse contracts.
+golden records, plus the replay and arena-reuse contracts.
 """
 
 import dataclasses
@@ -20,14 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import kernels
 from repro.core.compiled import CompiledProgram, compile_program
 from repro.core.costs import (
     EXPONENTIAL,
     LINEAR,
     CapacityPenalty,
-    ExponentialPenalty,
-    LinearPenalty,
     PolynomialPenalty,
 )
 from repro.core.params import MachineParams
@@ -335,35 +332,6 @@ def test_compiled_mode_refuses_fault_injectors():
     faulty.inject_faults(FaultPlan(seed=1, drop_rate=0.5))
     with pytest.raises(ValueError, match="fault injector"):
         compiled.replay(faulty)
-
-
-def test_numba_fallback_when_absent(monkeypatch):
-    """With the JIT kernel unavailable, ``penalty_charges`` silently uses
-    the NumPy implementation and produces the historical charges."""
-    monkeypatch.setattr(kernels, "_jit_charges", None)
-    counts = np.array([0, 1, 3, 4, 9, 17], dtype=np.int64)
-    m = 4
-    for penalty, kind, param in (
-        (LinearPenalty(), kernels.KIND_LINEAR, 0.0),
-        (ExponentialPenalty(), kernels.KIND_EXPONENTIAL, 0.0),
-        (PolynomialPenalty(degree=2.5), kernels.KIND_POLYNOMIAL, 2.5),
-    ):
-        via_kernel = kernels.penalty_charges(counts, m, kind, param)
-        via_penalty = penalty(counts, m)
-        rho = counts[counts > m] / m
-        expected = penalty.overload(rho)
-        assert np.array_equal(via_kernel, via_penalty)
-        assert np.array_equal(via_kernel[counts > m], expected)
-        assert np.array_equal(
-            via_kernel[(counts >= 1) & (counts <= m)],
-            np.ones(int(np.sum((counts >= 1) & (counts <= m)))),
-        )
-        assert via_kernel[counts < 1].sum() == 0.0
-
-
-def test_numba_escape_hatch_disables_jit(monkeypatch):
-    monkeypatch.setenv("REPRO_NUMBA", "0")
-    assert kernels._load_numba() is None
 
 
 def test_arena_reuse_no_growth_on_rerun():

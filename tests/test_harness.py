@@ -86,6 +86,21 @@ class TestCacheCommand:
         assert "STALE" in capsys.readouterr().out
 
 
+class TestBackendFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "unbalanced_send", "--backend", "mpi"],
+            ["--backend", "mpi", "chaos", "uniform", "--trials", "2"],
+        ],
+        ids=["experiment", "chaos"],
+    )
+    def test_mpi_is_an_unknown_backend(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown sweep backend 'mpi'; registered: pool-steal, serial" in err
+
+
 class TestOnErrorFlag:
     def test_invalid_policy_is_usage_error(self, capsys):
         assert main(["experiment", "leader_gap", "--on-error", "bogus"]) == 2

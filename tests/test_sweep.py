@@ -212,7 +212,7 @@ class TestWorkerCrash:
     def test_error_carries_seed_and_params(self, jobs):
         spec = SweepSpec(name="crashy", fn=_boom, grid=self.GRID, seed=17)
         with pytest.raises(TrialExecutionError) as excinfo:
-            run_sweep(spec, jobs=jobs, chunksize=2)
+            run_sweep(spec, jobs=jobs)
         err = excinfo.value
         msg = str(err)
         # names the failing trial, its params, and the original exception
@@ -227,7 +227,7 @@ class TestWorkerCrash:
     def test_pool_error_includes_worker_traceback(self):
         spec = SweepSpec(name="crashy", fn=_boom, grid=self.GRID)
         with pytest.raises(TrialExecutionError) as excinfo:
-            run_sweep(spec, jobs=2, chunksize=2)
+            run_sweep(spec, jobs=2)
         assert "_boom" in excinfo.value.worker_traceback
 
     def test_large_params_are_clipped_in_message(self):
@@ -257,7 +257,7 @@ class TestOnErrorPolicy:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_skip_records_and_continues(self, jobs):
         spec = SweepSpec(name="crashy", fn=_boom, grid=self.GRID)
-        res = run_sweep(spec, jobs=jobs, chunksize=2, on_error="skip")
+        res = run_sweep(spec, jobs=jobs, on_error="skip")
         assert res.results[3] is None  # the failed cell
         assert [r for i, r in enumerate(res.results) if i != 3] == [0, 1, 2, 4, 5]
         assert res.skipped == 1
@@ -296,7 +296,7 @@ class TestOnErrorPolicy:
         the one in-flight trial, never a chunk: every other result is
         present and correct, and the death is visible in telemetry."""
         spec = SweepSpec(name="deadly", fn=_die, grid=self.GRID)
-        res = run_sweep(spec, jobs=2, chunksize=1, on_error="skip")
+        res = run_sweep(spec, jobs=2, on_error="skip")
         assert res.results == [0, 1, 2, None, 4, 5]
         assert res.skipped == 1
         (rec,) = [t for t in res.records if t.status == "skipped"]
@@ -327,7 +327,7 @@ class TestOnErrorPolicy:
             "    return x\n"
             "spec = SweepSpec(name='deadly', fn=die, grid=[{'x': i} for i in range(6)])\n"
             "for _ in range(60):\n"
-            "    res = run_sweep(spec, jobs=2, chunksize=1, on_error='skip')\n"
+            "    res = run_sweep(spec, jobs=2, on_error='skip')\n"
             "    assert res.results == [0, 1, 2, None, 4, 5], res.results\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
