@@ -460,11 +460,6 @@ class Proc:
         self._next_slot = 0
         self._stagger_k = 0
 
-    def _auto_slot(self, size: int) -> int:
-        slot = self._next_slot
-        self._next_slot += size
-        return slot
-
     def _bump_slot(self, slot: int, size: int) -> None:
         self._next_slot = max(self._next_slot, slot + size)
 

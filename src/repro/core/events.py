@@ -316,11 +316,6 @@ class RequestBatch:
     def n(self) -> int:
         return int(self.pid.size)
 
-    @property
-    def int_addressed(self) -> bool:
-        """True when the address column is a dense integer array."""
-        return isinstance(self.addr, np.ndarray)
-
     def addr_list(self) -> list:
         return self.addr.tolist() if isinstance(self.addr, np.ndarray) else self.addr
 

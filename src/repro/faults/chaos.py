@@ -27,7 +27,7 @@ def _int_seed(seq: np.random.SeedSequence) -> int:
 
 
 def build_relation(workload: str, p: int, n: int, alpha: float, seed) -> Any:
-    """The chaos harness's workload menu (same shapes as the scheduler CLI)."""
+    """The workload menu of the ``schedule`` and ``chaos`` CLI commands."""
     from repro.workloads import (
         balanced_h_relation,
         one_to_all_relation,

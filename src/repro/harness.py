@@ -242,6 +242,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from repro.faults.chaos import build_relation
     from repro.scheduling import (
         bsp_g_routing_time,
         evaluate_schedule,
@@ -252,21 +253,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         unbalanced_granular_send,
         unbalanced_send,
     )
-    from repro.workloads import (
-        balanced_h_relation,
-        one_to_all_relation,
-        uniform_random_relation,
-        zipf_h_relation,
-    )
 
     seed = _effective_seed(args)
-    makers = {
-        "balanced": lambda: balanced_h_relation(args.p, max(1, args.n // args.p), seed=seed),
-        "uniform": lambda: uniform_random_relation(args.p, args.n, seed=seed),
-        "zipf": lambda: zipf_h_relation(args.p, args.n, alpha=args.alpha, seed=seed),
-        "one-to-all": lambda: one_to_all_relation(args.p),
-    }
-    rel = makers[args.workload]()
+    rel = build_relation(args.workload, args.p, args.n, args.alpha, seed)
     g = args.p / args.m
     schedulers = {
         "offline optimal": lambda: offline_optimal_schedule(rel, args.m),
@@ -566,32 +555,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.faults import CrashSpec, FaultPlan, StallSpec, TransportError
+    from repro.faults.chaos import build_relation
     from repro.models.bsp_m import BSPm
     from repro.scheduling import route_reliable
-    from repro.workloads import (
-        balanced_h_relation,
-        one_to_all_relation,
-        uniform_random_relation,
-        zipf_h_relation,
-    )
 
     seed = _effective_seed(args)
-    if args.trials > 1:
-        return _chaos_sweep(args, seed)
     if args.workload == "route-verify":
         # the docs/performance.md 40k-flit routing profile, pinned so the CI
         # smoke exercises exactly the throughput-bench configuration
-        p, m, L = 256, 64, 1.0
-        rel = uniform_random_relation(p, 40_000, seed=seed)
+        p, n, m, L = 256, 40_000, 64, 1.0
     else:
-        p, m, L = args.p, args.m, args.L
-        makers = {
-            "balanced": lambda: balanced_h_relation(p, max(1, args.n // p), seed=seed),
-            "uniform": lambda: uniform_random_relation(p, args.n, seed=seed),
-            "zipf": lambda: zipf_h_relation(p, args.n, alpha=args.alpha, seed=seed),
-            "one-to-all": lambda: one_to_all_relation(p),
-        }
-        rel = makers[args.workload]()
+        p, n, m, L = args.p, args.n, args.m, args.L
+    if args.trials > 1:
+        return _chaos_sweep(args, seed, p, n, m, L)
+    rel = build_relation(args.workload, p, n, args.alpha, seed)
     machine = BSPm(MachineParams(p=p, m=m, L=L))
     plan = FaultPlan(
         seed=seed,
@@ -656,7 +633,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return status
 
 
-def _chaos_sweep(args: argparse.Namespace, seed: int) -> int:
+def _chaos_sweep(
+    args: argparse.Namespace, seed: int, p: int, n: int, m: int, L: float
+) -> int:
     """``chaos --trials N``: fan N independent seeded chaos runs through
     the sweep engine and print the aggregate resilience statistics."""
     import json
@@ -665,10 +644,6 @@ def _chaos_sweep(args: argparse.Namespace, seed: int) -> int:
     from repro.sweep import SweepSpec, run_sweep
 
     jobs = _effective_jobs(args)
-    if args.workload == "route-verify":
-        p, n, m, L = 256, 40_000, 64, 1.0
-    else:
-        p, n, m, L = args.p, args.n, args.m, args.L
     spec = SweepSpec(
         name="chaos",
         fn=chaos_trial,
@@ -930,7 +905,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             max_attempts=args.max_attempts,
             quarantine_after=args.quarantine_after,
-            engine=args.engine,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -946,8 +920,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server.install_signal_handlers()
     server.start()
-    print(f"repro serve listening on {server.url} (engine={args.engine})",
-          flush=True)
+    print(f"repro serve listening on {server.url}", flush=True)
     if store is not None:
         print(f"persistent store: {store.root}", flush=True)
     if not chaos.is_null:
@@ -1198,13 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--workers", type=int, default=4,
         help="executor threads doing admission hand-off, caching and "
-        "retries; with --engine process also the pool size",
-    )
-    sv.add_argument(
-        "--engine", choices=("thread", "process"), default="thread",
-        help="compute engine: 'thread' runs all scenario/experiment/sweep "
-        "compute on one compute-lane thread (default); 'process' ships it "
-        "to a persistent process pool for real parallelism",
+        "retries; every compute runs on one compute-lane thread",
     )
     sv.add_argument(
         "--uds", default=None, metavar="PATH",
@@ -1222,8 +1189,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--store-dir", default=None, metavar="PATH",
-        help="persistent response/memo store directory (default: "
-        "$REPRO_CACHE_DIR or ~/.cache/repro/store)",
+        help="persistent store of the daemon's responses only (default: "
+        "$REPRO_CACHE_DIR or ~/.cache/repro/store); REPRO_PERSISTENT_CACHE=1 "
+        "adds the memo cache's disk tier",
     )
     sv.add_argument(
         "--no-store", action="store_true",
@@ -1369,8 +1337,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # REPRO_PERSISTENT_CACHE=1 backs the memo cache with the shared disk
-    # store for this invocation (the serve daemon installs its own store
-    # explicitly and ignores the env var)
+    # store for this invocation, whatever the subcommand (serve included:
+    # its --store-dir store holds only the daemon's response entries)
     from repro.store import maybe_enable_from_env
 
     maybe_enable_from_env()

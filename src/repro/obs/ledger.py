@@ -316,9 +316,6 @@ class LedgerView:
     def column(self, name: str) -> list:
         return self.ledger.columns[name][self.start:self.stop]
 
-    def proc_column(self, name: str) -> list:
-        return self.ledger.proc_columns[name][self.start:self.stop]
-
     @property
     def bindings(self) -> List[str]:
         return self.column("binding")

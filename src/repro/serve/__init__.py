@@ -20,7 +20,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.serve.chaos": ["ChaosPlan", "WorkerKilled", "plan_from_env"],
     "repro.serve.client": ["ServeClient", "ServeRequestError"],
     "repro.serve.daemon": ["ReproServer"],
-    "repro.serve.engine": ["ENGINES", "ComputeLane", "ProcessEngine", "RemoteCrash"],
+    "repro.serve.engine": ["ComputeLane"],
     "repro.serve.executor": ["ExecutorConfig", "RequestExecutor", "run_scenario"],
     "repro.serve.protocol": [
         "ERROR_CODES",

@@ -353,7 +353,6 @@ class ReproServer:
                 "workers": ecfg.workers,
                 "max_attempts": ecfg.max_attempts,
                 "quarantine_after": ecfg.quarantine_after,
-                "engine": ecfg.engine,
             },
             "quarantined": self.executor.quarantined(),
         }

@@ -9,11 +9,9 @@ Layout:
   in service order, to a bounded pool of **worker** threads;
 * the workers do each request's bookkeeping — deadline and quarantine
   checks, cache get/put, retry/backoff, chaos — and hand its compute to
-  the engine of :mod:`repro.serve.engine`: on the default thread engine
-  that is one **compute lane** thread that runs every compute in turn
-  (the GIL lets one thread compute at a time anyway, and a single
-  computing thread keeps a single malloc arena), on the process engine
-  a persistent process pool;
+  the **compute lane** of :mod:`repro.serve.engine`, one thread that
+  runs every compute in turn (the GIL lets one thread compute at a time
+  anyway, and a single computing thread keeps a single malloc arena);
 * each request carries a ``threading.Event`` in ``Request.extra``; the
   HTTP handler that accepted it blocks on that event, so an admitted
   request always gets an answer — success or structured error — before
@@ -28,15 +26,13 @@ Layout:
   future submissions shed with ``E_QUARANTINED`` (poison-request
   containment).  :class:`repro.serve.chaos.ChaosPlan` injects the seeded
   worker kills these paths are tested against;
-* on the thread engine, a worker popping a deadline-free ``scenario``
-  also pops every queued request that matches it in everything but
-  ``L`` (same seed and params otherwise, up to :data:`MAX_COALESCE`) and
-  answers the group from one :func:`run_scenario_batch` call on the
-  lane — the same function that answers a solo scenario as a batch of
-  one, so each member's payload is its solo answer.  Per-request
-  caching, chaos, retry, and quarantine bookkeeping are untouched;
-* answers are bit-identical on both engines: the handlers are pure in
-  ``(params, seed)``.
+* a worker popping a deadline-free ``scenario`` also pops every queued
+  request that matches it in everything but ``L`` (same seed and params
+  otherwise, up to :data:`MAX_COALESCE`) and answers the group from one
+  :func:`run_scenario_batch` call on the lane — the same function that
+  answers a solo scenario as a batch of one, so each member's payload is
+  its solo answer.  Per-request caching, chaos, retry, and quarantine
+  bookkeeping are untouched.
 
 Determinism contract: handlers derive every RNG from the *request's*
 seed via :func:`repro.util.rng.derive_seed_sequence`, never from server
@@ -57,7 +53,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.serve.admission import AdmissionController
 from repro.serve.chaos import ChaosPlan
-from repro.serve.engine import ENGINES, ComputeLane, ProcessEngine
+from repro.serve.engine import ComputeLane
 from repro.serve.protocol import KINDS, Request, ServeError
 from repro.serve.telemetry import ServerMetrics
 from repro.store.disk import DiskStore
@@ -78,20 +74,15 @@ __all__ = [
 class ExecutorConfig:
     """Tunables of the execution/retry layer."""
 
-    workers: int = 4  # bookkeeping threads (and the process pool's size)
+    workers: int = 4  # bookkeeping threads; compute runs on the one lane
     max_attempts: int = 3  # tries per submission before E_CRASHED
     backoff_base: float = 0.05  # seconds; attempt k sleeps base * 2^(k-1)
     backoff_cap: float = 2.0  # ceiling on a single backoff sleep
     quarantine_after: int = 3  # cumulative failures before E_QUARANTINED
-    engine: str = "thread"  # compute engine: in-thread or process pool
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.quarantine_after < 1:
@@ -320,12 +311,7 @@ class RequestExecutor:
         self.config = config or ExecutorConfig()
         self.store = store
         self.chaos = chaos or ChaosPlan()
-        if self.config.engine == "process":
-            self._engine = ProcessEngine(self.config.workers)
-        else:
-            self._engine = ComputeLane(metrics)
-        # coalesced groups are fused on the lane; the pool spreads work
-        self._coalesce = self.config.engine == "thread"
+        self._lane = ComputeLane(metrics)
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._in_flight = 0
@@ -339,7 +325,7 @@ class RequestExecutor:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        self._engine.start()
+        self._lane.start()
         dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
         )
@@ -358,7 +344,7 @@ class RequestExecutor:
             self._work_ready.notify_all()
             self._idle.notify_all()
         self.admission.start_drain()
-        self._engine.shutdown()
+        self._lane.shutdown()
 
     def note_admitted(self) -> None:
         """Called by the server right after ``admission.submit`` succeeds.
@@ -449,7 +435,7 @@ class RequestExecutor:
                     return
                 req = self._work.pop(0)
                 group = [req]
-                if self._coalesce and self._work:
+                if self._work:
                     key = _coalesce_key(req)
                     if key is not None:
                         keep: "list[Request]" = []
@@ -471,7 +457,7 @@ class RequestExecutor:
                 else:
                     self.metrics.inc("batch.rounds")
                     self.metrics.inc("batch.coalesced", len(group))
-                    ctx = _ScenarioBatch(group, self._engine)
+                    ctx = _ScenarioBatch(group, self._lane)
                     for member in group:
                         self._serve_one(member, batch=ctx)
             finally:
@@ -601,4 +587,4 @@ class RequestExecutor:
             )
         if batch is not None:
             return batch.payload_for(req)
-        return self._engine.call(req.kind, req.params, req.seed, req.deadline)
+        return self._lane.call(req.kind, req.params, req.seed, req.deadline)

@@ -10,13 +10,13 @@ counters
     ``serve.shed.{queue_full,oversized,deadline,quarantined,draining}``,
     resilience counters ``serve.retry.{attempts,quarantined}`` and
     ``serve.worker.crashes``, cache effectiveness
-    ``serve.cache.{hits,misses,disk_hits}``.
+    ``serve.cache.{hits,misses}``.
 gauges
     ``serve.queue.depth``, ``serve.inflight``, ``serve.rounds``.
 histograms
     ``serve.wait_s`` (admission → start of service), ``serve.service_s``
     (inside the handler), ``serve.compute.wait_s`` (a compute's wait for
-    the thread engine's compute lane), ``serve.round.window`` and
+    the compute lane), ``serve.round.window`` and
     ``serve.round.overloaded_slots`` (the Unbalanced-Send draw).
 
 ``snapshot()`` is what ``GET /v1/metrics`` returns and what the CI smoke
@@ -121,11 +121,6 @@ class ServerMetrics:
             self._event_cond.notify_all()
             return self._event_seq
 
-    def events_since(self, since: int, limit: int = EVENT_RING_SIZE) -> List[Dict[str, Any]]:
-        """Events with ``seq > since`` (oldest first, up to ``limit``)."""
-        with self._event_cond:
-            return [e for e in self._events if e["seq"] > since][:limit]
-
     def wait_events(
         self, since: int, timeout: float = 10.0, limit: int = EVENT_RING_SIZE
     ) -> Tuple[List[Dict[str, Any]], int]:
@@ -143,14 +138,6 @@ class ServerMetrics:
                 if remaining <= 0:
                     return [], self._event_seq
                 self._event_cond.wait(remaining)
-
-    def cache_delta(self, hits: int, misses: int, disk_hits: int) -> None:
-        if hits:
-            self.inc("cache.hits", hits)
-        if misses:
-            self.inc("cache.misses", misses)
-        if disk_hits:
-            self.inc("cache.disk_hits", disk_hits)
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:

@@ -4,13 +4,16 @@ in-memory sweep memo cache.
 The sweep cache (:mod:`repro.sweep.cache`) exposes a single persistent-tier
 hook (``set_persistent_store``); this module owns the lifecycle of the store
 installed there — creation, the env-var opt-in, and a scoped installer for
-tests and the serve daemon.
+tests.
 
-Persistence is **opt-in**: batch runs keep today's in-memory-only behavior
-unless ``REPRO_PERSISTENT_CACHE=1`` is set or the daemon (or a test)
-installs a store explicitly.  Opt-in keeps the tier-1 determinism contracts
-(jobs=N ≡ jobs=1, cache-disabled bit-identity) independent of whatever a
-developer has on disk.
+Persistence is **opt-in**: runs keep today's in-memory-only behavior unless
+``REPRO_PERSISTENT_CACHE=1`` is set — the CLI checks it once per invocation,
+for every subcommand, ``serve`` included — or a test installs a store
+explicitly.  Nothing in :mod:`repro.serve` installs this tier: the daemon's
+``--store-dir`` store holds only its ``("response", fingerprint)`` entries.
+Opt-in keeps the tier-1 determinism contracts (jobs=N ≡ jobs=1,
+cache-disabled bit-identity) independent of whatever a developer has on
+disk.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ def disable_persistent_cache() -> None:
 def maybe_enable_from_env() -> Optional[DiskStore]:
     """Install the default store iff ``REPRO_PERSISTENT_CACHE`` is truthy.
 
-    Called by the CLI harness once per invocation; the daemon installs its
-    store explicitly and does not consult the env var.
+    Called by the CLI harness once per invocation, before any subcommand
+    (``serve`` included).
     """
     flag = os.environ.get("REPRO_PERSISTENT_CACHE", "").strip().lower()
     if flag in {"", "0", "false", "no", "off"}:
@@ -90,7 +93,7 @@ def persistent_cache_scope(
     store: Optional[DiskStore] = None,
 ) -> Iterator[DiskStore]:
     """Install a store for the duration of a with-block, restoring the
-    previous tier (usually none) on exit — the test/daemon-shutdown idiom."""
+    previous tier (usually none) on exit — the test idiom."""
     previous = _active
     installed = configure_persistent_cache(
         path, max_entries=max_entries, max_bytes=max_bytes, store=store

@@ -11,7 +11,7 @@ structure-of-arrays (NumPy), matching the repo's columnar idiom: summaries
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -227,23 +227,3 @@ class SweepResult:
         with open(path, "w") as fh:
             json.dump(self.to_dict(include_trials=include_trials), fh, indent=2, default=float)
             fh.write("\n")
-
-
-def build_records(
-    indices: Sequence[int],
-    points: Sequence[str],
-    trials: Sequence[int],
-    wall_times: Sequence[float],
-    workers: Sequence[int],
-    hits: Sequence[int],
-    misses: Sequence[int],
-) -> List[TrialRecord]:
-    """Assemble :class:`TrialRecord` rows from parallel columns."""
-    return [
-        TrialRecord(
-            index=i, point=pt, trial=t, wall_time=w, worker=pid, cache_hits=h, cache_misses=ms
-        )
-        for i, pt, t, w, pid, h, ms in zip(
-            indices, points, trials, wall_times, workers, hits, misses
-        )
-    ]

@@ -473,7 +473,7 @@ class TestStreamingTelemetry:
 
 
 # ----------------------------------------------------------------------
-# the thread engine's compute lane
+# the compute lane
 # ----------------------------------------------------------------------
 class _HeldCompute:
     """Wraps the scenario handler (solo scenarios are its batch of one):
@@ -510,7 +510,7 @@ def _thread_id():
 
 
 def _lane_jobs(server):
-    return len(server.executor._engine._jobs)
+    return len(server.executor._lane._jobs)
 
 
 def _wait_for(predicate, timeout=30.0):
@@ -654,6 +654,39 @@ class TestComputeLane:
             for line in text.splitlines()
         )
 
+    def test_handler_crash_quarantines(self, tmp_path, monkeypatch):
+        """A handler that keeps raising on the lane walks retry ->
+        quarantine: ``E_CRASHED`` flagged quarantined, then
+        ``E_QUARANTINED`` at the door for the same content."""
+        import repro.serve.executor as executor_mod
+
+        threads = []
+
+        def crash(params, seed, **kw):
+            threads.append(threading.current_thread().name)
+            raise RuntimeError("handler crash")
+
+        monkeypatch.setattr(executor_mod, "run_scenario", crash)
+        server, client = make_server(
+            tmp_path,
+            executor=ExecutorConfig(
+                workers=2, backoff_base=0.01, max_attempts=2, quarantine_after=2
+            ),
+        )
+        try:
+            with pytest.raises(ServeRequestError) as exc:
+                client.submit("scenario", SCENARIO, seed=5)
+            assert exc.value.code == "E_CRASHED"
+            assert exc.value.extra.get("quarantined") is True
+            with pytest.raises(ServeRequestError) as exc:
+                client.submit("scenario", SCENARIO, seed=5)
+            assert exc.value.code == "E_QUARANTINED"
+            counters = client.metrics()["counters"]
+        finally:
+            server.drain(timeout=30)
+        assert counters["serve.worker.crashes"] == 2
+        assert threads == ["repro-serve-compute"] * 2
+
     def test_lane_stress_every_caller_gets_its_own_answer(self):
         from repro.serve.engine import ComputeLane
 
@@ -704,90 +737,8 @@ class TestComputeLane:
 
 
 # ----------------------------------------------------------------------
-# process engine + UDS transport
+# UDS transport
 # ----------------------------------------------------------------------
-class TestProcessEngine:
-    def test_engine_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            ExecutorConfig(engine="fiber")
-
-    def test_process_served_scenario_is_bit_identical(self, tmp_path):
-        server, client = make_server(
-            tmp_path, executor=ExecutorConfig(workers=2, engine="process")
-        )
-        try:
-            got = client.submit("scenario", SCENARIO, seed=11)
-            want = run_scenario(SCENARIO, 11)
-            assert got["result"] == _json_roundtrip(want)
-            # warm-cache answer is the same object the cold run produced
-            again = client.submit("scenario", SCENARIO, seed=11)
-            assert again["cached"] is True
-            assert again["result"] == got["result"]
-        finally:
-            server.drain(timeout=30)
-
-    def test_process_engine_translates_structured_errors(self, tmp_path):
-        server, client = make_server(
-            tmp_path, executor=ExecutorConfig(workers=2, engine="process")
-        )
-        try:
-            with pytest.raises(ServeRequestError) as exc:
-                client.submit("experiment", {"name": "no_such_experiment"})
-            assert exc.value.code == "E_BAD_REQUEST"
-            assert "choices" in exc.value.extra
-        finally:
-            server.drain(timeout=30)
-
-    def test_process_engine_ships_real_worker_spans(self, tmp_path):
-        """With a tracer installed in the daemon process, a process-engine
-        request splices the worker's *real* superstep spans under a
-        ``serve <kind>`` span — model durations included."""
-        from repro.obs import Tracer, tracing
-
-        server, client = make_server(
-            tmp_path, executor=ExecutorConfig(workers=2, engine="process")
-        )
-        tracer = Tracer()
-        try:
-            with tracing(tracer):
-                got = client.submit("scenario", SCENARIO, seed=31)
-        finally:
-            server.drain(timeout=30)
-        (serve_span,) = tracer.find(cat="serve")
-        assert serve_span.name == "serve scenario"
-        supersteps = tracer.find(cat="superstep")
-        assert supersteps, "worker superstep spans did not arrive"
-        assert sum(s.model_dur for s in supersteps) == got["result"]["model_time"]
-        # the worker's top-level spans hang off the serve span
-        roots = [
-            s for s in tracer.spans
-            if s.parent == serve_span.index and s is not serve_span
-        ]
-        assert roots
-
-    def test_process_engine_crash_quarantines(self, tmp_path):
-        """A handler that keeps crashing inside a pool worker walks the
-        same retry -> quarantine path as the thread engine."""
-        server, client = make_server(
-            tmp_path,
-            executor=ExecutorConfig(
-                workers=2, engine="process", backoff_base=0.01,
-                max_attempts=2, quarantine_after=2,
-            ),
-        )
-        try:
-            # m=0 divides by zero inside the experiment, in the pool worker
-            bad = {"name": "unbalanced_send", "p": 16, "n": 800, "m": 0}
-            with pytest.raises(ServeRequestError) as exc:
-                client.submit("experiment", bad, seed=0)
-            assert exc.value.code == "E_CRASHED"
-            with pytest.raises(ServeRequestError) as exc:
-                client.submit("experiment", bad, seed=0)
-            assert exc.value.code == "E_QUARANTINED"
-        finally:
-            server.drain(timeout=30)
-
-
 def _json_roundtrip(obj):
     import json
 
