@@ -1,14 +1,16 @@
-"""Sweep-engine scaling harness: the executor backends head to head.
+"""Sweep-engine scaling harness: the jobs ladder against the serial run.
 
 Runs the 100-trial Unbalanced-Send experiment (4 workloads x 25 trials,
-the Theorem-6.2 reproduction) through every requested ``repro.sweep``
-backend at 1/2/4/8 jobs and records, per (backend, jobs) point:
+the Theorem-6.2 reproduction) at 1/2/4/8 jobs — ``jobs`` alone places
+the sweep, so ``jobs=1`` is the ``serial`` reference and every other
+point runs on ``pool-steal`` — and records, per jobs point, filed under
+the backend its telemetry names:
 
 * wall-clock elapsed and speedup over the one serial reference run,
 * worker count, worker utilization, and steal count (sweep telemetry),
 * whether the output dict is **bit-identical** to the serial run (it
-  must be — trials are pure and carry derived per-trial seeds, so a
-  backend changes only wall-clock, never results),
+  must be — trials are pure and carry derived per-trial seeds, so the
+  job count changes only wall-clock, never results),
 * whether the speedup floor was *asserted* for that point — a floor is
   only meaningful where the hardware can express it, so points with
   ``jobs > cores`` record ``speedup_asserted: false`` and are exempt.
@@ -29,8 +31,6 @@ knobs (the CI smoke uses all of them):
     comma list of job counts, default ``1,2,4,8``;
 ``BENCH_SWEEP_TRIALS``
     per-workload trials, default 25;
-``BENCH_SWEEP_BACKENDS``
-    comma list of registered backends, default ``serial,pool-steal``;
 ``BENCH_SWEEP_FLOOR``
     speedup floor asserted at 4 jobs, default 2.5;
 ``BENCH_SWEEP_BATCHED_FLOOR``
@@ -40,7 +40,7 @@ Identity is asserted everywhere; the floor only where ``cores >= jobs``.
 
 The run also times the **batched** block: ``pricing_ablation`` (one
 compiled routing program re-priced over a 64-cell ``(m, L)`` grid) with
-``batch=False`` vs ``batch=True`` on the serial backend.  Cell outputs
+``batch=False`` vs ``batch=True`` at ``jobs=1``.  Cell outputs
 must be identical (always asserted); the batched floor is gated only when
 fingerprint grouping actually engaged.
 """
@@ -50,7 +50,7 @@ import os
 import time
 
 from repro.experiments import unbalanced_send_vs_optimal
-from repro.sweep import BACKENDS as REGISTERED_BACKENDS, resolve_jobs
+from repro.sweep import resolve_jobs
 
 from _common import emit
 
@@ -59,11 +59,6 @@ P, M, N, EPS = 1024, 128, 60_000, 0.2
 TRIALS = int(os.environ.get("BENCH_SWEEP_TRIALS", "25"))
 SEED = 0
 JOBS = [int(j) for j in os.environ.get("BENCH_SWEEP_JOBS", "1,2,4,8").split(",")]
-BACKENDS = [
-    b.strip()
-    for b in os.environ.get("BENCH_SWEEP_BACKENDS", "serial,pool-steal").split(",")
-    if b.strip()
-]
 
 #: acceptance floor at 4 jobs (asserted only where >= 4 cores exist)
 SPEEDUP_FLOOR_4 = float(os.environ.get("BENCH_SWEEP_FLOOR", "2.5"))
@@ -73,11 +68,11 @@ SPEEDUP_FLOOR_4 = float(os.environ.get("BENCH_SWEEP_FLOOR", "2.5"))
 BATCHED_SPEEDUP_FLOOR = float(os.environ.get("BENCH_SWEEP_BATCHED_FLOOR", "3.0"))
 
 
-def _run(backend: str, jobs: int):
+def _run(jobs: int):
     t0 = time.perf_counter()
     out = unbalanced_send_vs_optimal(
         p=P, m=M, n=N, epsilon=EPS, trials=TRIALS, seed=SEED, jobs=jobs,
-        backend=backend, include_telemetry=True,
+        include_telemetry=True,
     )
     elapsed = time.perf_counter() - t0
     telemetry = out.pop("sweep_telemetry")  # timing data, excluded from identity
@@ -123,32 +118,26 @@ def run_all():
         "speedup_floor_4": SPEEDUP_FLOOR_4,
         "backends": {},
     }
-    serial_out, serial_tel, serial_s = _run("serial", 1)
-    for backend in BACKENDS:
-        # serial has no worker pool: one reference point, not a ladder
-        job_list = [1] if backend == "serial" else JOBS
-        jobs_block = {}
-        for jobs in job_list:
-            if backend == "serial":
-                # reuse the reference run rather than timing serial twice
-                out, telemetry, elapsed = serial_out, serial_tel, serial_s
-            else:
-                out, telemetry, elapsed = _run(backend, jobs)
-            be = telemetry["backend"]
-            jobs_block[str(jobs)] = {
-                "elapsed_s": elapsed,
-                "speedup_vs_serial": serial_s / elapsed,
-                "trials_per_s": total_trials / elapsed,
-                "identical_to_serial": out == serial_out,
-                "workers": be["pool_workers"],
-                "utilization": telemetry["utilization"],
-                "steals": be["steals"],
-                "worker_deaths": be["worker_deaths"],
-                "speedup_asserted": bool(
-                    backend != "serial" and jobs == 4 and cores >= jobs
-                ),
-            }
-        data["backends"][backend] = {"jobs": jobs_block}
+    serial_out, serial_tel, serial_s = _run(1)
+    for jobs in [1] + [j for j in JOBS if j != 1]:
+        if jobs == 1:
+            # reuse the reference run rather than timing serial twice
+            out, telemetry, elapsed = serial_out, serial_tel, serial_s
+        else:
+            out, telemetry, elapsed = _run(jobs)
+        be = telemetry["backend"]
+        block = data["backends"].setdefault(be["name"], {"jobs": {}})
+        block["jobs"][str(jobs)] = {
+            "elapsed_s": elapsed,
+            "speedup_vs_serial": serial_s / elapsed,
+            "trials_per_s": total_trials / elapsed,
+            "identical_to_serial": out == serial_out,
+            "workers": be["pool_workers"],
+            "utilization": telemetry["utilization"],
+            "steals": be["steals"],
+            "worker_deaths": be["worker_deaths"],
+            "speedup_asserted": bool(jobs == 4 and cores >= jobs),
+        }
     data["serial_elapsed_s"] = serial_s
     data["batched"] = _run_batched()
     return data
@@ -186,8 +175,8 @@ def _check(data):
     cores = data["cores"]
     for backend, block in data["backends"].items():
         for jobs, rec in block["jobs"].items():
-            # The invariant that makes any backend safe to pick: results
-            # never depend on the backend or the job count.
+            # The invariant that makes any job count safe to pick:
+            # results never depend on the placement.
             assert rec["identical_to_serial"], (
                 f"backend={backend} jobs={jobs} output diverged from the "
                 "serial run — a trial is impure or seed derivation is "
@@ -231,12 +220,6 @@ def test_parallel_scaling(benchmark):
 
 
 if __name__ == "__main__":
-    unknown = set(BACKENDS) - set(REGISTERED_BACKENDS)
-    if unknown:
-        raise SystemExit(
-            f"BENCH_SWEEP_BACKENDS includes unknown backends {sorted(unknown)}; "
-            f"registered: {sorted(REGISTERED_BACKENDS)}"
-        )
     out_path = os.environ.get("BENCH_SWEEP_JSON", "BENCH_sweep.json")
     result = write_baseline(out_path)
     _report(result)

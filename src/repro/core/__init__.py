@@ -30,8 +30,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ],
     "repro.core.events": [
         "Message",
-        "ReadRequest",
-        "WriteRequest",
         "SuperstepRecord",
         "CostBreakdown",
     ],

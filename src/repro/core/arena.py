@@ -55,8 +55,9 @@ def _int_addr_column(addrs: list) -> Any:
 
 
 def _concat_addr(chunks: List[Tuple[Any, int]]) -> Any:
-    """Concatenate address chunks with :meth:`RequestBatch.concat`'s rule:
-    one int64 array when every chunk is an array, else a flat list."""
+    """Concatenate address chunks into a :class:`RequestBatch` ``addr``
+    column: one int64 array when every chunk is an array, else a flat
+    list."""
     if len(chunks) == 1:
         return chunks[0][0]
     if all(isinstance(c, np.ndarray) for c, _ in chunks):

@@ -10,15 +10,13 @@ went (work vs. bandwidth vs. latency vs. contention).
 
 Columnar layout
 ---------------
-Records are *natively columnar*: the engine freezes each superstep into
+Records are columnar only: the engine freezes each superstep into
 structure-of-arrays batches (:class:`MessageBatch`, :class:`RequestBatch`)
 holding NumPy ``int64`` columns plus an object payload column, so pricing
 and delivery are single vector operations instead of per-object Python
-loops.  The classic object views — ``record.messages``, ``record.reads``,
-``record.writes`` yielding :class:`Message` / :class:`ReadRequest` /
-:class:`WriteRequest` — are lazy properties materialized on first access,
-so debugging code and existing benchmarks keep working unchanged (they just
-pay the materialization cost when, and only when, they ask for objects).
+loops.  A record holds its three batches (``msg_batch``, ``read_batch``,
+``write_batch``) and nothing else; the one per-object form left is
+:class:`Message`, which a processor's inbox view builds on demand.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ import numpy as np
 
 __all__ = [
     "Message",
-    "ReadRequest",
-    "WriteRequest",
     "MessageBatch",
     "RequestBatch",
     "SuperstepRecord",
@@ -43,10 +39,6 @@ _I64 = np.int64
 #: Payload / value / address columns are either absent (all ``None``), a
 #: Python list (heterogeneous objects), or a NumPy array (homogeneous data).
 Column = Union[None, list, np.ndarray]
-
-
-def _column_get(col: Column, i: int) -> Any:
-    return None if col is None else col[i]
 
 
 def _column_take(col: Column, idx: np.ndarray, n: int) -> Union[list, np.ndarray]:
@@ -103,33 +95,6 @@ class Message:
             raise ValueError(f"slot must be >= 0, got {self.slot}")
 
 
-@dataclass
-class ReadRequest:
-    """A QSM shared-memory read issued in the current phase.
-
-    ``handle`` is filled in by the engine at the barrier; programs access it
-    via :class:`~repro.core.engine.ReadHandle` in the *next* phase, matching
-    the QSM rule that a read's value is usable only in a subsequent phase.
-    For batch reads (``ctx.read_many``) the handle is the shared
-    :class:`~repro.core.engine.BatchReadHandle` of the whole batch.
-    """
-
-    pid: int
-    addr: Any
-    slot: Optional[int] = None
-    handle: Any = None
-
-
-@dataclass
-class WriteRequest:
-    """A QSM shared-memory write issued in the current phase."""
-
-    pid: int
-    addr: Any
-    value: Any
-    slot: Optional[int] = None
-
-
 class MessageBatch:
     """Structure-of-arrays form of one superstep's messages.
 
@@ -180,55 +145,6 @@ class MessageBatch:
     def empty(cls) -> "MessageBatch":
         z = np.zeros(0, dtype=_I64)
         return cls(z, z, z, z, np.zeros(0, dtype=bool), None)
-
-    @classmethod
-    def concat(cls, batches: Sequence["MessageBatch"]) -> "MessageBatch":
-        if not batches:
-            return cls.empty()
-        if len(batches) == 1:
-            return batches[0]
-        counts = [b.n for b in batches]
-        return cls(
-            np.concatenate([b.src for b in batches]),
-            np.concatenate([b.dest for b in batches]),
-            np.concatenate([b.size for b in batches]),
-            np.concatenate([b.slot for b in batches]),
-            np.concatenate([b.consecutive for b in batches]),
-            _concat_columns([b.payload for b in batches], counts),
-        )
-
-    @classmethod
-    def from_objects(cls, messages: Sequence[Message]) -> "MessageBatch":
-        if not messages:
-            return cls.empty()
-        src = np.fromiter((m.src for m in messages), dtype=_I64, count=len(messages))
-        dest = np.fromiter((m.dest for m in messages), dtype=_I64, count=len(messages))
-        size = np.fromiter((m.size for m in messages), dtype=_I64, count=len(messages))
-        # Slotless messages price as slot 0 (the engine's historical rule).
-        slot = np.fromiter(
-            (m.slot if m.slot is not None else 0 for m in messages),
-            dtype=_I64,
-            count=len(messages),
-        )
-        consec = np.fromiter((m.consecutive for m in messages), dtype=bool, count=len(messages))
-        payload: Column = [m.payload for m in messages]
-        if all(p is None for p in payload):
-            payload = None
-        return cls(src, dest, size, slot, consec, payload)
-
-    def to_objects(self) -> List[Message]:
-        pl = self.payload
-        return [
-            Message(
-                src=int(self.src[i]),
-                dest=int(self.dest[i]),
-                payload=_column_get(pl, i),
-                size=int(self.size[i]),
-                slot=int(self.slot[i]),
-                consecutive=bool(self.consecutive[i]),
-            )
-            for i in range(self.n)
-        ]
 
     def take(self, idx: np.ndarray) -> "MessageBatch":
         """New batch holding rows ``idx`` (in that order, repeats allowed).
@@ -325,80 +241,6 @@ class RequestBatch:
         z = np.zeros(0, dtype=_I64)
         return cls(z, [], z, None, [])
 
-    @classmethod
-    def concat(cls, batches: Sequence["RequestBatch"]) -> "RequestBatch":
-        if not batches:
-            return cls.empty()
-        if len(batches) == 1:
-            return batches[0]
-        counts = [b.n for b in batches]
-        if all(isinstance(b.addr, np.ndarray) for b in batches):
-            addr: Union[list, np.ndarray] = np.concatenate([b.addr for b in batches])
-        else:
-            addr = []
-            for b in batches:
-                addr.extend(b.addr_list())
-        handles: List[Tuple[Any, int, int]] = []
-        offset = 0
-        for b in batches:
-            for h, s, e in b.handles:
-                handles.append((h, s + offset, e + offset))
-            offset += b.n
-        return cls(
-            np.concatenate([b.pid for b in batches]),
-            addr,
-            np.concatenate([b.slot for b in batches]),
-            _concat_columns([b.value for b in batches], counts),
-            handles,
-        )
-
-    @classmethod
-    def from_read_objects(cls, reqs: Sequence[ReadRequest]) -> "RequestBatch":
-        if not reqs:
-            return cls.empty()
-        pid = np.fromiter((r.pid for r in reqs), dtype=_I64, count=len(reqs))
-        slot = np.fromiter(
-            (r.slot if r.slot is not None else 0 for r in reqs), dtype=_I64, count=len(reqs)
-        )
-        addr = [r.addr for r in reqs]
-        handles = [(r.handle, i, i + 1) for i, r in enumerate(reqs) if r.handle is not None]
-        return cls(pid, addr, slot, None, handles)
-
-    @classmethod
-    def from_write_objects(cls, reqs: Sequence[WriteRequest]) -> "RequestBatch":
-        if not reqs:
-            return cls.empty()
-        pid = np.fromiter((r.pid for r in reqs), dtype=_I64, count=len(reqs))
-        slot = np.fromiter(
-            (r.slot if r.slot is not None else 0 for r in reqs), dtype=_I64, count=len(reqs)
-        )
-        addr = [r.addr for r in reqs]
-        return cls(pid, addr, slot, [r.value for r in reqs], [])
-
-    def to_read_objects(self) -> List[ReadRequest]:
-        addrs = self.addr_list()
-        out = [
-            ReadRequest(pid=int(self.pid[i]), addr=addrs[i], slot=int(self.slot[i]))
-            for i in range(self.n)
-        ]
-        for handle, start, stop in self.handles:
-            for i in range(start, stop):
-                out[i].handle = handle
-        return out
-
-    def to_write_objects(self) -> List[WriteRequest]:
-        addrs = self.addr_list()
-        val = self.value
-        return [
-            WriteRequest(
-                pid=int(self.pid[i]),
-                addr=addrs[i],
-                value=_column_get(val, i),
-                slot=int(self.slot[i]),
-            )
-            for i in range(self.n)
-        ]
-
 
 @dataclass
 class CostBreakdown:
@@ -439,22 +281,16 @@ class CostBreakdown:
 class SuperstepRecord:
     """Everything a superstep did, plus its price.
 
-    Natively columnar: the authoritative storage is the three batches
-    (``msg_batch``, ``read_batch``, ``write_batch``); the object views
-    ``messages`` / ``reads`` / ``writes`` are built lazily on first access
-    and cached.  Records may also be constructed from object lists (the
-    legacy form), in which case the batches are derived lazily instead.
-
     Attributes
     ----------
     index:
         0-based superstep number.
     work:
         Per-processor local work amounts.
-    messages:
-        All messages sent this superstep (BSP machines) — lazy object view.
-    reads / writes:
-        All shared-memory requests (QSM machines) — lazy object views.
+    msg_batch:
+        All messages sent this superstep (BSP machines).
+    read_batch / write_batch:
+        All shared-memory requests (QSM machines).
     cost:
         The model time charged.
     breakdown:
@@ -470,21 +306,15 @@ class SuperstepRecord:
         "cost",
         "breakdown",
         "stats",
-        "_msg_batch",
-        "_read_batch",
-        "_write_batch",
-        "_messages",
-        "_reads",
-        "_writes",
+        "msg_batch",
+        "read_batch",
+        "write_batch",
     )
 
     def __init__(
         self,
         index: int,
         work: List[float],
-        messages: Optional[List[Message]] = None,
-        reads: Optional[List[ReadRequest]] = None,
-        writes: Optional[List[WriteRequest]] = None,
         *,
         msg_batch: Optional[MessageBatch] = None,
         read_batch: Optional[RequestBatch] = None,
@@ -498,75 +328,21 @@ class SuperstepRecord:
         self.cost = cost
         self.breakdown = breakdown if breakdown is not None else CostBreakdown()
         self.stats = stats if stats is not None else {}
-        self._msg_batch = msg_batch
-        self._read_batch = read_batch
-        self._write_batch = write_batch
-        self._messages = messages
-        self._reads = reads
-        self._writes = writes
-        if messages is None and msg_batch is None:
-            self._messages = []
-        if reads is None and read_batch is None:
-            self._reads = []
-        if writes is None and write_batch is None:
-            self._writes = []
+        self.msg_batch = msg_batch if msg_batch is not None else MessageBatch.empty()
+        self.read_batch = read_batch if read_batch is not None else RequestBatch.empty()
+        self.write_batch = write_batch if write_batch is not None else RequestBatch.empty()
 
-    # -- columnar accessors ----------------------------------------------------
-    @property
-    def msg_batch(self) -> MessageBatch:
-        if self._msg_batch is None:
-            self._msg_batch = MessageBatch.from_objects(self._messages or [])
-        return self._msg_batch
-
-    @property
-    def read_batch(self) -> RequestBatch:
-        if self._read_batch is None:
-            self._read_batch = RequestBatch.from_read_objects(self._reads or [])
-        return self._read_batch
-
-    @property
-    def write_batch(self) -> RequestBatch:
-        if self._write_batch is None:
-            self._write_batch = RequestBatch.from_write_objects(self._writes or [])
-        return self._write_batch
-
-    # -- lazy object views -----------------------------------------------------
-    @property
-    def messages(self) -> List[Message]:
-        if self._messages is None:
-            self._messages = self._msg_batch.to_objects()
-        return self._messages
-
-    @property
-    def reads(self) -> List[ReadRequest]:
-        if self._reads is None:
-            self._reads = self._read_batch.to_read_objects()
-        return self._reads
-
-    @property
-    def writes(self) -> List[WriteRequest]:
-        if self._writes is None:
-            self._writes = self._write_batch.to_write_objects()
-        return self._writes
-
-    # -- convenience accessors -------------------------------------------------
     @property
     def n_messages(self) -> int:
-        if self._msg_batch is not None:
-            return self._msg_batch.n
-        return len(self._messages or [])
+        return self.msg_batch.n
 
     @property
     def n_reads(self) -> int:
-        if self._read_batch is not None:
-            return self._read_batch.n
-        return len(self._reads or [])
+        return self.read_batch.n
 
     @property
     def n_writes(self) -> int:
-        if self._write_batch is not None:
-            return self._write_batch.n
-        return len(self._writes or [])
+        return self.write_batch.n
 
     @property
     def total_flits(self) -> int:

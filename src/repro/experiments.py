@@ -11,9 +11,8 @@ its independent units out through :func:`repro.sweep.run_sweep`: per-trial
 seeds are derived with :func:`repro.util.rng.derive_seed_sequence` on the
 stable path ``(experiment, point, trial)`` — never ``seed + t`` arithmetic,
 which collides across experiments sharing a root seed — and ``jobs > 1``
-executes trials on a pluggable backend (the work-stealing process pool by
-default) with output bit-identical to ``jobs=1`` (pinned by
-``tests/test_sweep.py`` and ``tests/test_backends.py``).
+executes trials on the work-stealing process pool with output
+bit-identical to ``jobs=1`` (pinned by ``tests/test_sweep.py``).
 
 The trial functions (module-level ``_*_trial`` / ``_*_point``) are the
 units of parallelism: pure, picklable, seeded only through their
@@ -52,12 +51,11 @@ class UnknownExperimentError(ValueError):
 
 def table1_measured(
     p: int = 256, m: int = 16, L: float = 8.0, seed: int = 0, jobs: int = 1,
-    backend: str = None,
 ) -> Dict[str, Any]:
     """Measured model times for the Table-1 problems on all four models.
 
     A single deterministic parameter point — always runs serially (``jobs``
-    and ``backend`` are accepted for registry uniformity).
+    is accepted for registry uniformity).
     """
     from repro import BSPg, BSPm, QSMg, QSMm
     from repro.algorithms import broadcast, one_to_all, summation
@@ -107,7 +105,7 @@ def _sweep_errors(sweep) -> Dict[str, int]:
 def unbalanced_send_vs_optimal(
     p: int = 1024, m: int = 128, n: int = 60_000, epsilon: float = 0.2,
     trials: int = 25, seed: int = 0, jobs: int = 1, on_error: str = "raise",
-    backend: str = None, include_telemetry: bool = False,
+    include_telemetry: bool = False,
 ) -> Dict[str, Any]:
     """Theorem 6.2: Unbalanced-Send ratio to the offline optimum across the
     benchmark's four workload shapes."""
@@ -140,7 +138,7 @@ def unbalanced_send_vs_optimal(
         common={"m": m, "epsilon": epsilon},
         seed=seed,
     )
-    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
+    sweep = run_sweep(spec, jobs=jobs, on_error=on_error)
     by_point = sweep.results_by_point()
     out: Dict[str, Any] = {"p": p, "m": m, "epsilon": epsilon, "workloads": {}}
     for name, rel in cases.items():
@@ -198,7 +196,6 @@ def _dynamic_stability_point(
 def dynamic_stability(
     p: int = 256, m: int = 16, L: float = 8.0, w: int = 128,
     horizon: int = 20_000, seed: int = 0, jobs: int = 1, on_error: str = "raise",
-    backend: str = None,
 ) -> Dict[str, Any]:
     """Theorems 6.5/6.7: the single-source flood sweep."""
     local, _ = MachineParams.matched_pair(p=p, m=m, L=L)
@@ -210,7 +207,7 @@ def dynamic_stability(
         common={"p": p, "m": m, "L": L, "w": w, "horizon": horizon},
         seed=seed,
     )
-    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
+    sweep = run_sweep(spec, jobs=jobs, on_error=on_error)
     out = {"p": p, "m": m, "g": local.g, "w": w,
            "sweep": [r for r in sweep.results if r is not None]}
     if sweep.skipped:
@@ -259,7 +256,6 @@ def _stability_under_loss_point(
 def stability_under_loss(
     p: int = 64, m: int = 8, L: float = 4.0, w: int = 32,
     horizon: int = 4_000, seed: int = 0, jobs: int = 1, on_error: str = "raise",
-    backend: str = None,
 ) -> Dict[str, Any]:
     """Theorems 6.5/6.7 under message loss: how far the reliable-transport
     retries push Algorithm B's stability frontier in.
@@ -282,7 +278,7 @@ def stability_under_loss(
         },
         seed=seed,
     )
-    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
+    sweep = run_sweep(spec, jobs=jobs, on_error=on_error)
     out = {"p": p, "m": m, "g": local.g, "w": w,
            "sweep": [r for r in sweep.results if r is not None]}
     if sweep.skipped:
@@ -309,7 +305,6 @@ def _leader_gap_point(p: int, m: int, seed) -> Dict[str, Any]:
 
 def leader_recognition_gap(
     m: int = 8, seed: int = 0, jobs: int = 1, on_error: str = "raise",
-    backend: str = None,
 ) -> Dict[str, Any]:
     """Theorem 5.2: the ER-vs-CR Leader Recognition gap across p."""
     spec = SweepSpec(
@@ -319,7 +314,7 @@ def leader_recognition_gap(
         common={"m": m},
         seed=seed,
     )
-    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
+    sweep = run_sweep(spec, jobs=jobs, on_error=on_error)
     out = {"m": m, "sweep": [r for r in sweep.results if r is not None]}
     if sweep.skipped:
         out["sweep_errors"] = _sweep_errors(sweep)
@@ -336,7 +331,6 @@ def _self_scheduling_trial(rel, m: int, epsilon: float, seed) -> float:
 def self_scheduling_transfer_experiment(
     p: int = 1024, m: int = 128, epsilon: float = 0.15, trials: int = 15,
     seed: int = 0, jobs: int = 1, on_error: str = "raise",
-    backend: str = None,
 ) -> Dict[str, Any]:
     """Section 2: the self-scheduling metric realized within (1+eps)."""
     from repro.workloads import uniform_random_relation, zipf_h_relation
@@ -356,7 +350,7 @@ def self_scheduling_transfer_experiment(
         common={"m": m, "epsilon": epsilon},
         seed=seed,
     )
-    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
+    sweep = run_sweep(spec, jobs=jobs, on_error=on_error)
     by_point = sweep.results_by_point()
     out: Dict[str, Any] = {"p": p, "m": m, "epsilon": epsilon, "workloads": {}}
     for name in cases:
@@ -373,7 +367,6 @@ def self_scheduling_transfer_experiment(
 def sensitivity_grid(
     p_values=(256, 1024, 4096), g_values=(2.0, 8.0), L_values=(4.0, 16.0),
     y_grid: int = 4000, seed: int = 0, jobs: int = 1, on_error: str = "raise",
-    backend: str = None,
 ) -> Dict[str, Any]:
     """Theorem 4.1 sensitivity check fanned over a ``(p, g, L)`` grid: the
     numeric optimum of the constrained minimization vs the paper's closed
@@ -388,7 +381,7 @@ def sensitivity_grid(
         common={"y_grid": y_grid},
         seed=seed,
     )
-    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend)
+    sweep = run_sweep(spec, jobs=jobs, on_error=on_error)
     cells = [c for c in sweep.results if c is not None]
     worst = min(cell["closed_over_numeric"] for cell in cells) if cells else float("nan")
     out = {"y_grid": y_grid, "cells": cells, "min_closed_over_numeric": worst}
@@ -464,7 +457,7 @@ def pricing_ablation(
     model: str = "bsp_m", g_values=(2.0,),
     m_values=(16, 24, 32, 48, 64, 96, 128, 192),
     L_values=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-    seed: int = 0, jobs: int = 1, on_error: str = "raise", backend: str = None,
+    seed: int = 0, jobs: int = 1, on_error: str = "raise",
     batch: bool = None, include_telemetry: bool = False,
 ) -> Dict[str, Any]:
     """Table-1-style pricing ablation of one recorded routing schedule.
@@ -498,7 +491,7 @@ def pricing_ablation(
         common={"compiled": compiled, "model": model},
         seed=seed,
     )
-    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, backend=backend, batch=batch)
+    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, batch=batch)
     cells = [
         {"point": rec.point, **(val if val is not None else {"model_time": None})}
         for rec, val in zip(sweep.records, sweep.results)

@@ -86,26 +86,6 @@ def _effective_jobs(args: argparse.Namespace, default: int = 1) -> int:
     return resolve_jobs(jobs)
 
 
-def _effective_backend(args: argparse.Namespace):
-    """Resolve a subcommand's sweep backend: its own ``--backend``, else
-    the top-level ``--backend``, else ``None`` (auto: serial for jobs=1,
-    work-stealing pool otherwise).  Unknown names are reported on stderr;
-    callers treat ``False`` as "invalid, exit 2"."""
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        backend = getattr(args, "root_backend", None)
-    if backend is None or backend == "auto":
-        return None
-    from repro.sweep import get_backend
-
-    try:
-        get_backend(backend)  # fail fast on an unknown name
-    except ValueError as exc:
-        print(f"error: --backend: {exc}", file=sys.stderr)
-        return False
-    return backend
-
-
 def _positive_int(text: str) -> int:
     """argparse type: a strictly positive integer."""
     try:
@@ -122,7 +102,7 @@ def _positive_int(text: str) -> int:
 #: namespace entries that are CLI plumbing, not run parameters
 _MANIFEST_SKIP = frozenset(
     {"func", "command", "trace", "metrics", "ledger", "json", "root_seed",
-     "root_jobs", "root_backend"}
+     "root_jobs"}
 )
 
 
@@ -485,14 +465,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 0
     seed = _effective_seed(args)
     jobs = _effective_jobs(args)
-    backend = _effective_backend(args)
-    if backend is False:
-        return 2
-    print(f"# seed = {seed}  jobs = {jobs}"
-          + (f"  backend = {backend}" if backend else ""))
+    print(f"# seed = {seed}  jobs = {jobs}")
     kwargs = {"seed": seed, "jobs": jobs}
-    if backend is not None:
-        kwargs["backend"] = backend
     if args.on_error != "raise":
         import inspect
 
@@ -660,14 +634,10 @@ def _chaos_sweep(
         ),
         seed=seed,
     )
-    backend = _effective_backend(args)
-    if backend is False:
-        return 2
     print(f"# chaos sweep {args.workload} (p={p}, n={n}, m={m}, L={L:g})")
-    print(f"# seed = {seed}  jobs = {jobs}  trials = {args.trials}"
-          + (f"  backend = {backend}" if backend else ""))
+    print(f"# seed = {seed}  jobs = {jobs}  trials = {args.trials}")
     try:
-        sweep = run_sweep(spec, jobs=jobs, on_error=args.on_error, backend=backend)
+        sweep = run_sweep(spec, jobs=jobs, on_error=args.on_error)
     except ValueError as exc:
         if "on_error" not in str(exc):
             raise
@@ -959,15 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(a subcommand's own --jobs wins; 0 = all cores; output is "
         "bit-identical at any job count)",
     )
-    parser.add_argument(
-        "--backend",
-        dest="root_backend",
-        default=None,
-        metavar="NAME",
-        help="default sweep execution backend for sweep-capable subcommands "
-        "(a subcommand's own --backend wins): serial or pool-steal; default "
-        "auto — serial for jobs=1, the work-stealing pool otherwise",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     t1 = sub.add_parser("table1", help="print the analytic Table 1")
@@ -1050,7 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the experiment's trial fan-out "
         "(0 = all cores; default serial)",
     )
-    _add_backend_arg(ex)
     ex.add_argument("--json", default=None, help="write the record to this file")
     _add_on_error_arg(ex)
     _add_obs_args(ex)
@@ -1105,7 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None,
         help="worker processes for --trials > 1 (0 = all cores)",
     )
-    _add_backend_arg(ch)
     ch.add_argument(
         "--audit",
         action="store_true",
@@ -1286,18 +1245,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.set_defaults(func=_cmd_top)
 
     return parser
-
-
-def _add_backend_arg(sp: argparse.ArgumentParser) -> None:
-    """Attach the sweep backend selector (see repro.sweep.backends)."""
-    sp.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="sweep execution backend: serial or pool-steal; default auto — "
-        "serial for jobs=1, the work-stealing pool otherwise.  Output is "
-        "bit-identical on every backend",
-    )
 
 
 def _add_on_error_arg(sp: argparse.ArgumentParser) -> None:

@@ -251,9 +251,11 @@ def _run_experiment_kind(
 ) -> Dict[str, Any]:
     """``experiment`` / ``sweep`` kinds: a registered experiment by name.
 
-    ``sweep`` differs from ``experiment`` only in defaults — parallel
-    jobs and a skip-don't-die error policy, the serving posture — both
-    overridable per request.  The request seed *always* wins over any
+    Placement follows the daemon's machine, never the client: a request
+    cannot set ``jobs``.  ``experiment`` runs at the experiment's default
+    ``jobs=1``; ``sweep`` runs at ``jobs=0`` (all usable cores) and
+    defaults to the skip-don't-die error policy, which a request may
+    override with ``on_error``.  The request seed *always* wins over any
     seed smuggled into params: the fingerprint covers the seed field.
     """
     import inspect
@@ -268,7 +270,7 @@ def _run_experiment_kind(
             f"params.name must be a registered experiment, got {name!r}",
             choices=sorted(EXPERIMENTS),
         )
-    accepted = set(inspect.signature(EXPERIMENTS[name]).parameters)
+    accepted = set(inspect.signature(EXPERIMENTS[name]).parameters) - {"jobs"}
     unknown = sorted(set(params) - accepted)
     if unknown:
         raise ServeError(
@@ -279,7 +281,7 @@ def _run_experiment_kind(
     kwargs = dict(params)
     kwargs["seed"] = seed
     if kind == "sweep":
-        kwargs.setdefault("jobs", 0)
+        kwargs["jobs"] = 0
         if "on_error" in accepted:
             kwargs.setdefault("on_error", "skip")
     try:

@@ -3,11 +3,12 @@ seeding, schedule-result caching, and sweep telemetry.
 
 The layer between a single priced superstep and a paper-scale experiment:
 Monte Carlo trials and parameter grids expand into pure, independently
-seeded :class:`TrialTask` units (:mod:`repro.sweep.spec`), execute on a
-pluggable backend (:mod:`repro.sweep.backends`) — a work-stealing
-persistent worker pool (``pool-steal``) or a bit-identical in-process
-fallback (``serial``) — share expensive offline-optimal intermediates
-through a keyed memo cache (:mod:`repro.sweep.cache`), and come back as a
+seeded :class:`TrialTask` units (:mod:`repro.sweep.spec`), execute where
+``jobs`` places them (:mod:`repro.sweep.backends`) — a work-stealing
+persistent worker pool (``pool-steal``) for ``jobs > 1``, a bit-identical
+in-process run (``serial``) for ``jobs=1`` — share expensive
+offline-optimal intermediates through a keyed memo cache
+(:mod:`repro.sweep.cache`), and come back as a
 columnar :class:`SweepResult` with wall-time / utilization / steal / cache
 telemetry (:mod:`repro.sweep.telemetry`).  See ``docs/performance.md``.
 
@@ -27,12 +28,6 @@ Quickstart::
     print(result.telemetry())
 """
 
-from repro.sweep.backends import (
-    BACKENDS,
-    ExecutorBackend,
-    get_backend,
-    resolve_backend,
-)
 from repro.sweep.cache import (
     CacheStats,
     cache_stats,
@@ -52,11 +47,7 @@ from repro.sweep.spec import SweepSpec, TrialTask, grid_points
 from repro.sweep.telemetry import TELEMETRY_SCHEMA_VERSION, SweepResult, TrialRecord
 
 __all__ = [
-    "BACKENDS",
-    "ExecutorBackend",
     "TELEMETRY_SCHEMA_VERSION",
-    "get_backend",
-    "resolve_backend",
     "SweepSpec",
     "TrialTask",
     "grid_points",

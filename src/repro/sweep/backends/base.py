@@ -1,12 +1,14 @@
-"""Executor-backend contract and the shared per-trial execution core.
+"""What both sweep placements promise, and their shared per-trial core.
 
-A backend is the piece of :func:`repro.sweep.run_sweep` that decides
-*where* trials execute — in-process or on a work-stealing process pool —
-while the runner keeps everything that makes results deterministic: task
-expansion, per-trial seed derivation, task-order reassembly, and
-task-order metrics merging.  The contract:
+A backend is the piece of :func:`repro.sweep.run_sweep` that executes
+trials — ``serial`` in-process, ``pool-steal`` on a work-stealing process
+pool, chosen by ``jobs`` — while the runner keeps everything that makes
+results deterministic: task expansion, per-trial seed derivation,
+task-order reassembly, and task-order metrics merging.  Both backends
+honor one contract:
 
-* ``run(tasks, ...)`` returns ``(outcomes, stats)`` where ``outcomes[i]``
+* ``run(tasks, *, jobs, collect_metrics, mode, retries, collect_spans,
+  collect_ledger)`` returns ``(outcomes, stats)`` where ``outcomes[i]``
   is the :class:`TaskOutcome` of ``tasks[i]`` — **task order, always**,
   no matter which worker finished first;
 * an outcome is ``("ok", exec_payload, attempts)`` or
@@ -40,7 +42,7 @@ import os
 import time
 import traceback
 from contextlib import ExitStack
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Any, Dict, Optional, Tuple
 
 from repro.sweep.spec import TrialTask
 from repro.util.rng import describe_seed
@@ -48,7 +50,6 @@ from repro.util.rng import describe_seed
 __all__ = [
     "TaskOutcome",
     "BackendStats",
-    "ExecutorBackend",
     "execute_task",
     "attempt_task",
     "error_payload_for",
@@ -61,29 +62,6 @@ TaskOutcome = Tuple[str, Any, int]
 
 #: the backend execution report consumed by SweepResult.telemetry()
 BackendStats = Dict[str, Any]
-
-
-@runtime_checkable
-class ExecutorBackend(Protocol):
-    """What :func:`repro.sweep.run_sweep` needs from an execution engine."""
-
-    #: registry key, echoed in telemetry ("serial", "pool-steal")
-    name: str
-
-    def run(
-        self,
-        tasks: Sequence[TrialTask],
-        *,
-        jobs: int,
-        collect_metrics: bool,
-        mode: str,
-        retries: int,
-        collect_spans: bool = False,
-        collect_ledger: bool = False,
-    ) -> Tuple[List[Optional[TaskOutcome]], BackendStats]:
-        """Execute every task and return ``(outcomes, stats)`` in task
-        order."""
-        ...
 
 
 def new_stats(name: str, workers: int) -> BackendStats:

@@ -1,11 +1,11 @@
-"""Sweep execution over pluggable backends with a bit-identical contract.
+"""Sweep execution on the placement ``jobs`` picks, with a bit-identical
+contract.
 
 :func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into
-pure, independently seeded tasks and hands them to an
-:class:`~repro.sweep.backends.ExecutorBackend` — ``serial`` (in-process)
-or ``pool-steal`` (persistent work-stealing worker pool, the ``jobs>1``
-default).  The runner keeps every determinism guarantee regardless of
-backend:
+pure, independently seeded tasks and hands them to one of two backends:
+``serial`` (in-process) for ``jobs=1`` or at most one dispatch unit,
+``pool-steal`` (persistent work-stealing worker pool) otherwise.  The
+runner keeps every determinism guarantee on either placement:
 
 * **ordered reassembly** — backends return outcomes in task order, so
   ``results[i]`` always belongs to ``tasks()[i]`` no matter which worker
@@ -51,7 +51,7 @@ import numpy as np
 from repro.obs.ledger import LoadLedger, active_ledger
 from repro.obs.metrics import active_metrics
 from repro.obs.tracer import active_tracer, splice_spans
-from repro.sweep.backends import resolve_backend
+from repro.sweep.backends import PoolStealBackend, SerialBackend
 from repro.sweep.backends.base import attempt_task
 from repro.sweep.spec import BatchTask, SweepSpec, TrialTask, group_batch_tasks
 from repro.sweep.telemetry import SweepResult, TrialRecord
@@ -131,16 +131,15 @@ def run_sweep(
     spec: SweepSpec,
     jobs: Optional[int] = 1,
     on_error: str = "raise",
-    backend: Optional[str] = None,
     batch: Optional[bool] = None,
 ) -> SweepResult:
     """Execute every trial of ``spec`` and return a :class:`SweepResult`.
 
-    ``backend`` selects the execution engine by name (``"serial"`` or
-    ``"pool-steal"``); ``None``/``"auto"`` picks ``serial``
-    for ``jobs=1`` and the work-stealing pool otherwise.  The ``results``
-    list is in task order on every backend, and — because trial functions
-    are pure and seeded per-task — identical on every backend.
+    ``jobs`` alone decides placement: ``serial`` (in-process) when
+    ``jobs == 1`` or there is at most one dispatch unit, the
+    work-stealing ``pool-steal`` backend otherwise.  The ``results`` list
+    is in task order, and — because trial functions are pure and seeded
+    per-task — identical at every job count.
 
     ``on_error`` is ``"raise"`` (abort the sweep with
     :class:`TrialExecutionError` on the first failure), ``"skip"``
@@ -192,7 +191,7 @@ def run_sweep(
                 max_group=max(len(b.members) for b in fused),
                 amortization=len(tasks) / len(dispatch),
             )
-    be = resolve_backend(backend, jobs, len(dispatch))
+    be = SerialBackend() if jobs == 1 or len(dispatch) <= 1 else PoolStealBackend()
     # the sweep's own accumulator: its summary() becomes the telemetry
     # "ledger" block regardless of what the caller does with the active
     # ledger afterwards

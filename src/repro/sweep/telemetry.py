@@ -22,7 +22,7 @@ __all__ = ["TrialRecord", "SweepResult", "TELEMETRY_SCHEMA_VERSION"]
 #: the observability PR), making exported records self-describing; 3 adds
 #: the error-policy columns (``status``/``attempts``/``error`` per trial,
 #: the ``errors`` summary block) introduced with ``on_error=``; 4 adds the
-#: ``backend`` execution block (pluggable executor backends: backend name,
+#: ``backend`` execution block (the name of the backend that ran the sweep,
 #: per-worker task counts and busy seconds, steals, peak queue depth,
 #: worker deaths) — and, with the work-stealing pool, failure accounting
 #: became per *task*: a hard worker death skips exactly the in-flight
@@ -71,7 +71,7 @@ class SweepResult:
     #: name of the executor backend that ran the sweep
     backend: str = "serial"
     #: the backend's execution report (worker task counts, steals, queue
-    #: depth, worker deaths) — see ``repro.sweep.backends.new_stats``
+    #: depth, worker deaths) — see ``repro.sweep.backends.base.new_stats``
     backend_stats: Dict[str, Any] = field(default_factory=dict)
     #: merged :meth:`~repro.obs.ledger.LoadLedger.summary` accumulated
     #: from per-trial dumps in task order (``None``: no ledger was active)

@@ -1,6 +1,6 @@
-"""Tests for the pluggable sweep executor backends: the registry, the
-serial/pool-steal parity matrix, work-stealing behavior under a
-straggler, and warm-started memo caches."""
+"""Tests for the two sweep placements: the one rule that picks between
+them, pool-steal/serial parity over every registered experiment,
+work-stealing behavior under a straggler, and warm-started memo caches."""
 
 import time
 
@@ -8,13 +8,9 @@ import pytest
 
 from repro.experiments import run_experiment
 from repro.sweep import (
-    BACKENDS,
-    ExecutorBackend,
     SweepSpec,
     cached_offline_report,
     clear_cache,
-    get_backend,
-    resolve_backend,
     run_sweep,
 )
 from repro.workloads import uniform_random_relation
@@ -38,41 +34,27 @@ def _warm_lookup(m, seed):
 
 
 class TestRegistry:
-    def test_registered_names(self):
-        assert sorted(BACKENDS) == ["pool-steal", "serial"]
-
-    def test_instances_satisfy_protocol(self):
-        for name in BACKENDS:
-            assert isinstance(get_backend(name), ExecutorBackend)
-
-    @pytest.mark.parametrize("name", ["bogus", "mpi"])
-    def test_unknown_backend_lists_registry(self, name):
-        with pytest.raises(
-            ValueError,
-            match=f"unknown sweep backend '{name}'; registered: pool-steal, serial",
-        ):
-            get_backend(name)
-
     def test_resolution_defaults(self):
-        # jobs=1 and tiny grids stay serial; real parallel work gets the pool
-        assert resolve_backend(None, jobs=1, n_tasks=10).name == "serial"
-        assert resolve_backend("auto", jobs=4, n_tasks=1).name == "serial"
-        assert resolve_backend(None, jobs=4, n_tasks=10).name == "pool-steal"
-        # an explicit choice is always honored
-        assert resolve_backend("serial", jobs=4, n_tasks=10).name == "serial"
-        assert resolve_backend("pool-steal", jobs=1, n_tasks=1).name == "pool-steal"
+        # jobs alone places a sweep: jobs=1 and single-unit sweeps stay
+        # in-process, real parallel work gets the pool (x >= 1: no sleep)
+        many = SweepSpec(name="s", fn=_straggle, grid=[{"x": x} for x in range(1, 5)])
+        one = SweepSpec(name="s", fn=_straggle, grid=[{"x": 3}])
+        assert run_sweep(many, jobs=1).backend == "serial"
+        assert run_sweep(one, jobs=4).backend == "serial"
+        assert run_sweep(many, jobs=2).backend == "pool-steal"
 
 
 class TestBackendParityMatrix:
-    """The headline contract: every backend, every registered experiment,
-    bit-identical to serial at the same seed."""
+    """Every registered experiment at jobs=2 — the pool-steal placement
+    for any sweep with more than one dispatch unit — is bit-identical to
+    serial at the same seed."""
 
     @pytest.mark.parametrize("name", sorted(SMALL_KWARGS))
-    @pytest.mark.parametrize("backend", ["serial", "pool-steal"])
-    def test_backend_matches_serial(self, name, backend):
+    @pytest.mark.parametrize("jobs", [2], ids=["pool-steal"])
+    def test_backend_matches_serial(self, name, jobs):
         kwargs = SMALL_KWARGS[name]
         serial = run_experiment(name, seed=42, jobs=1, **kwargs)
-        other = run_experiment(name, seed=42, jobs=2, backend=backend, **kwargs)
+        other = run_experiment(name, seed=42, jobs=jobs, **kwargs)
         assert other == serial
 
 
@@ -85,8 +67,8 @@ class TestWorkStealing:
             name="straggle", fn=_straggle,
             grid=[{"x": x} for x in range(8)], seed=1,
         )
-        serial = run_sweep(spec, jobs=1, backend="serial")
-        pooled = run_sweep(spec, jobs=2, backend="pool-steal")
+        serial = run_sweep(spec, jobs=1)
+        pooled = run_sweep(spec, jobs=2)
         assert pooled.results == serial.results == [x * x for x in range(8)]
         counts = sorted(pooled.backend_stats["tasks_per_worker"].values())
         assert sum(counts) == 8
@@ -102,7 +84,7 @@ class TestWorkStealing:
             name="straggle", fn=_straggle,
             grid=[{"x": x} for x in range(8)], seed=1,
         )
-        pooled = run_sweep(spec, jobs=2, backend="pool-steal")
+        pooled = run_sweep(spec, jobs=2)
         # generous bound: far below 2 * 0.25s, which a chunked schedule
         # putting two stragglers in one chunk would exceed
         assert pooled.elapsed < 2.0
@@ -119,8 +101,8 @@ class TestWarmStart:
         spec = SweepSpec(
             name="warm", fn=_warm_lookup, grid=[{"m": 16}], trials=6, seed=0
         )
-        serial = run_sweep(spec, jobs=1, backend="serial")
-        pooled = run_sweep(spec, jobs=2, backend="pool-steal")
+        serial = run_sweep(spec, jobs=1)
+        pooled = run_sweep(spec, jobs=2)
         assert pooled.results == serial.results
         s_cache = serial.telemetry()["cache"]
         p_cache = pooled.telemetry()["cache"]

@@ -610,7 +610,8 @@ class TestSweepBatching:
     def test_pool_identity(self):
         spec = SweepSpec(name="b", fn=_cell, grid=_GRID, seed=5)
         serial = run_sweep(spec, jobs=1, batch=False)
-        pooled = run_sweep(spec, jobs=2, backend="pool-steal", batch=True)
+        pooled = run_sweep(spec, jobs=2, batch=True)
+        assert pooled.backend == "pool-steal"  # two fused units, two jobs
         assert pooled.results == serial.results
         assert pooled.batch_stats["enabled"] is True
 

@@ -90,15 +90,17 @@ class TestBackendFlag:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["experiment", "unbalanced_send", "--backend", "mpi"],
-            ["--backend", "mpi", "chaos", "uniform", "--trials", "2"],
+            ["experiment", "unbalanced_send", "--backend", "serial"],
+            ["--backend", "serial", "chaos", "uniform", "--trials", "2"],
         ],
-        ids=["experiment", "chaos"],
+        ids=["experiment", "root"],
     )
-    def test_mpi_is_an_unknown_backend(self, capsys, argv):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "unknown sweep backend 'mpi'; registered: pool-steal, serial" in err
+    def test_backend_is_a_usage_error(self, capsys, argv):
+        # jobs alone places a sweep: there is no placement flag to pass
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestOnErrorFlag:

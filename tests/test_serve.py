@@ -253,6 +253,21 @@ class TestDeterminism:
         )
         assert got["result"]["result"] == want
 
+    def test_sweep_kind_matches_library(self, served):
+        """A served sweep fans out on the daemon's machine (``jobs=0``)
+        and answers exactly what the serial library call does."""
+        server, client = served
+        from repro.experiments import run_experiment
+
+        params = {"name": "unbalanced_send", "p": 128, "m": 16, "n": 5000,
+                  "trials": 4}
+        got = client.submit("sweep", params, seed=7)
+        want = run_experiment(
+            "unbalanced_send", p=128, m=16, n=5000, trials=4, seed=7,
+            jobs=1, on_error="skip",
+        )
+        assert got["result"]["result"] == _json_roundtrip(want)
+
 
 # ----------------------------------------------------------------------
 # structured sheds over the wire
@@ -282,6 +297,15 @@ class TestSheds:
             client.submit("experiment", {"name": "no_such_experiment"})
         assert exc.value.code == "E_BAD_REQUEST"
         assert "choices" in exc.value.extra
+        # placement follows the daemon's machine: a request cannot set it
+        small = {"name": "unbalanced_send", "p": 16, "m": 8, "n": 800,
+                 "trials": 2}
+        for key, value in (("jobs", 16), ("backend", "serial")):
+            with pytest.raises(ServeRequestError) as exc:
+                client.submit("sweep", dict(small, **{key: value}))
+            assert exc.value.code == "E_BAD_REQUEST", key
+            assert exc.value.http_status == 400
+            assert key not in exc.value.extra["accepted"]
 
     def test_bad_scenario_input_is_400_at_submit(self, served):
         server, client = served
