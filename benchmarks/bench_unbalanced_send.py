@@ -8,7 +8,7 @@ Proposition 6.1.
 
 Trial fan-out goes through ``repro.sweep``: per-trial seeds are derived
 via SeedSequence spawning (``derive_seed_sequence``, not ``seed + t``),
-the offline optimum is shared through the memo cache, and ``BENCH_JOBS``
+each workload's offline optimum is computed once, and ``BENCH_JOBS``
 (default 1) runs the trials on a process pool — results are bit-identical
 at any job count.
 """
@@ -22,9 +22,10 @@ from repro.scheduling import (
     evaluate_schedule,
     grouped_schedule,
     naive_schedule,
+    offline_optimal_schedule,
     unbalanced_send,
 )
-from repro.sweep import SweepSpec, cached_offline_report, run_sweep
+from repro.sweep import SweepSpec, run_sweep
 from repro.theory.chernoff import window_overload_probability
 from repro.util.rng import derive_seed_sequence
 from repro.workloads import (
@@ -72,7 +73,7 @@ def run_all():
     by_point = run_sweep(spec, jobs=JOBS).results_by_point()
     out = {}
     for name, rel in cases.items():
-        opt = cached_offline_report(rel, M)
+        opt = evaluate_schedule(offline_optimal_schedule(rel, M), m=M)
         times = [t for t, _ in by_point[name]]
         overloads = sum(o for _, o in by_point[name])
         grp = evaluate_schedule(grouped_schedule(rel, M), m=M)

@@ -108,13 +108,6 @@ class PenaltyFunction:
         """Scalar convenience wrapper around :meth:`__call__`."""
         return float(self(np.asarray([count]), m)[0])
 
-    def cache_key(self) -> str:
-        """Stable identity of the penalty *family* (not the instance), used
-        by the sweep engine's memo cache to key priced reports.  Subclasses
-        with shape parameters must fold them in (see
-        :class:`PolynomialPenalty`)."""
-        return self.name
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
@@ -164,9 +157,6 @@ class PolynomialPenalty(PenaltyFunction):
 
     def overload(self, rho: np.ndarray) -> np.ndarray:
         return rho**self.degree
-
-    def cache_key(self) -> str:
-        return f"{self.name}(degree={self.degree:g})"
 
 
 class CapacityPenalty(PenaltyFunction):

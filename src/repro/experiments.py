@@ -15,8 +15,11 @@ executes trials on the work-stealing process pool with output
 bit-identical to ``jobs=1`` (pinned by ``tests/test_sweep.py``).
 
 The trial functions (module-level ``_*_trial`` / ``_*_point``) are the
-units of parallelism: pure, picklable, seeded only through their
-``SeedSequence`` argument.
+units of parallelism: pure in their arguments, picklable, seeded only
+through their ``SeedSequence`` argument.  What trials share — a
+workload's relation and offline optimum, a compiled schedule — is
+computed once in the calling process and passed in the grid point or
+``common``; no trial looks it up in process-global state.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ from typing import Any, Callable, Dict, List
 import numpy as np
 
 from repro.core.params import MachineParams
-from repro.sweep import SweepSpec, cached_offline_report, grid_points, run_sweep
+from repro.sweep import SweepSpec, grid_points, run_sweep
 from repro.util.rng import derive_seed_sequence
 
 __all__ = [
     "EXPERIMENTS",
+    "TABLE1_PROGRAMS",
     "run_experiment",
     "list_experiments",
+    "table1_program",
     "UnknownExperimentError",
 ]
 
@@ -49,6 +54,31 @@ class UnknownExperimentError(ValueError):
         )
 
 
+#: the Table-1 programs, in table order (see :func:`table1_program`)
+TABLE1_PROGRAMS = ("one_to_all", "broadcast", "summation")
+
+
+def table1_program(name: str, machine) -> Any:
+    """Run one of :data:`TABLE1_PROGRAMS` on ``machine`` and return its
+    :class:`~repro.core.engine.RunResult` — the one menu behind
+    :func:`table1_measured`, ``repro measure`` and ``repro ledger``.
+
+    ``one_to_all`` sends the default payloads, ``broadcast`` the value 1,
+    and ``summation`` adds one 1.0 per processor.
+    """
+    from repro.algorithms import broadcast, one_to_all, summation
+
+    if name == "one_to_all":
+        return one_to_all(machine)
+    if name == "broadcast":
+        return broadcast(machine, 1)
+    if name == "summation":
+        return summation(machine, [1.0] * machine.params.p)[0]
+    raise ValueError(
+        f"unknown Table-1 program {name!r}; choose from {TABLE1_PROGRAMS}"
+    )
+
+
 def table1_measured(
     p: int = 256, m: int = 16, L: float = 8.0, seed: int = 0, jobs: int = 1,
 ) -> Dict[str, Any]:
@@ -58,7 +88,6 @@ def table1_measured(
     is accepted for registry uniformity).
     """
     from repro import BSPg, BSPm, QSMg, QSMm
-    from repro.algorithms import broadcast, one_to_all, summation
 
     local, global_ = MachineParams.matched_pair(p=p, m=m, L=L)
     machines = {
@@ -68,27 +97,25 @@ def table1_measured(
         "bsp_g": BSPg(local),
     }
     out: Dict[str, Any] = {"p": p, "m": m, "L": L, "g": local.g, "times": {}}
-    for prob, runner in {
-        "one_to_all": lambda mach: one_to_all(mach).time,
-        "broadcast": lambda mach: broadcast(mach, 1).time,
-        "summation": lambda mach: summation(mach, [1.0] * p)[0].time,
-    }.items():
+    for prob in TABLE1_PROGRAMS:
         out["times"][prob] = {}
         for name, mach in machines.items():
             mach.shared_memory.clear()
-            out["times"][prob][name] = runner(mach)
+            out["times"][prob][name] = table1_program(prob, mach).time
     return out
 
 
-def _unbalanced_send_trial(rel, m: int, epsilon: float, seed) -> Dict[str, Any]:
-    """One Unbalanced-Send trial: T/OPT ratio against the (cached) offline
-    optimum plus the overload indicator."""
+def _unbalanced_send_trial(
+    rel, optimal: float, m: int, epsilon: float, seed
+) -> Dict[str, Any]:
+    """One Unbalanced-Send trial: T/OPT ratio against the workload's
+    offline-optimal completion time ``optimal`` plus the overload
+    indicator."""
     from repro.scheduling import evaluate_schedule, unbalanced_send
 
-    opt = cached_offline_report(rel, m)
     rep = evaluate_schedule(unbalanced_send(rel, m, epsilon, seed=seed), m=m)
     return {
-        "ratio": rep.completion_time / opt.completion_time,
+        "ratio": rep.completion_time / optimal,
         "overloaded": int(rep.overloaded),
     }
 
@@ -109,7 +136,11 @@ def unbalanced_send_vs_optimal(
 ) -> Dict[str, Any]:
     """Theorem 6.2: Unbalanced-Send ratio to the offline optimum across the
     benchmark's four workload shapes."""
-    from repro.scheduling import bsp_g_routing_time
+    from repro.scheduling import (
+        bsp_g_routing_time,
+        evaluate_schedule,
+        offline_optimal_schedule,
+    )
     from repro.workloads import (
         balanced_h_relation,
         one_to_all_relation,
@@ -127,13 +158,18 @@ def unbalanced_send_vs_optimal(
         "zipf": zipf_h_relation(p, n, alpha=1.2, seed=wseed("zipf")),
         "one_to_all": one_to_all_relation(p),
     }
-    # Warm the offline-schedule cache before the fan-out: forked workers
-    # inherit the entries, so every trial's optimum is a cache hit.
-    opts = {name: cached_offline_report(rel, m) for name, rel in cases.items()}
+    # one offline optimum per workload, handed to its trials as a parameter
+    optimal = {
+        name: evaluate_schedule(offline_optimal_schedule(rel, m), m=m).completion_time
+        for name, rel in cases.items()
+    }
     spec = SweepSpec(
         name="unbalanced_send",
         fn=_unbalanced_send_trial,
-        grid={name: {"rel": rel} for name, rel in cases.items()},
+        grid={
+            name: {"rel": rel, "optimal": optimal[name]}
+            for name, rel in cases.items()
+        },
         trials=trials,
         common={"m": m, "epsilon": epsilon},
         seed=seed,
@@ -148,11 +184,11 @@ def unbalanced_send_vs_optimal(
         ratios = [t["ratio"] for t in done]
         overloads = sum(t["overloaded"] for t in done)
         out["workloads"][name] = {
-            "optimal": opts[name].completion_time,
+            "optimal": optimal[name],
             "mean_ratio": float(np.mean(ratios)) if ratios else float("nan"),
             "max_ratio": float(np.max(ratios)) if ratios else float("nan"),
             "overload_rate": overloads / len(done) if done else float("nan"),
-            "bsp_g_ratio": bsp_g_routing_time(rel, g) / opts[name].completion_time,
+            "bsp_g_ratio": bsp_g_routing_time(rel, g) / optimal[name],
         }
     if sweep.skipped:
         out["sweep_errors"] = _sweep_errors(sweep)

@@ -191,32 +191,17 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    from repro import BSPg, BSPm, QSMg, QSMm
-    from repro.algorithms import broadcast, one_to_all, summation
+    from repro.experiments import table1_measured
 
-    local, global_ = MachineParams.matched_pair(p=args.p, m=args.m, L=args.L)
-    machines = {
-        "QSM(m)": QSMm(global_),
-        "QSM(g)": QSMg(local),
-        "BSP(m)": BSPm(global_),
-        "BSP(g)": BSPg(local),
-    }
-    problems: Dict[str, Callable] = {
-        "one-to-all": lambda mach: one_to_all(mach).time,
-        "broadcast": lambda mach: broadcast(mach, 1).time,
-        "summation": lambda mach: summation(mach, [1.0] * args.p)[0].time,
-    }
+    res = table1_measured(p=args.p, m=args.m, L=args.L)
+    columns = {"qsm_m": "QSM(m)", "qsm_g": "QSM(g)", "bsp_m": "BSP(m)", "bsp_g": "BSP(g)"}
     table = Table(
-        ["problem"] + list(machines),
-        title=f"measured model times (p = n = {args.p}, m = {args.m}, "
-        f"g = {local.g:g}, L = {args.L:g})",
+        ["problem"] + list(columns.values()),
+        title=f"measured model times (p = n = {res['p']}, m = {res['m']}, "
+        f"g = {res['g']:g}, L = {res['L']:g})",
     )
-    for name, run in problems.items():
-        row = [name]
-        for mach_name, mach in machines.items():
-            mach.shared_memory.clear()
-            row.append(run(mach))
-        table.add_row(row)
+    for prob, times in res["times"].items():
+        table.add_row([prob.replace("_", "-")] + [times[k] for k in columns])
     print(table.render())
     return 0
 
@@ -421,29 +406,16 @@ def _profile_workloads() -> Dict[str, Callable[[], None]]:
     }
 
 
-#: ``--workload`` spellings accepted for compatibility with the docs
-_WORKLOAD_ALIASES = {"routing": "route", "qsm": "qsm-phases"}
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
     workloads = _profile_workloads()
-    name = args.workload_flag or args.workload
-    if name is None:
-        print(
-            "error: no workload selected (pass one positionally or via "
-            "--workload; \"list\" enumerates)",
-            file=sys.stderr,
-        )
-        return 2
-    name = _WORKLOAD_ALIASES.get(name, name)
-    if name == "list":
+    if args.workload == "list":
         for wname in workloads:
             print(wname)
         return 0
-    run = workloads[name]
+    run = workloads[args.workload]
     run()  # warm-up: imports and first-call caches stay out of the profile
     profiler = cProfile.Profile()
     profiler.enable()
@@ -737,16 +709,9 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     cls_name, wants_global = _LEDGER_MODELS[args.model]
     machine = getattr(repro, cls_name)(global_ if wants_global else local)
 
-    def run_program() -> None:
-        from repro.algorithms import broadcast, one_to_all, summation
-
-        if args.program == "one-to-all":
-            one_to_all(machine)
-        elif args.program == "broadcast":
-            broadcast(machine, 1)
-        elif args.program == "summation":
-            summation(machine, [1.0] * args.p)
-        else:  # route
+    ledger = LoadLedger()
+    with ledger_scope(ledger):
+        if args.program == "route":
             from repro.scheduling import unbalanced_send
             from repro.scheduling.execute import execute_schedule
             from repro.workloads import uniform_random_relation
@@ -754,10 +719,10 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
             rel = uniform_random_relation(args.p, args.n, seed=seed)
             sched = unbalanced_send(rel, args.m, args.epsilon, seed=seed)
             execute_schedule(machine, sched)
+        else:
+            from repro.experiments import table1_program
 
-    ledger = LoadLedger()
-    with ledger_scope(ledger):
-        run_program()
+            table1_program(args.program.replace("-", "_"), machine)
     print(
         f"# {args.program} on {cls_name} "
         f"(p={args.p}, m={args.m}, g={local.g:g}, L={args.L:g}, seed={seed})"
@@ -794,12 +759,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """``repro cache {stats,clear,path}`` — the memo cache and its
-    persistent disk store (see docs/serving.md)."""
+    """``repro cache {stats,clear,path}`` — the serve daemon's persistent
+    response store (see docs/serving.md)."""
     import json
 
     from repro.store import default_store_path, summarize_store, wipe_store
-    from repro.sweep import cache_stats, clear_cache
 
     path = args.dir if args.dir else default_store_path()
     if args.action == "path":
@@ -807,33 +771,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.action == "clear":
         removed = wipe_store(path)
-        clear_cache()
         if args.json:
             print(json.dumps({"path": path, "entries_removed": removed}))
         else:
             print(f"removed {removed} entr{'y' if removed == 1 else 'ies'} from {path}")
         return 0
-    # stats: the in-memory tier of THIS process plus the shared on-disk
-    # footprint.  summarize_store() only reads — it never opens the store,
-    # so a tag mismatch is reported, not acted on.
-    mem = cache_stats()
+    # stats: the on-disk footprint.  summarize_store() only reads — it
+    # never opens the store, so a tag mismatch is reported, not acted on.
     disk = summarize_store(path)
     if args.json:
-        print(json.dumps({
-            "memory": {
-                "hits": mem.hits,
-                "misses": mem.misses,
-                "hit_rate": mem.hit_rate,
-                "entries": mem.entries,
-                "disk_hits": mem.disk_hits,
-            },
-            "disk": disk,
-        }, indent=2))
+        print(json.dumps({"disk": disk}, indent=2))
         return 0
-    table = Table(["metric", "value"], title="memo cache")
-    table.add_row(["memory hits / misses", f"{mem.hits} / {mem.misses}"])
-    table.add_row(["memory entries", mem.entries])
-    table.add_row(["disk hits (this process)", mem.disk_hits])
+    table = Table(["metric", "value"], title="response store")
     table.add_row(["store path", disk["path"]])
     table.add_row(["store exists", str(disk["exists"])])
     table.add_row(["store entries", disk["entries"]])
@@ -976,22 +925,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument(
         "workload",
-        nargs="?",
-        default=None,
         choices=["route", "qsm-phases", "delivery", "schedule",
                  "algorithms", "dynamic", "batch", "list"],
-        help='workload to profile ("list" to enumerate)',
-    )
-    pr.add_argument(
-        "--workload",
-        dest="workload_flag",
-        default=None,
-        choices=["routing", "qsm", "algorithms", "dynamic", "batch"],
-        help="workload selector covering the vectorized hot paths "
-        "(routing = route, qsm = qsm-phases, algorithms = the "
+        help='workload to profile ("list" to enumerate): algorithms = the '
         "bench_algorithms_e2e profiles, dynamic = a 100k-interval "
         "run_dynamic horizon, batch = a B=64 batched replay of one "
-        "compiled routing program); wins over the positional",
+        "compiled routing program",
     )
     pr.add_argument(
         "--top", type=_positive_int, default=20,
@@ -1077,14 +1016,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ca = sub.add_parser(
         "cache",
-        help="inspect or clear the memo cache and its persistent disk store",
+        help="inspect or clear the serve daemon's persistent response store",
     )
     ca.add_argument(
         "action",
         choices=["stats", "clear", "path"],
-        help="stats: counters + on-disk footprint; clear: wipe the disk "
-        "store (and this process's in-memory entries); path: print the "
-        "store directory",
+        help="stats: the store's on-disk footprint; clear: wipe the "
+        "store; path: print the store directory",
     )
     ca.add_argument(
         "--dir", default=None, metavar="PATH",
@@ -1148,9 +1086,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--store-dir", default=None, metavar="PATH",
-        help="persistent store of the daemon's responses only (default: "
-        "$REPRO_CACHE_DIR or ~/.cache/repro/store); REPRO_PERSISTENT_CACHE=1 "
-        "adds the memo cache's disk tier",
+        help="persistent store of the daemon's responses (default: "
+        "$REPRO_CACHE_DIR or ~/.cache/repro/store)",
     )
     sv.add_argument(
         "--no-store", action="store_true",
@@ -1283,11 +1220,5 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # REPRO_PERSISTENT_CACHE=1 backs the memo cache with the shared disk
-    # store for this invocation, whatever the subcommand (serve included:
-    # its --store-dir store holds only the daemon's response entries)
-    from repro.store import maybe_enable_from_env
-
-    maybe_enable_from_env()
     with _observe(args):
         return args.func(args)

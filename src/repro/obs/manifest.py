@@ -3,9 +3,9 @@
 Every ``--trace``/``--metrics`` CLI run writes a small JSON manifest next
 to its artifacts (``<artifact>.manifest.json``) recording the command, its
 parameters, the effective seed expression, the git SHA of the tree that
-produced it, the penalty family in force, the memo-cache hit rate, and the
-artifact paths.  A BENCH number plus its manifest is a complete recipe:
-check out the SHA, rerun the command with the recorded seed.
+produced it, the penalty family in force, and the artifact paths.  A BENCH
+number plus its manifest is a complete recipe: check out the SHA, rerun
+the command with the recorded seed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ __all__ = [
     "write_manifest",
 ]
 
-MANIFEST_SCHEMA_VERSION = 1
+#: 1 = the original record; 2 drops the memo-cache ``cache`` block
+MANIFEST_SCHEMA_VERSION = 2
 
 
 #: the directory of the ``repro`` package — its checkout's SHA is the
@@ -72,14 +73,8 @@ def build_manifest(
 ) -> Dict[str, Any]:
     """Assemble a manifest dict.
 
-    ``seed`` may be an int or a ``describe_seed`` expression string; the
-    memo-cache hit/miss totals are read from :mod:`repro.sweep.cache` at
-    call time (process-wide counters — for a CLI run, the run itself).
+    ``seed`` may be an int or a ``describe_seed`` expression string.
     """
-    from repro.sweep.cache import cache_stats
-
-    stats = cache_stats()
-    total = stats.hits + stats.misses
     manifest: Dict[str, Any] = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_unix": time.time(),
@@ -89,11 +84,6 @@ def build_manifest(
         "seed": _json_safe(seed),
         "jobs": jobs,
         "penalty_family": penalty,
-        "cache": {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "hit_rate": stats.hits / total if total else 0.0,
-        },
         "trace_path": trace_path,
         "metrics_path": metrics_path,
     }

@@ -155,8 +155,6 @@ class FileSource:
             "utilization": d.get("utilization"),
             "jobs": d.get("jobs"),
             "counters": {
-                "cache.hits": (d.get("cache") or {}).get("hits", 0),
-                "cache.misses": (d.get("cache") or {}).get("misses", 0),
                 "errors.skipped": (d.get("errors") or {}).get("skipped", 0),
                 "errors.retries": (d.get("errors") or {}).get("retries", 0),
             },

@@ -1,10 +1,11 @@
-"""Crash-safe persistent key/value store backing the sweep memo cache.
+"""Crash-safe persistent key/value store of the serve daemon's responses.
 
-``repro.store`` generalizes the per-process memo cache of
-:mod:`repro.sweep.cache` to a disk-backed LRU shared across processes and
-daemon restarts: atomic temp-file + rename writes, checksum-verified
-entries where corruption reads as a miss, and git-SHA-tagged invalidation
-via the :mod:`repro.obs` manifest machinery.  See ``docs/serving.md``.
+``repro.store`` is a disk-backed LRU shared across processes and daemon
+restarts: atomic temp-file + rename writes, checksum-verified entries
+where corruption reads as a miss, and git-SHA-tagged invalidation via the
+:mod:`repro.obs` manifest machinery.  ``repro serve`` keeps its
+``("response", fingerprint)`` answers in it and ``repro cache`` manages
+it.  See ``docs/serving.md``.
 
 Exports load on first access (:mod:`repro._lazy`).
 """
@@ -20,12 +21,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "default_store_tag",
         "summarize_store",
         "wipe_store",
-    ],
-    "repro.store.persistent": [
-        "active_store",
-        "configure_persistent_cache",
-        "disable_persistent_cache",
-        "maybe_enable_from_env",
-        "persistent_cache_scope",
     ],
 })

@@ -1,8 +1,9 @@
-"""Crash-safe persistent LRU store: the on-disk tier of the memo cache.
+"""Crash-safe persistent LRU store: the serve daemon's response cache.
 
-The in-memory memo cache in :mod:`repro.sweep.cache` dies with its process;
-this module gives the same keys a disk-backed tier shared across processes
-and across daemon restarts.  Design constraints, in order:
+``repro serve`` answers a repeated request from this store instead of
+recomputing it; the entries outlive the process, so they are shared
+across processes and across daemon restarts.  Design constraints, in
+order:
 
 * **Crash safety.**  Every entry is written to a temporary file in the same
   directory and published with one atomic ``os.replace`` — a process killed
@@ -28,9 +29,9 @@ and across daemon restarts.  Design constraints, in order:
   the bounds can be overshot by fewer than ``(w - 1) · RESCAN_EVERY``
   entries between scans; every scan evicts back within them.
 
-Keys are tuples of primitives (the sweep cache's
-``(rel.fingerprint(), m, ...)`` shapes); the full key is stored inside the
-entry and compared on read, so a digest collision degrades to a miss.
+Keys are tuples of primitives (the daemon's ``("response", fingerprint)``);
+the full key is stored inside the entry and compared on read, so a digest
+collision degrades to a miss.
 
 The ``io_fault`` hook exists for the chaos harness: a callable invoked
 before every disk touch that may raise :class:`OSError` (e.g. a simulated

@@ -1,16 +1,16 @@
 """Parallel sweep engine: multiprocess trial fan-out with deterministic
-seeding, schedule-result caching, and sweep telemetry.
+seeding and sweep telemetry.
 
 The layer between a single priced superstep and a paper-scale experiment:
 Monte Carlo trials and parameter grids expand into pure, independently
 seeded :class:`TrialTask` units (:mod:`repro.sweep.spec`), execute where
 ``jobs`` places them (:mod:`repro.sweep.backends`) — a work-stealing
 persistent worker pool (``pool-steal``) for ``jobs > 1``, a bit-identical
-in-process run (``serial``) for ``jobs=1`` — share expensive
-offline-optimal intermediates through a keyed memo cache
-(:mod:`repro.sweep.cache`), and come back as a
-columnar :class:`SweepResult` with wall-time / utilization / steal / cache
-telemetry (:mod:`repro.sweep.telemetry`).  See ``docs/performance.md``.
+in-process run (``serial``) for ``jobs=1`` — and come back as a columnar
+:class:`SweepResult` with wall-time / utilization / steal telemetry
+(:mod:`repro.sweep.telemetry`).  A trial gets everything it shares with
+its siblings (a relation, its offline optimum) through its parameters.
+See ``docs/performance.md``.
 
 Quickstart::
 
@@ -28,15 +28,6 @@ Quickstart::
     print(result.telemetry())
 """
 
-from repro.sweep.cache import (
-    CacheStats,
-    cache_stats,
-    cached_offline_report,
-    cached_offline_schedule,
-    clear_cache,
-    persistent_store,
-    set_persistent_store,
-)
 from repro.sweep.runner import (
     TrialExecutionError,
     parse_on_error,
@@ -57,11 +48,4 @@ __all__ = [
     "TrialExecutionError",
     "SweepResult",
     "TrialRecord",
-    "cached_offline_schedule",
-    "cached_offline_report",
-    "cache_stats",
-    "clear_cache",
-    "persistent_store",
-    "set_persistent_store",
-    "CacheStats",
 ]

@@ -8,7 +8,7 @@ owns *placement* — where the trial functions actually execute:
 ``serial``      in-process, in order; the bit-identity reference
 ``pool-steal``  persistent worker pool, shared task queue
                 (self-scheduling / work-stealing), per-task dispatch,
-                warm-started memo cache, exact per-task death accounting
+                exact per-task death accounting
 ========== =============================================================
 
 ``jobs`` alone picks between them: ``serial`` for ``jobs=1`` or a sweep

@@ -27,7 +27,7 @@ honor one contract:
 The per-trial execution core (:func:`execute_task`, :func:`attempt_task`,
 :func:`error_payload_for`) lives here so every backend — and every
 worker process — runs trials through exactly the same code path:
-metrics/tracer/ledger scratch capture, memo-cache counter deltas, and the
+metrics/tracer/ledger scratch capture, wall timing, and the
 retry-until-skip error policy.  Observability capture is uniform across
 backends: a trial always runs against *scratch* instruments (masking
 whatever is installed in the executing process) and ships the dumps back
@@ -94,23 +94,22 @@ def execute_task(
     collect_metrics: bool = False,
     collect_spans: bool = False,
     collect_ledger: bool = False,
-) -> Tuple[Any, float, int, int, int, Optional[dict], Optional[dict], Optional[dict]]:
-    """Run one trial, timing it and snapshotting the memo-cache counters.
+) -> Tuple[Any, float, int, Optional[dict], Optional[dict], Optional[dict]]:
+    """Run one trial and time it.
 
-    Each ``collect_*`` flag runs the trial against a *fresh scratch*
+    Returns ``(value, wall_s, pid, metrics, spans, ledger)``.  Each
+    ``collect_*`` flag runs the trial against a *fresh scratch*
     instrument — a :class:`~repro.obs.metrics.MetricsRegistry`, a
     :class:`~repro.obs.tracer.Tracer`, a
     :class:`~repro.obs.ledger.LoadLedger` — installed for the trial's
     duration (masking whatever the executing process had active), whose
-    dump ships back as payload elements six through eight.  The runner
-    merges those dumps in task order on every backend, so ``jobs=N``
-    aggregates, span trees, and ledgers are **bit-identical** to
-    ``jobs=1`` — same per-trial dumps, same merge order, no dependence
-    on float-summation association or worker scheduling.
+    dump ships back as payload elements four through six (``None`` when
+    not collected).  The runner merges those dumps in task order on every
+    backend, so ``jobs=N`` aggregates, span trees, and ledgers are
+    **bit-identical** to ``jobs=1`` — same per-trial dumps, same merge
+    order, no dependence on float-summation association or worker
+    scheduling.
     """
-    from repro.sweep import cache
-
-    before = cache.cache_stats()
     delta: Optional[dict] = None
     spans: Optional[dict] = None
     ledger_dump: Optional[dict] = None
@@ -136,12 +135,7 @@ def execute_task(
             spans = export_spans(scratch_t)
         if collect_ledger:
             ledger_dump = scratch_l.to_dict(per_proc=False)
-    after = cache.cache_stats()
-    return (
-        value, wall, os.getpid(),
-        after.hits - before.hits, after.misses - before.misses,
-        delta, spans, ledger_dump,
-    )
+    return value, wall, os.getpid(), delta, spans, ledger_dump
 
 
 def error_payload_for(

@@ -12,11 +12,9 @@ Why this replaces the fixed-chunk :class:`ProcessPoolExecutor` runner:
   ``BrokenProcessPool`` case) loses exactly the one dispatched in-flight
   task: the parent records that task as failed, spawns a replacement
   worker, and the central queue redistributes everything else;
-* **warm start** — workers are long-lived and initialized once with the
-  sweep's memo-cache snapshot (offline schedules + priced reports), so
-  every trial's optimum lookup is a cache hit exactly as in the serial
-  run: ``fork`` workers inherit the parent's warm cache for free, and
-  ``spawn`` workers get the snapshot shipped and installed explicitly;
+* **long-lived workers** — each worker is started once per sweep and
+  runs many tasks; trials are pure in their arguments, so a worker needs
+  no state beyond the task list it was started with;
 * **batched result drain** — the parent waits on every worker's result
   pipe at once and handles all that are ready, so result IPC amortizes
   like chunking did without chunking's scheduling downside.
@@ -35,8 +33,8 @@ lock.  One-deep dispatch costs a round-trip per task (~tens of µs) —
 noise against trial functions that run for milliseconds, and the price
 of never losing more than one task.
 
-Determinism: workers ship each trial's payload (value, wall time, cache
-deltas, metrics scratch dump) back tagged with its task index; the
+Determinism: workers ship each trial's payload (value, wall time, pid,
+observability scratch dumps) back tagged with its task index; the
 parent assembles ``outcomes`` in task order, so downstream results and
 metrics merges are bit-identical to the serial backend no matter how
 dispatch interleaved.
@@ -79,7 +77,6 @@ def _worker_main(
     collect_metrics: bool,
     mode: str,
     retries: int,
-    cache_snapshot: Optional[dict],
     collect_spans: bool = False,
     collect_ledger: bool = False,
 ) -> None:
@@ -90,18 +87,9 @@ def _worker_main(
     # the serial backend does.
     from repro.obs.ledger import uninstall_ledger
     from repro.obs.tracer import uninstall_tracer
-    from repro.sweep import cache
 
     uninstall_tracer()
     uninstall_ledger()
-    if cache_snapshot is not None:
-        # spawn-started worker: install the parent's warm memo cache and
-        # reattach the persistent tier if the environment asks for one
-        # (fork-started workers inherit both and ship no snapshot)
-        cache.install_entries(cache_snapshot)
-        from repro.store.persistent import maybe_enable_from_env
-
-        maybe_enable_from_env()
     pid = os.getpid()
     while True:
         idx = myq.get()
@@ -139,11 +127,6 @@ class PoolStealBackend:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             ctx = multiprocessing.get_context()
-        snapshot = None
-        if ctx.get_start_method() != "fork":  # pragma: no cover - non-Linux
-            from repro.sweep import cache
-
-            snapshot = cache.snapshot_entries()
 
         pending = deque(range(n))
         procs: Dict[int, Any] = {}
@@ -178,7 +161,7 @@ class PoolStealBackend:
             p = ctx.Process(
                 target=_worker_main,
                 args=(widx, tasks, queues[widx], sender, collect_metrics, mode,
-                      retries, snapshot, collect_spans, collect_ledger),
+                      retries, collect_spans, collect_ledger),
                 name=f"repro-sweep-worker-{widx}",
             )
             p.start()

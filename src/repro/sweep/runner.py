@@ -199,7 +199,7 @@ def run_sweep(
     worker_clocks: dict = {}  # pid -> back-to-back wall offset per worker
 
     def _append(task: TrialTask, payload, attempts: int = 1) -> None:
-        value, wall, pid, hits, misses, delta, spans, ledger_dump = payload
+        value, wall, pid, delta, spans, ledger_dump = payload
         results[task.index] = value
         records[task.index] = (
             TrialRecord(
@@ -208,8 +208,6 @@ def run_sweep(
                 trial=task.trial,
                 wall_time=wall,
                 worker=pid,
-                cache_hits=hits,
-                cache_misses=misses,
                 attempts=attempts,
             )
         )
@@ -266,8 +264,6 @@ def run_sweep(
                 trial=task.trial,
                 wall_time=0.0,
                 worker=pid,
-                cache_hits=0,
-                cache_misses=0,
                 attempts=attempts,
                 status="skipped",
                 error=cause_repr,
@@ -286,14 +282,14 @@ def run_sweep(
         """Re-expand one batch outcome onto its member tasks.
 
         A successful batch returns the per-member value list; its wall
-        time is split evenly (one fused pass has no per-member clock) and
-        its cache counters attach to the first member.  A failed batch is
-        re-run member-by-member in-process, so ``on_error`` semantics —
-        which trial raised, what gets skipped — stay exactly per trial.
+        time is split evenly (one fused pass has no per-member clock).  A
+        failed batch is re-run member-by-member in-process, so
+        ``on_error`` semantics — which trial raised, what gets skipped —
+        stay exactly per trial.
         """
         members = unit.members
         if status == "ok":
-            value, wall, pid, hits, misses, _, _, _ = payload
+            value, wall, pid, _, _, _ = payload
             if not isinstance(value, list) or len(value) != len(members):
                 got = (
                     f"list of {len(value)}"
@@ -305,21 +301,8 @@ def run_sweep(
                     f"a list of {len(members)} per-trial values"
                 )
             share = wall / len(members)
-            for j, (member, v) in enumerate(zip(members, value)):
-                _append(
-                    member,
-                    (
-                        v,
-                        share,
-                        pid,
-                        hits if j == 0 else 0,
-                        misses if j == 0 else 0,
-                        None,
-                        None,
-                        None,
-                    ),
-                    attempts,
-                )
+            for member, v in zip(members, value):
+                _append(member, (v, share, pid, None, None, None), attempts)
             return
         batch_stats["fallbacks"] += 1
         for member in members:

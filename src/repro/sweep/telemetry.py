@@ -1,11 +1,11 @@
 """Columnar sweep telemetry: per-trial wall time, worker attribution,
-cache effectiveness, and JSON export.
+error-policy outcomes, and JSON export.
 
 :class:`SweepResult` is the runner's return type.  Trial outputs are kept
 in task order (``results[i]`` belongs to ``tasks()[i]``, pool or serial),
 so downstream aggregation is deterministic.  Telemetry columns are
 structure-of-arrays (NumPy), matching the repo's columnar idiom: summaries
-(utilization, hit rate, slowest trial) are single vector reductions.
+(utilization, slowest trial) are single vector reductions.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ __all__ = ["TrialRecord", "SweepResult", "TELEMETRY_SCHEMA_VERSION"]
 #: (batched multi-trial execution: whether fingerprint grouping engaged,
 #: group count and sizes, dispatch units actually shipped to the backend,
 #: the trials-per-dispatch amortization ratio, and batches that fell back
-#: to per-trial execution after an error).
-TELEMETRY_SCHEMA_VERSION = 6
+#: to per-trial execution after an error); 7 drops the memo-cache
+#: counters — the ``cache`` block and the per-trial ``cache_hits``/
+#: ``cache_misses`` columns — since trials receive their shared inputs
+#: (e.g. a workload's offline optimum) as parameters and look nothing up.
+TELEMETRY_SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,6 @@ class TrialRecord:
     trial: int
     wall_time: float  # seconds inside the trial fn
     worker: int  # executing process id (-1: died before reporting one)
-    cache_hits: int  # memo-cache hits during this trial
-    cache_misses: int
     attempts: int = 1  # executions under on_error="retry:N" (1 = first try)
     status: str = "ok"  # "ok" | "skipped" (failed under skip/retry policy)
     error: str = ""  # repr of the final failure when skipped
@@ -116,19 +117,6 @@ class SweepResult:
         return int(np.unique(self.workers).size) if self.records else 0
 
     @property
-    def cache_hits(self) -> int:
-        return sum(r.cache_hits for r in self.records)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(r.cache_misses for r in self.records)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
     def skipped(self) -> int:
         """Trials that failed under ``on_error="skip"``/``"retry:N"``
         (their ``results`` entry is ``None``)."""
@@ -178,11 +166,6 @@ class SweepResult:
                 "mean": float(wt.mean()) if wt.size else 0.0,
                 "max": float(wt.max()) if wt.size else 0.0,
             },
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "hit_rate": self.cache_hit_rate,
-            },
             "errors": {
                 "skipped": self.skipped,
                 "retried": self.retried,
@@ -211,8 +194,6 @@ class SweepResult:
                 "trial": [r.trial for r in self.records],
                 "wall_s": [r.wall_time for r in self.records],
                 "worker": [r.worker for r in self.records],
-                "cache_hits": [r.cache_hits for r in self.records],
-                "cache_misses": [r.cache_misses for r in self.records],
                 "status": [r.status for r in self.records],
                 "attempts": [r.attempts for r in self.records],
                 "error": [r.error for r in self.records],

@@ -13,7 +13,6 @@ vectorized at millions of messages, per the HPC guides.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -138,19 +137,6 @@ class HRelation:
         """The global-bandwidth lower bound ``max(n/m, x̄, ȳ)``."""
         check_positive("m", m)
         return max(self.n / m, self.x_bar, self.y_bar)
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the message set (hex digest).
-
-        Two relations with identical ``(p, src, dest, length)`` share a
-        fingerprint in any process — the key the sweep engine's memo cache
-        uses to share offline-optimal schedules across grid points.
-        """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(str(self.p).encode())
-        for arr in (self.src, self.dest, self.length):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
 
     def concat(self, other: "HRelation") -> "HRelation":
         """Union of two message sets on the same machine."""

@@ -1,19 +1,13 @@
 """Tests for the two sweep placements: the one rule that picks between
-them, pool-steal/serial parity over every registered experiment,
-work-stealing behavior under a straggler, and warm-started memo caches."""
+them, pool-steal/serial parity over every registered experiment, and
+work-stealing behavior under a straggler."""
 
 import time
 
 import pytest
 
 from repro.experiments import run_experiment
-from repro.sweep import (
-    SweepSpec,
-    cached_offline_report,
-    clear_cache,
-    run_sweep,
-)
-from repro.workloads import uniform_random_relation
+from repro.sweep import SweepSpec, run_sweep
 
 from tests.test_sweep import SMALL_KWARGS
 
@@ -25,12 +19,6 @@ def _straggle(x, seed):
     if x == 0:
         time.sleep(0.25)  # one slow trial; the pool must not wait on it
     return x * x
-
-
-def _warm_lookup(m, seed):
-    rel = uniform_random_relation(8, 200, seed=123)  # fixed: every trial shares it
-    report = cached_offline_report(rel, m)
-    return float(report.completion_time)
 
 
 class TestRegistry:
@@ -88,46 +76,3 @@ class TestWorkStealing:
         # generous bound: far below 2 * 0.25s, which a chunked schedule
         # putting two stragglers in one chunk would exceed
         assert pooled.elapsed < 2.0
-
-
-class TestWarmStart:
-    def test_pool_workers_inherit_warm_cache(self):
-        """After a warm-up, fork-started pool workers answer every memo
-        lookup from the inherited cache — the per-trial hit telemetry is
-        exactly the serial run's."""
-        clear_cache()
-        rel = uniform_random_relation(8, 200, seed=123)
-        cached_offline_report(rel, 16)  # warm the parent cache
-        spec = SweepSpec(
-            name="warm", fn=_warm_lookup, grid=[{"m": 16}], trials=6, seed=0
-        )
-        serial = run_sweep(spec, jobs=1)
-        pooled = run_sweep(spec, jobs=2)
-        assert pooled.results == serial.results
-        s_cache = serial.telemetry()["cache"]
-        p_cache = pooled.telemetry()["cache"]
-        assert s_cache == p_cache
-        assert p_cache["hit_rate"] == 1.0
-        assert p_cache["misses"] == 0
-        # per-trial accounting matches too, not just the aggregate
-        assert [r.cache_hits for r in pooled.records] == [
-            r.cache_hits for r in serial.records
-        ]
-
-    def test_snapshot_roundtrip(self):
-        """The spawn-path warm start: snapshot + install reproduces the
-        hit behavior without fork inheritance."""
-        from repro.sweep import cache
-
-        clear_cache()
-        rel = uniform_random_relation(8, 200, seed=123)
-        cached_offline_report(rel, 16)
-        snap = cache.snapshot_entries()
-        assert snap["schedules"] and snap["reports"]
-        clear_cache()
-        cache.install_entries(snap)
-        before = cache.cache_stats()
-        cached_offline_report(rel, 16)
-        after = cache.cache_stats()
-        assert after.hits == before.hits + 1  # answered by the report layer
-        assert after.misses == before.misses

@@ -1,6 +1,8 @@
 """Tests for the programmatic experiment registry."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,12 @@ from repro.experiments import (
     list_experiments,
     run_experiment,
 )
+
+from tests.test_sweep import SMALL_KWARGS
+
+#: ``run_experiment(name, seed=42, jobs=1, **SMALL_KWARGS[name])`` for every
+#: registered experiment, recorded before the sweep memo cache was removed
+GOLDEN_PATH = Path(__file__).with_name("golden_experiments.json")
 
 
 class TestRegistry:
@@ -53,6 +61,38 @@ class TestRegistry:
         a = run_experiment("unbalanced_send", p=128, m=16, n=5000, trials=3, seed=7)
         b = run_experiment("unbalanced_send", p=128, m=16, n=5000, trials=3, seed=7)
         assert a == b
+
+
+def _assert_matches(got, want, path):
+    """Ints, bools and strings exactly; floats to ``rel=1e-12``, because
+    ``DynamicResult.backlog_slope`` sums with ``np.dot``, whose last bit
+    may differ across CPUs."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float and math.isclose(got, want, rel_tol=1e-12), (
+            f"{path}: {got!r} != {want!r}"
+        )
+    else:
+        assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
+
+
+class TestGoldenOutputs:
+    """Every registered experiment's output, pinned: a change that moves a
+    ratio, a model time or a flag fails here, not only a change that makes
+    the pool disagree with the serial run."""
+
+    @pytest.mark.parametrize("name", sorted(SMALL_KWARGS))
+    def test_matches_golden(self, name):
+        want = json.loads(GOLDEN_PATH.read_text())[name]
+        out = run_experiment(name, seed=42, jobs=1, **SMALL_KWARGS[name])
+        _assert_matches(json.loads(json.dumps(out, default=float)), want, name)
 
 
 class TestExperimentShapes:

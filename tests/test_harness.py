@@ -103,6 +103,20 @@ class TestBackendFlag:
         assert "usage:" in capsys.readouterr().err
 
 
+class TestProfileWorkload:
+    def test_workload_option_is_a_usage_error(self, capsys):
+        # the positional is the one workload selector
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--workload", "routing"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_list_enumerates(self, capsys):
+        assert main(["profile", "list"]) == 0
+        out = capsys.readouterr().out.split()
+        assert out[0] == "route" and "batch" in out
+
+
 class TestOnErrorFlag:
     def test_invalid_policy_is_usage_error(self, capsys):
         assert main(["experiment", "leader_gap", "--on-error", "bogus"]) == 2

@@ -531,7 +531,7 @@ class TestSweepObservability:
     def test_telemetry_schema_and_seed(self):
         result = run_sweep(_chaos_spec(trials=2), jobs=1)
         tel = result.telemetry()
-        assert tel["schema_version"] == TELEMETRY_SCHEMA_VERSION == 6
+        assert tel["schema_version"] == TELEMETRY_SCHEMA_VERSION == 7
         assert tel["seed"] == 7
         assert tel["jobs"] == 1
 
@@ -540,7 +540,7 @@ class TestSweepObservability:
         path = tmp_path / "sweep.json"
         result.to_json(str(path))
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 6 and doc["seed"] == 7
+        assert doc["schema_version"] == 7 and doc["seed"] == 7
         assert len(doc["trial_columns"]["wall_s"]) == 2
         # no ledger installed -> the v5 block is present but null
         assert doc["ledger"] is None
@@ -864,11 +864,11 @@ class TestManifest:
             penalty="exponential",
             trace_path="t.json",
         )
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         assert manifest["command"] == "chaos"
         assert manifest["seed"] == "SeedSequence(entropy=7)"
         assert manifest["penalty_family"] == "exponential"
-        assert set(manifest["cache"]) == {"hits", "misses", "hit_rate"}
+        assert "cache" not in manifest
         assert manifest["params"]["p"] == 64
         assert isinstance(manifest["params"]["plan"], str)  # repr-coerced
         json.dumps(manifest)  # JSON-serializable end to end

@@ -1,11 +1,10 @@
 """Crash-safety and recovery tests of the persistent disk store
-(:mod:`repro.store`) and its integration with the sweep memo cache."""
+(:mod:`repro.store`)."""
 
 from __future__ import annotations
 
 import errno
 import os
-import pickle
 import sys
 import threading
 
@@ -13,16 +12,11 @@ import pytest
 
 from repro.store import (
     DiskStore,
-    configure_persistent_cache,
     default_store_tag,
-    disable_persistent_cache,
-    maybe_enable_from_env,
-    persistent_cache_scope,
     summarize_store,
     wipe_store,
 )
 from repro.store.disk import (
-    _ENTRIES_DIR,
     _SUFFIX,
     _TMP_PREFIX,
     _encode_entry,
@@ -244,7 +238,8 @@ class TestCrashRecovery:
         value = {"report": [1.0, 2.0, 3.0], "time": 7.25}
         store.put(key, value)
         path = store._entry_path(key)
-        original = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            original = fh.read()
         with open(path, "wb") as fh:
             fh.write(mutate(original))
 
@@ -257,7 +252,8 @@ class TestCrashRecovery:
         # with a bit-identical payload
         store.put(key, value)
         assert store.get(key) == (True, value)
-        assert open(path, "rb").read() == original
+        with open(path, "rb") as fh:
+            assert fh.read() == original
 
     def test_digest_collision_degrades_to_miss(self, store):
         key = ("real", 1)
@@ -328,55 +324,3 @@ class TestInvalidation:
         assert info["tag"] == "old" and info["entries"] == 1
         # summarizing under a different current tag must not wipe
         assert DiskStore(root, tag="old").get(("k",)) == (True, 1)
-
-
-class TestPersistentCacheTier:
-    """The two-tier memo cache: disk hits repopulate memory and are
-    bit-identical to the in-memory value."""
-
-    def test_offline_schedule_survives_memory_clear(self, tmp_path):
-        from repro.sweep.cache import (
-            cache_stats,
-            cached_offline_schedule,
-            clear_cache,
-        )
-        from repro.workloads import uniform_random_relation
-
-        rel = uniform_random_relation(8, 200, seed=3)
-        store = DiskStore(str(tmp_path / "s"), tag="t")
-        with persistent_cache_scope(store=store):
-            clear_cache()
-            first = cached_offline_schedule(rel, 4)
-            clear_cache()  # drop the in-memory tier only
-            again = cached_offline_schedule(rel, 4)
-            stats = cache_stats()
-        assert stats.disk_hits == 1
-        assert (first.flit_slots == again.flit_slots).all()
-        assert first.algorithm == again.algorithm
-
-    def test_scope_restores_previous_tier(self, tmp_path):
-        from repro.sweep.cache import persistent_store
-
-        before = persistent_store()
-        with persistent_cache_scope(str(tmp_path / "s")):
-            assert persistent_store() is not None
-        assert persistent_store() is before
-
-    def test_env_gate(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_CACHE", "0")
-        assert maybe_enable_from_env() is None
-        monkeypatch.setenv("REPRO_PERSISTENT_CACHE", "1")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envstore"))
-        try:
-            store = maybe_enable_from_env()
-            assert store is not None
-            assert str(tmp_path / "envstore") in store.root
-        finally:
-            disable_persistent_cache()
-
-    def test_configure_and_disable(self, tmp_path):
-        try:
-            store = configure_persistent_cache(str(tmp_path / "s"))
-            assert store.put(("smoke",), 1)
-        finally:
-            disable_persistent_cache()

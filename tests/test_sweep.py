@@ -1,5 +1,5 @@
 """Tests for the parallel sweep engine: seed derivation, spec expansion,
-pool-vs-serial bit-identity, worker-crash surfacing, memo cache, telemetry."""
+pool-vs-serial bit-identity, worker-crash surfacing, telemetry."""
 
 import json
 
@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 
 from repro.experiments import list_experiments, run_experiment
-from repro.scheduling import evaluate_schedule, offline_optimal_schedule
 from repro.sweep import (
     SweepSpec,
     TrialExecutionError,
-    cache_stats,
-    cached_offline_report,
-    cached_offline_schedule,
-    clear_cache,
     grid_points,
     parse_on_error,
     resolve_jobs,
@@ -350,57 +345,6 @@ class TestOnErrorPolicy:
             run_sweep(spec, jobs=1, on_error="explode")
 
 
-class TestMemoCache:
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        clear_cache()
-        yield
-        clear_cache()
-
-    def test_schedule_hit_on_second_call(self):
-        rel = uniform_random_relation(64, 2000, seed=5)
-        a = cached_offline_schedule(rel, 8)
-        b = cached_offline_schedule(rel, 8)
-        assert b is a
-        stats = cache_stats()
-        assert stats.hits == 1 and stats.misses == 1
-        assert stats.hit_rate == 0.5
-
-    def test_report_matches_direct_evaluation(self):
-        rel = uniform_random_relation(64, 2000, seed=5)
-        cached = cached_offline_report(rel, 8, L=2.0)
-        direct = evaluate_schedule(offline_optimal_schedule(rel, 8), m=8, L=2.0)
-        assert cached.to_dict() == direct.to_dict()
-
-    def test_pricing_variants_share_the_schedule(self):
-        from repro.core.costs import LINEAR
-
-        rel = uniform_random_relation(64, 2000, seed=5)
-        cached_offline_report(rel, 8, L=1.0)
-        before = cache_stats()
-        cached_offline_report(rel, 8, L=4.0)  # new report key, same schedule
-        cached_offline_report(rel, 8, L=1.0, penalty=LINEAR)
-        after = cache_stats()
-        # each variant re-prices (report miss) but hits the schedule layer
-        assert after.hits == before.hits + 2
-        assert after.entries == before.entries + 2  # only new reports stored
-
-    def test_distinct_relations_do_not_collide(self):
-        a = uniform_random_relation(64, 2000, seed=1)
-        b = uniform_random_relation(64, 2000, seed=2)
-        assert a.fingerprint() != b.fingerprint()
-        ra = cached_offline_report(a, 8)
-        rb = cached_offline_report(b, 8)
-        assert ra.completion_time != rb.completion_time or ra is not rb
-
-    def test_clear_resets_counters(self):
-        rel = uniform_random_relation(64, 1000, seed=3)
-        cached_offline_schedule(rel, 8)
-        clear_cache()
-        stats = cache_stats()
-        assert stats.hits == stats.misses == stats.entries == 0
-
-
 class TestTelemetry:
     def _result(self, jobs=1):
         spec = SweepSpec(
@@ -421,7 +365,7 @@ class TestTelemetry:
         tel = self._result().telemetry()
         json.dumps(tel)
         assert tel["trials"] == 8
-        assert set(tel["cache"]) == {"hits", "misses", "hit_rate"}
+        assert "cache" not in tel
 
     def test_to_json_roundtrip(self, tmp_path):
         path = tmp_path / "sweep.json"
