@@ -40,9 +40,10 @@ Identity is asserted everywhere; the floor only where ``cores >= jobs``.
 
 The run also times the **batched** block: ``pricing_ablation`` (one
 compiled routing program re-priced over a 64-cell ``(m, L)`` grid) with
-``batch=False`` vs ``batch=True`` at ``jobs=1``.  Cell outputs
-must be identical (always asserted); the batched floor is gated only when
-fingerprint grouping actually engaged.
+``batch=False`` (one sweep trial per cell) vs ``batch=True`` (one fused
+``replay_batch`` pass) at ``jobs=1``.  Cell outputs must be identical
+(always asserted); the batched floor is gated only when the experiment
+reports that its fused pass ran.
 """
 
 import json
@@ -64,7 +65,7 @@ JOBS = [int(j) for j in os.environ.get("BENCH_SWEEP_JOBS", "1,2,4,8").split(",")
 SPEEDUP_FLOOR_4 = float(os.environ.get("BENCH_SWEEP_FLOOR", "2.5"))
 
 #: sweep-level floor of batch=True over batch=False on pricing_ablation
-#: (asserted only when fingerprint grouping engaged; identity always is)
+#: (asserted only when the fused pass ran; identity always is)
 BATCHED_SPEEDUP_FLOOR = float(os.environ.get("BENCH_SWEEP_BATCHED_FLOOR", "3.0"))
 
 
@@ -80,9 +81,9 @@ def _run(jobs: int):
 
 
 def _run_batched():
-    """pricing_ablation with batching off vs on: the whole-sweep view of
-    batched replay (setup + grouping + dispatch included, unlike the
-    engine bench's pure replay loop)."""
+    """pricing_ablation with batching off vs on: the whole-experiment view
+    of batched replay (routing setup and per-cell dispatch included,
+    unlike the engine bench's pure replay loop)."""
     from repro.experiments import pricing_ablation
 
     t0 = time.perf_counter()
@@ -195,7 +196,7 @@ def _check(data):
     if b:
         assert b["identical"], (
             "batched sweep output diverged from per-trial dispatch — "
-            "batch_run broke the bit-identity contract"
+            "the fused replay_batch pass broke the bit-identity contract"
         )
         if b["engaged"]:
             assert b["batched_speedup"] >= BATCHED_SPEEDUP_FLOOR, (

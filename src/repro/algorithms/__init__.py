@@ -51,7 +51,6 @@ from repro.algorithms.total_exchange import (
     chatting_schedule_distributed,
     total_exchange_lower_bound,
 )
-from repro.algorithms.primitives import Comm, BSPComm, QSMComm, comm_for
 
 __all__ = [
     "broadcast",
@@ -83,10 +82,6 @@ __all__ = [
     "PRAMTrace",
     "simulate_trace_on_qsm_m",
     "self_scheduling_transfer",
-    "Comm",
-    "BSPComm",
-    "QSMComm",
-    "comm_for",
     "latin_square_schedule",
     "chatting_schedule_centralized",
     "chatting_schedule_distributed",

@@ -1,7 +1,7 @@
 """Frozen scalar baselines for the vectorized algorithm programs.
 
 The algorithm layer (`sorting`, `sample_sort`, `list_ranking`,
-`one_to_all`, `qsm_on_bsp`, `primitives`) is written in the engine's
+`one_to_all`, `qsm_on_bsp`, `prefix`) is written in the engine's
 columnar idiom — ``send_many`` / ``read_many`` / ``write_many`` with
 explicit slot arrays and ``ctx.receive().payloads`` on the receive side.
 The porting contract is *bit-identical model times*: a batch program and
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import random as _random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.primitives import Comm, Key, OutTriple
 from repro.algorithms.qsm_on_bsp import SharedMemoryProxy, _owner
 from repro.algorithms.sorting import _NEG, _POS, local_sort_work
 from repro.core.engine import Machine, RunResult
@@ -40,8 +39,6 @@ __all__ = [
     "contraction_scalar",
     "emulation_scalar",
     "run_qsm_on_bsp_scalar",
-    "BSPCommScalar",
-    "QSMCommScalar",
     "sample_sort_scalar_program",
     "sample_sort_scalar",
     "reduce_tree_bsp_scalar",
@@ -475,41 +472,6 @@ def run_qsm_on_bsp_scalar(
         args=(qsm_program, args),
         per_proc_args=wrapped,
     )
-
-
-# ----------------------------------------------------------------------
-# keyed-exchange adapters
-# ----------------------------------------------------------------------
-
-
-class BSPCommScalar(Comm):
-    """Scalar twin of :class:`repro.algorithms.primitives.BSPComm`."""
-
-    phases = 1
-
-    def exchange(self, ctx, out: Iterable[OutTriple], expect: Sequence[Key] = ()):
-        for dest, key, value in out:
-            ctx.send(dest, (key, value), slot=ctx.stagger_slot())
-        yield
-        received: Dict[Key, Any] = {}
-        for msg in ctx.receive():
-            key, value = msg.payload
-            received[key] = value
-        return received
-
-
-class QSMCommScalar(Comm):
-    """Scalar twin of :class:`repro.algorithms.primitives.QSMComm`."""
-
-    phases = 2
-
-    def exchange(self, ctx, out: Iterable[OutTriple], expect: Sequence[Key] = ()):
-        for _dest, key, value in out:
-            ctx.write(key, value, slot=ctx.stagger_slot())
-        yield
-        handles = [(key, ctx.read(key, slot=ctx.stagger_slot())) for key in expect]
-        yield
-        return {key: h.value for key, h in handles}
 
 
 # ----------------------------------------------------------------------

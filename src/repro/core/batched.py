@@ -1,10 +1,11 @@
 """Batched multi-trial replay: one recorded schedule, B parameter points.
 
-Every Table-1/Section-5/Section-6 experiment is a sweep — the *same*
-straight-line program priced under many ``(g, m, L, penalty)`` points.
-:func:`replay_batch` is the sweeps' and experiments' entry point to
-:meth:`~repro.core.compiled.CompiledProgram.replay_batch`, the one replay
-loop: each frame is priced by one call of the model's
+Many experiments price the *same* straight-line program under many
+``(g, m, L, penalty)`` points.  :func:`replay_batch` is their entry
+point to :meth:`~repro.core.compiled.CompiledProgram.replay_batch`, the
+one replay loop; ``pricing_ablation`` prices its whole grid in one call,
+observed or not (the sweep runner fuses nothing itself).  Each frame is
+priced by one call of the model's
 :meth:`~repro.core.engine.Machine._price_batch`, which derives the
 superstep's structure (max work, per-processor ``h``, the slot-injection
 histogram, QSM contention) once and prices it under all B machines'

@@ -12,7 +12,10 @@ seeds are derived with :func:`repro.util.rng.derive_seed_sequence` on the
 stable path ``(experiment, point, trial)`` — never ``seed + t`` arithmetic,
 which collides across experiments sharing a root seed — and ``jobs > 1``
 executes trials on the work-stealing process pool with output
-bit-identical to ``jobs=1`` (pinned by ``tests/test_sweep.py``).
+bit-identical to ``jobs=1`` (pinned by ``tests/test_sweep.py``).  The
+one exception is ``pricing_ablation``, which prices its whole grid in one
+fused replay pass and runs the per-cell sweep only when asked
+(``batch=False``) or when that pass raises.
 
 The trial functions (module-level ``_*_trial`` / ``_*_point``) are the
 units of parallelism: pure in their arguments, picklable, seeded only
@@ -462,30 +465,37 @@ def _pricing_ablation_trial(
     compiled, model: str, g: float, m: int, L: float, seed
 ) -> Dict[str, Any]:
     """One pricing-ablation cell: replay the recorded schedule under one
-    ``(g, m, L)`` parameter point (deterministic — ``seed`` unused)."""
+    ``(g, m, L)`` parameter point (deterministic — ``seed`` unused).  The
+    per-cell sweep unit of ``pricing_ablation(batch=False)`` and of its
+    fallback."""
     return _replay_summary(compiled.replay(_ablation_machine(compiled, model, g, m, L)))
 
 
-def _pricing_ablation_batch(params_list, seeds) -> List[Dict[str, Any]]:
-    """Fused pricing-ablation pass: one :func:`repro.core.batched.replay_batch`
-    call prices the shared structure under every cell of the group."""
+def _pricing_ablation_batch(compiled, model: str, points) -> List[Dict[str, Any]]:
+    """The fused pass: one :func:`repro.core.batched.replay_batch` call
+    prices the shared structure under every grid point (looked up at call
+    time, so a wrapper installed on the name sees every pass)."""
     from repro.core.batched import replay_batch
 
-    compiled = params_list[0]["compiled"]
     machines = [
-        _ablation_machine(pp["compiled"], pp["model"], pp["g"], pp["m"], pp["L"])
-        for pp in params_list
+        _ablation_machine(compiled, model, pt["g"], pt["m"], pt["L"])
+        for pt in points
     ]
     return [_replay_summary(res) for res in replay_batch(compiled, machines)]
 
 
-def _pricing_ablation_fingerprint(params) -> Any:
-    """Cells sharing one compiled schedule and one model class fuse."""
-    return (id(params["compiled"]), params["model"])
-
-
-_pricing_ablation_trial.batch_run = _pricing_ablation_batch
-_pricing_ablation_trial.batch_fingerprint = _pricing_ablation_fingerprint
+def _batch_report(cells: int, fused: bool, fallbacks: int = 0) -> Dict[str, Any]:
+    """The ``batch`` block of :func:`pricing_ablation`: the grid went to
+    one fused unit of ``cells`` trials, or to ``cells`` per-cell units."""
+    return {
+        "enabled": fused,
+        "groups": 1 if fused else 0,
+        "batched_trials": cells if fused else 0,
+        "dispatched_units": 1 if fused else cells,
+        "max_group": cells if fused else 0,
+        "amortization": float(cells) if fused else 1.0,
+        "fallbacks": fallbacks,
+    }
 
 
 def pricing_ablation(
@@ -493,8 +503,7 @@ def pricing_ablation(
     model: str = "bsp_m", g_values=(2.0,),
     m_values=(16, 24, 32, 48, 64, 96, 128, 192),
     L_values=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-    seed: int = 0, jobs: int = 1, on_error: str = "raise",
-    batch: bool = None, include_telemetry: bool = False,
+    seed: int = 0, jobs: int = 1, on_error: str = "raise", batch: bool = True,
 ) -> Dict[str, Any]:
     """Table-1-style pricing ablation of one recorded routing schedule.
 
@@ -502,16 +511,23 @@ def pricing_ablation(
     routing superstep (:func:`repro.scheduling.execute.compile_schedule`),
     and re-prices the *identical* structure across a ``(g, m, L)`` grid —
     the paper's local-vs-global comparison at fixed communication pattern.
-    The trial function advertises ``batch_run``/``batch_fingerprint``, so
-    :func:`repro.sweep.run_sweep` fuses the whole grid into
-    :func:`repro.core.batched.replay_batch` passes by default; pass
-    ``batch=False`` for the sequential per-cell path (bit-identical, used
-    by ``benchmarks/bench_parallel_scaling.py`` to measure amortization).
+
+    With ``batch`` on (the default) the whole grid is one
+    :func:`repro.core.batched.replay_batch` pass, observed or not.
+    ``batch=False`` runs one sweep trial per cell under ``jobs`` and
+    ``on_error`` (bit-identical cells; the e2e benchmark and
+    ``benchmarks/bench_parallel_scaling.py`` compare the two), and so
+    does a fused pass that raises, reporting ``fallbacks: 1`` — a bad cell
+    is then skipped or named exactly as in the per-cell sweep.
     """
     from repro.scheduling.execute import compile_schedule
     from repro.scheduling.static_send import unbalanced_send
+    from repro.sweep import parse_on_error, resolve_jobs
     from repro.workloads import uniform_random_relation
 
+    # a bad policy or job count fails alike on the fused and per-cell paths
+    parse_on_error(on_error)
+    resolve_jobs(jobs)
     rel = uniform_random_relation(
         p, n, seed=derive_seed_sequence(seed, "pricing_ablation", "workload")
     )
@@ -520,27 +536,43 @@ def pricing_ablation(
         seed=derive_seed_sequence(seed, "pricing_ablation", "route"),
     )
     compiled = compile_schedule(sched)
+    points = grid_points(g=list(g_values), m=list(m_values), L=list(L_values))
     spec = SweepSpec(
         name="pricing_ablation",
         fn=_pricing_ablation_trial,
-        grid=grid_points(g=list(g_values), m=list(m_values), L=list(L_values)),
+        grid=points,
         common={"compiled": compiled, "model": model},
         seed=seed,
     )
-    sweep = run_sweep(spec, jobs=jobs, on_error=on_error, batch=batch)
-    cells = [
-        {"point": rec.point, **(val if val is not None else {"model_time": None})}
-        for rec, val in zip(sweep.records, sweep.results)
-    ]
+    keys = spec.point_keys
     out: Dict[str, Any] = {
         "p": p, "n": int(rel.n), "schedule_m": schedule_m, "model": model,
-        "trials": sweep.trials, "cells": cells,
-        "batch": dict(sweep.batch_stats),
     }
+    fused = bool(batch) and len(keys) > 1  # a one-cell grid has nothing to fuse
+    fallbacks = 0
+    if fused:
+        try:
+            cells = _pricing_ablation_batch(compiled, model, points)
+        except Exception:  # noqa: BLE001 - the per-cell sweep names the bad cell
+            fallbacks = 1
+        else:
+            out.update(
+                trials=len(cells),
+                cells=[{"point": k, **c} for k, c in zip(keys, cells)],
+                batch=_batch_report(len(cells), fused),
+            )
+            return out
+    sweep = run_sweep(spec, jobs=jobs, on_error=on_error)
+    out.update(
+        trials=sweep.trials,
+        cells=[
+            {"point": rec.point, **(val if val is not None else {"model_time": None})}
+            for rec, val in zip(sweep.records, sweep.results)
+        ],
+        batch=_batch_report(len(keys), fused, fallbacks),
+    )
     if sweep.skipped:
         out["sweep_errors"] = _sweep_errors(sweep)
-    if include_telemetry:
-        out["sweep_telemetry"] = sweep.telemetry()
     return out
 
 

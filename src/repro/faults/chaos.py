@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.params import MachineParams
 from repro.faults.plan import CrashSpec, FaultPlan, StallSpec
+from repro.workloads.relations import build_relation
 
 __all__ = ["chaos_trial", "summarize_chaos_sweep"]
 
@@ -24,27 +25,6 @@ def _int_seed(seq: np.random.SeedSequence) -> int:
     """A stable 32-bit int drawn from a SeedSequence, for components (like
     :class:`FaultPlan`) whose seed field is an integer."""
     return int(seq.generate_state(1, np.uint32)[0])
-
-
-def build_relation(workload: str, p: int, n: int, alpha: float, seed) -> Any:
-    """The workload menu of the ``schedule`` and ``chaos`` CLI commands."""
-    from repro.workloads import (
-        balanced_h_relation,
-        one_to_all_relation,
-        uniform_random_relation,
-        zipf_h_relation,
-    )
-
-    makers = {
-        "balanced": lambda: balanced_h_relation(p, max(1, n // p), seed=seed),
-        "uniform": lambda: uniform_random_relation(p, n, seed=seed),
-        # "route-verify" is the pinned routing profile: uniform traffic at
-        # whatever (p, n) the harness pinned (256, 40k)
-        "route-verify": lambda: uniform_random_relation(p, n, seed=seed),
-        "zipf": lambda: zipf_h_relation(p, n, alpha=alpha, seed=seed),
-        "one-to-all": lambda: one_to_all_relation(p),
-    }
-    return makers[workload]()
 
 
 def chaos_trial(

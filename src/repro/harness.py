@@ -207,7 +207,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import build_relation
     from repro.scheduling import (
         bsp_g_routing_time,
         evaluate_schedule,
@@ -218,6 +217,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         unbalanced_granular_send,
         unbalanced_send,
     )
+    from repro.workloads import build_relation
 
     seed = _effective_seed(args)
     rel = build_relation(args.workload, args.p, args.n, args.alpha, seed)
@@ -443,13 +443,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         import inspect
 
         from repro.experiments import EXPERIMENTS
-        from repro.sweep import parse_on_error
 
-        try:
-            parse_on_error(args.on_error)  # fail fast on a malformed policy
-        except ValueError as exc:
-            print(f"error: --on-error: {exc}", file=sys.stderr)
-            return 2
         fn = EXPERIMENTS.get(args.name)
         if fn is not None and "on_error" not in inspect.signature(fn).parameters:
             print(
@@ -501,9 +495,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.faults import CrashSpec, FaultPlan, StallSpec, TransportError
-    from repro.faults.chaos import build_relation
     from repro.models.bsp_m import BSPm
     from repro.scheduling import route_reliable
+    from repro.workloads import build_relation
 
     seed = _effective_seed(args)
     if args.workload == "route-verify":
@@ -608,13 +602,7 @@ def _chaos_sweep(
     )
     print(f"# chaos sweep {args.workload} (p={p}, n={n}, m={m}, L={L:g})")
     print(f"# seed = {seed}  jobs = {jobs}  trials = {args.trials}")
-    try:
-        sweep = run_sweep(spec, jobs=jobs, on_error=args.on_error)
-    except ValueError as exc:
-        if "on_error" not in str(exc):
-            raise
-        print(f"error: --on-error: {exc}", file=sys.stderr)
-        return 2
+    sweep = run_sweep(spec, jobs=jobs, on_error=args.on_error)
     summary = summarize_chaos_sweep(sweep.results)
     if not summary["trials"]:
         print(f"all {summary['skipped']} trial(s) skipped "
@@ -708,6 +696,11 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     local, global_ = MachineParams.matched_pair(p=args.p, m=args.m, L=args.L)
     cls_name, wants_global = _LEDGER_MODELS[args.model]
     machine = getattr(repro, cls_name)(global_ if wants_global else local)
+    if args.program == "route" and machine.uses_shared_memory:
+        print(f"error: route sends point-to-point messages; --model "
+              f"{args.model} is a shared-memory model, use bsp-m or bsp-g",
+              file=sys.stderr)
+        return 2
 
     ledger = LoadLedger()
     with ledger_scope(ledger):
@@ -1184,10 +1177,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _on_error_policy(text: str) -> str:
+    """argparse ``type=`` of ``--on-error``: the policy string, unchanged,
+    once :func:`repro.sweep.parse_on_error` accepts it."""
+    from repro.sweep import parse_on_error
+
+    try:
+        parse_on_error(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _add_on_error_arg(sp: argparse.ArgumentParser) -> None:
     """Attach the sweep error policy (see repro.sweep.run_sweep)."""
     sp.add_argument(
         "--on-error",
+        type=_on_error_policy,
         default="raise",
         metavar="POLICY",
         help='failing-trial policy: "raise" (abort, the default), "skip" '

@@ -118,23 +118,6 @@ def _aborted_error(exc: RunAborted) -> ServeError:
     return ServeError("E_INTERNAL", f"run aborted: {exc}")
 
 
-def _build_relation(workload: str, p: int, n: int, alpha: float, seed) -> Any:
-    from repro.workloads import (
-        balanced_h_relation,
-        one_to_all_relation,
-        uniform_random_relation,
-        zipf_h_relation,
-    )
-
-    if workload == "uniform":
-        return uniform_random_relation(p, n, seed=seed)
-    if workload == "zipf":
-        return zipf_h_relation(p, n, alpha=alpha, seed=seed)
-    if workload == "balanced":
-        return balanced_h_relation(p, max(1, n // p), seed=seed)
-    return one_to_all_relation(p)
-
-
 def run_scenario(
     params: Dict[str, Any], seed: int, *, deadline: Optional[float] = None
 ) -> Dict[str, Any]:
@@ -176,11 +159,12 @@ def run_scenario_batch(
     from repro.scheduling.static_send import unbalanced_send
     from repro.serve.protocol import scenario_params
     from repro.util.rng import derive_seed_sequence
+    from repro.workloads.relations import build_relation
 
     trials = [scenario_params(pp) for pp in params_list]
     base = trials[0]
     p, m, workload = base["p"], base["m"], base["workload"]
-    rel = _build_relation(
+    rel = build_relation(
         workload, p, base["n"], base["alpha"],
         derive_seed_sequence(seed, "scenario", workload),
     )

@@ -12,7 +12,7 @@ owns *placement* — where the trial functions actually execute:
 ========== =============================================================
 
 ``jobs`` alone picks between them: ``serial`` for ``jobs=1`` or a sweep
-with at most one dispatch unit, ``pool-steal`` otherwise.
+with at most one task, ``pool-steal`` otherwise.
 """
 
 from __future__ import annotations

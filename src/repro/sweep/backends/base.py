@@ -19,7 +19,7 @@ honor one contract:
   backend can execute them anywhere, in any order, and the assembled
   result is bit-identical to the serial run;
 * ``stats`` is the backend's execution report (worker task counts,
-  steals, queue depths, worker deaths) — it feeds the telemetry
+  steals, worker deaths) — it feeds the telemetry
   ``backend`` block and tracer span args, **never** the active
   :class:`~repro.obs.metrics.MetricsRegistry`, whose dumps must stay
   bit-identical across backends and job counts.
@@ -71,7 +71,6 @@ def new_stats(name: str, workers: int) -> BackendStats:
         "workers": workers,
         "tasks_per_worker": {},  # pid -> executed task count
         "steals": 0,
-        "max_queue_depth": 0,
         "worker_deaths": 0,
     }
 

@@ -148,9 +148,6 @@ class PoolStealBackend:
                 idx = pending.popleft()
                 in_flight[widx] = idx
                 queues[widx].put(idx)
-                stats["max_queue_depth"] = max(
-                    stats["max_queue_depth"], len(pending)
-                )
 
         def spawn() -> None:
             nonlocal next_widx

@@ -1,6 +1,6 @@
 """The in-process backend: where ``jobs=1`` sweeps (and sweeps with at
-most one dispatch unit) run, and the bit-identity reference the pool
-backend is gated against.
+most one task) run, and the bit-identity reference the pool backend is
+gated against.
 
 Runs tasks one after another in the calling process.  Trial spans and
 load-ledger rows are captured by the shared per-trial core

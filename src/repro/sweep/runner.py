@@ -3,7 +3,7 @@ contract.
 
 :func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into
 pure, independently seeded tasks and hands them to one of two backends:
-``serial`` (in-process) for ``jobs=1`` or at most one dispatch unit,
+``serial`` (in-process) for ``jobs=1`` or at most one task,
 ``pool-steal`` (persistent work-stealing worker pool) otherwise.  The
 runner keeps every determinism guarantee on either placement:
 
@@ -52,8 +52,7 @@ from repro.obs.ledger import LoadLedger, active_ledger
 from repro.obs.metrics import active_metrics
 from repro.obs.tracer import active_tracer, splice_spans
 from repro.sweep.backends import PoolStealBackend, SerialBackend
-from repro.sweep.backends.base import attempt_task
-from repro.sweep.spec import BatchTask, SweepSpec, TrialTask, group_batch_tasks
+from repro.sweep.spec import SweepSpec, TrialTask
 from repro.sweep.telemetry import SweepResult, TrialRecord
 from repro.util.rng import describe_seed
 
@@ -121,22 +120,20 @@ def parse_on_error(policy: str):
     )
 
 
-def _raise_trial_error(payload, cause=None):
+def _raise_trial_error(payload):
     label, params_desc, seed_desc, cause_repr, tb = payload[:5]
-    err = TrialExecutionError(label, params_desc, seed_desc, cause_repr, tb)
-    raise err from cause
+    raise TrialExecutionError(label, params_desc, seed_desc, cause_repr, tb)
 
 
 def run_sweep(
     spec: SweepSpec,
     jobs: Optional[int] = 1,
     on_error: str = "raise",
-    batch: Optional[bool] = None,
 ) -> SweepResult:
     """Execute every trial of ``spec`` and return a :class:`SweepResult`.
 
     ``jobs`` alone decides placement: ``serial`` (in-process) when
-    ``jobs == 1`` or there is at most one dispatch unit, the
+    ``jobs == 1`` or there is at most one task, the
     work-stealing ``pool-steal`` backend otherwise.  The ``results`` list
     is in task order, and — because trial functions are pure and seeded
     per-task — identical at every job count.
@@ -150,16 +147,8 @@ def run_sweep(
     death on the pool backend skips exactly the in-flight trial, never a
     chunk, never the sweep.
 
-    ``batch`` controls batched multi-trial execution: when the trial
-    function opts in (``fn.batch_run``/``fn.batch_fingerprint``, see
-    :class:`~repro.sweep.spec.BatchTask`), fingerprint-compatible trials
-    are fused into single dispatch units that one worker executes in one
-    vectorized pass — results stay bit-identical and in task order.
-    ``None`` (default) engages batching automatically whenever the trial
-    function supports it and no tracer/metrics/ledger is active (the
-    observability instruments are per-trial, so batching would blur their
-    attribution); ``False`` disables it.  A batch that fails is re-run
-    member-by-member so ``on_error`` accounting stays per trial.
+    Installed observers decide only what each trial collects (its
+    scratch spans, metrics and ledger rows), never what runs.
     """
     jobs = resolve_jobs(jobs)
     mode, retries = parse_on_error(on_error)
@@ -170,28 +159,7 @@ def run_sweep(
     tracer = active_tracer()
     mreg = active_metrics()
     ledger = active_ledger()
-    dispatch: List[Any] = list(tasks)
-    batch_stats = {
-        "enabled": False,
-        "groups": 0,
-        "batched_trials": 0,
-        "dispatched_units": len(tasks),
-        "max_group": 0,
-        "amortization": 1.0,
-        "fallbacks": 0,
-    }
-    if batch is not False and tracer is None and mreg is None and ledger is None:
-        dispatch, fused = group_batch_tasks(tasks)
-        if fused:
-            batch_stats.update(
-                enabled=True,
-                groups=len(fused),
-                batched_trials=sum(len(b.members) for b in fused),
-                dispatched_units=len(dispatch),
-                max_group=max(len(b.members) for b in fused),
-                amortization=len(tasks) / len(dispatch),
-            )
-    be = SerialBackend() if jobs == 1 or len(dispatch) <= 1 else PoolStealBackend()
+    be = SerialBackend() if jobs == 1 or len(tasks) <= 1 else PoolStealBackend()
     # the sweep's own accumulator: its summary() becomes the telemetry
     # "ledger" block regardless of what the caller does with the active
     # ledger afterwards
@@ -278,48 +246,10 @@ def run_sweep(
         if tracer is not None
         else None
     )
-    def _expand_batch(unit: BatchTask, status, payload, attempts: int) -> None:
-        """Re-expand one batch outcome onto its member tasks.
-
-        A successful batch returns the per-member value list; its wall
-        time is split evenly (one fused pass has no per-member clock).  A
-        failed batch is re-run member-by-member in-process, so
-        ``on_error`` semantics — which trial raised, what gets skipped —
-        stay exactly per trial.
-        """
-        members = unit.members
-        if status == "ok":
-            value, wall, pid, _, _, _ = payload
-            if not isinstance(value, list) or len(value) != len(members):
-                got = (
-                    f"list of {len(value)}"
-                    if isinstance(value, list)
-                    else type(value).__name__
-                )
-                raise TypeError(
-                    f"batch runner for {unit.label} returned {got}; expected "
-                    f"a list of {len(members)} per-trial values"
-                )
-            share = wall / len(members)
-            for member, v in zip(members, value):
-                _append(member, (v, share, pid, None, None, None), attempts)
-            return
-        batch_stats["fallbacks"] += 1
-        for member in members:
-            m_status, m_payload, m_attempts, _ = attempt_task(
-                member, mreg is not None, mode, retries
-            )
-            if m_status == "err":
-                if mode == "raise":
-                    _raise_trial_error(m_payload)
-                _append_skipped(member, m_payload, m_attempts)
-            else:
-                _append(member, m_payload, m_attempts)
-
     stats = {}
     try:
         outcomes, stats = be.run(
-            dispatch,
+            tasks,
             jobs=jobs,
             collect_metrics=mreg is not None,
             mode=mode,
@@ -327,18 +257,16 @@ def run_sweep(
             collect_spans=tracer is not None,
             collect_ledger=ledger is not None,
         )
-        for unit, outcome in zip(dispatch, outcomes):
+        for task, outcome in zip(tasks, outcomes):
             if outcome is None:
                 continue  # raise-mode early stop: never reached
             status, payload, attempts = outcome
-            if isinstance(unit, BatchTask):
-                _expand_batch(unit, status, payload, attempts)
-            elif status == "err":
+            if status == "err":
                 if mode == "raise":
                     _raise_trial_error(payload)
-                _append_skipped(unit, payload, attempts)
+                _append_skipped(task, payload, attempts)
             else:
-                _append(unit, payload, attempts)
+                _append(task, payload, attempts)
     finally:
         if sweep_span is not None:
             tracer.end(
@@ -346,7 +274,6 @@ def run_sweep(
                 completed=sum(1 for r in records if r is not None),
                 backend=be.name,
                 steals=stats.get("steals", 0),
-                max_queue_depth=stats.get("max_queue_depth", 0),
                 worker_deaths=stats.get("worker_deaths", 0),
             )
 
@@ -367,7 +294,6 @@ def run_sweep(
         backend=be.name,
         backend_stats=stats,
         ledger=sweep_ledger.summary() if sweep_ledger is not None else None,
-        batch_stats=batch_stats,
     )
 
 

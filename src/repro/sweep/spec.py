@@ -15,19 +15,23 @@ invoked as ``fn(seed=<SeedSequence>, **point_params, **common_params)``
 returning a JSON-serializable value.  Purity — same params + seed in, same
 value out, no shared mutable state — is what makes the pool runner's output
 bit-identical to the serial path.
+
+:attr:`SweepSpec.point_keys` labels the grid without deriving any seed, so
+a caller that prices the grid another way (``pricing_ablation``'s fused
+replay pass) names its cells exactly as the sweep would.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.util.rng import SeedLike, derive_seed_sequence
 
-__all__ = ["TrialTask", "BatchTask", "SweepSpec", "grid_points", "group_batch_tasks"]
+__all__ = ["TrialTask", "SweepSpec", "grid_points"]
 
 
 @dataclass(frozen=True)
@@ -45,109 +49,6 @@ class TrialTask:
     def run(self) -> Any:
         """Execute the trial in the current process."""
         return self.fn(seed=self.seed, **self.params)
-
-
-@dataclass(frozen=True)
-class BatchTask:
-    """A fused dispatch unit: fingerprint-compatible trials executed by the
-    trial function's ``batch_run`` in one pass.
-
-    Trial functions opt in by carrying two attributes (set at module level,
-    so both survive pickling to pool workers):
-
-    * ``fn.batch_run(params_list, seeds) -> list`` — execute the trials in
-      one fused pass; element ``j`` must be bit-identical to
-      ``fn(seed=seeds[j], **params_list[j])``;
-    * ``fn.batch_fingerprint(params) -> hashable | None`` — the structure
-      key: trials whose fingerprints are equal share enough structure to
-      fuse (``None``: this point must run alone).
-
-    The class is duck-compatible with :class:`TrialTask` everywhere the
-    backends look (``run``/``label``/``params``/``seed``), so ``serial``
-    and ``pool-steal`` ship batches through ``attempt_task`` unchanged;
-    the runner re-expands the returned value list onto the member tasks.
-    """
-
-    fn: Callable[..., Any]
-    members: Tuple[TrialTask, ...]
-    fingerprint: Any
-
-    @property
-    def params(self) -> Dict[str, Any]:
-        return self.members[0].params
-
-    @property
-    def seed(self) -> np.random.SeedSequence:
-        return self.members[0].seed
-
-    @property
-    def index(self) -> int:
-        return self.members[0].index
-
-    @property
-    def point(self) -> str:
-        return self.members[0].point
-
-    @property
-    def trial(self) -> int:
-        return self.members[0].trial
-
-    @property
-    def label(self) -> str:
-        return f"{self.members[0].label}(+{len(self.members) - 1} batched)"
-
-    def run(self) -> List[Any]:
-        """Execute the whole batch in the current process."""
-        return self.fn.batch_run(
-            [t.params for t in self.members], [t.seed for t in self.members]
-        )
-
-
-def group_batch_tasks(
-    tasks: Sequence[TrialTask], min_group: int = 2
-) -> Tuple[List[Any], List[BatchTask]]:
-    """Fuse fingerprint-compatible tasks into :class:`BatchTask` units.
-
-    Tasks whose trial function advertises ``batch_run``/``batch_fingerprint``
-    and share a fingerprint are grouped; each group of at least
-    ``min_group`` becomes one :class:`BatchTask` placed at its first
-    member's position in the dispatch list (later members are removed), so
-    dispatch order still follows task order.  Everything else passes
-    through untouched.  Returns ``(dispatch, batches)``.
-    """
-    groups: Dict[Any, List[TrialTask]] = {}
-    for t in tasks:
-        runner = getattr(t.fn, "batch_run", None)
-        fingerprint_fn = getattr(t.fn, "batch_fingerprint", None)
-        if runner is None or fingerprint_fn is None:
-            continue
-        fp = fingerprint_fn(t.params)
-        if fp is None:
-            continue
-        groups.setdefault((id(t.fn), fp), []).append(t)
-    fused: Dict[int, BatchTask] = {}  # first member's index -> batch
-    absorbed: set = set()
-    for (_, fp), members in groups.items():
-        if len(members) < min_group:
-            continue
-        fused[members[0].index] = BatchTask(
-            fn=members[0].fn, members=tuple(members), fingerprint=fp
-        )
-        absorbed.update(m.index for m in members[1:])
-    if not fused:
-        return list(tasks), []
-    dispatch: List[Any] = []
-    batches: List[BatchTask] = []
-    for t in tasks:
-        if t.index in absorbed:
-            continue
-        bt = fused.get(t.index)
-        if bt is not None:
-            dispatch.append(bt)
-            batches.append(bt)
-        else:
-            dispatch.append(t)
-    return dispatch, batches
 
 
 def _point_key(point: Mapping[str, Any]) -> str:

@@ -38,8 +38,12 @@ __all__ = ["TrialRecord", "SweepResult", "TELEMETRY_SCHEMA_VERSION"]
 #: to per-trial execution after an error); 7 drops the memo-cache
 #: counters — the ``cache`` block and the per-trial ``cache_hits``/
 #: ``cache_misses`` columns — since trials receive their shared inputs
-#: (e.g. a workload's offline optimum) as parameters and look nothing up.
-TELEMETRY_SCHEMA_VERSION = 7
+#: (e.g. a workload's offline optimum) as parameters and look nothing up;
+#: 8 drops the ``batch`` block, since the runner runs every task as
+#: dispatched and an experiment that fuses its grid (``pricing_ablation``)
+#: reports its own pass, and the backend block's peak queue depth, which
+#: was always the task count minus one.
+TELEMETRY_SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -71,16 +75,12 @@ class SweepResult:
     seed: Any = None
     #: name of the executor backend that ran the sweep
     backend: str = "serial"
-    #: the backend's execution report (worker task counts, steals, queue
-    #: depth, worker deaths) — see ``repro.sweep.backends.base.new_stats``
+    #: the backend's execution report (worker task counts, steals, worker
+    #: deaths) — see ``repro.sweep.backends.base.new_stats``
     backend_stats: Dict[str, Any] = field(default_factory=dict)
     #: merged :meth:`~repro.obs.ledger.LoadLedger.summary` accumulated
     #: from per-trial dumps in task order (``None``: no ledger was active)
     ledger: Any = None
-    #: batched-execution report from the runner's fingerprint grouping
-    #: (see :func:`repro.sweep.spec.group_batch_tasks`); always a dict,
-    #: ``{"enabled": False, ...}`` when batching did not engage
-    batch_stats: Dict[str, Any] = field(default_factory=dict)
 
     # -- columnar views -------------------------------------------------
     @property
@@ -177,11 +177,9 @@ class SweepResult:
                 "tasks_per_worker": self.backend_stats.get("tasks_per_worker", {}),
                 "busy_s_per_worker": self.busy_by_worker(),
                 "steals": self.backend_stats.get("steals", 0),
-                "max_queue_depth": self.backend_stats.get("max_queue_depth", 0),
                 "worker_deaths": self.backend_stats.get("worker_deaths", 0),
             },
             "ledger": self.ledger,
-            "batch": dict(self.batch_stats) if self.batch_stats else {"enabled": False},
         }
 
     def to_dict(self, include_trials: bool = True) -> Dict[str, Any]:

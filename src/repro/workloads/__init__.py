@@ -25,6 +25,7 @@ from repro.workloads.relations import (
     geometric_h_relation,
     two_class_relation,
     variable_length_relation,
+    build_relation,
 )
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "geometric_h_relation",
     "two_class_relation",
     "variable_length_relation",
+    "build_relation",
     "matrix_transpose_relation",
     "block_remap_relation",
     "task_spawn_relation",

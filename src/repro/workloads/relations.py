@@ -33,6 +33,7 @@ __all__ = [
     "geometric_h_relation",
     "two_class_relation",
     "variable_length_relation",
+    "build_relation",
 ]
 
 
@@ -352,3 +353,28 @@ def variable_length_relation(
     else:
         dest = np.zeros(n_messages, dtype=np.int64)
     return HRelation(p=p, src=src, dest=dest, length=lengths)
+
+
+def build_relation(
+    workload: str, p: int, n: int, alpha: float = 1.2, seed: SeedLike = None
+) -> HRelation:
+    """The scenario workload menu of served scenarios and of the
+    ``schedule`` and ``chaos`` commands.
+
+    ``uniform`` (also ``route-verify``, the pinned routing profile: uniform
+    traffic at whatever ``(p, n)`` the harness pinned), ``zipf`` with skew
+    ``alpha``, ``balanced`` (an ``n // p``-relation, at least 1) and
+    ``one-to-all`` (served requests spell it ``one_to_all``).
+    """
+    if workload in ("uniform", "route-verify"):
+        return uniform_random_relation(p, n, seed=seed)
+    if workload == "zipf":
+        return zipf_h_relation(p, n, alpha=alpha, seed=seed)
+    if workload == "balanced":
+        return balanced_h_relation(p, max(1, n // p), seed=seed)
+    if workload in ("one-to-all", "one_to_all"):
+        return one_to_all_relation(p)
+    raise ValueError(
+        f"unknown workload {workload!r}; choose from uniform, route-verify, "
+        "zipf, balanced, one-to-all"
+    )

@@ -37,7 +37,6 @@ from repro.algorithms.prefix import (
     reduce_tree_bsp_program,
     reduce_tree_qsm_program,
 )
-from repro.algorithms.primitives import BSPComm, QSMComm
 from repro.algorithms.qsm_on_bsp import run_qsm_program_on_bsp
 from repro.algorithms.sample_sort import _sample_sort_program, sample_sort
 from repro.algorithms.sorting import (
@@ -302,35 +301,3 @@ def test_reduce_funnel_qsm(cls):
     assert_equivalent_runs(res_s, res_b)
     assert res_s.results == res_b.results
     assert res_b.results[0] == sum(_reduce_values())
-
-
-# ----------------------------------------------------------------------
-# keyed-exchange Comm adapters
-# ----------------------------------------------------------------------
-
-
-def _comm_program(ctx, comm, rounds):
-    pid, p = ctx.pid, ctx.nprocs
-    acc = []
-    for rnd in range(rounds):
-        out = [((pid + j) % p, ("k", rnd, pid, j), pid * 10 + j) for j in range(3)]
-        expect = [("k", rnd, (pid - j) % p, j) for j in range(3)]
-        got = yield from comm.exchange(ctx, out, expect)
-        acc.append(sorted(got.items(), key=repr))
-    return acc
-
-
-@pytest.mark.parametrize("cls", MSG_MACHINES)
-def test_bsp_comm_adapter(cls):
-    res_b = make(cls).run(_comm_program, args=(BSPComm(), 3))
-    res_s = make(cls).run(_comm_program, args=(sr.BSPCommScalar(), 3))
-    assert_equivalent_runs(res_s, res_b)
-    assert res_s.results == res_b.results
-
-
-@pytest.mark.parametrize("cls", QSM_MACHINES)
-def test_qsm_comm_adapter(cls):
-    res_b = make(cls).run(_comm_program, args=(QSMComm(), 3))
-    res_s = make(cls).run(_comm_program, args=(sr.QSMCommScalar(), 3))
-    assert_equivalent_runs(res_s, res_b)
-    assert res_s.results == res_b.results

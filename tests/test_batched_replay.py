@@ -13,8 +13,9 @@ landed:
 * ``stable_group_order`` against ``np.argsort(kind="stable")`` including
   the int64-overflow fallback boundary, and the arena freeze paths that
   now route through it;
-* sweep-runner fingerprint grouping (serial and pool, error fallback,
-  observability opt-out) and the ``pricing_ablation`` experiment;
+* the ``pricing_ablation`` experiment: its fused pass equals the
+  per-cell sweep, runs under every observer, and falls back to the
+  sweep (skip or raise, per cell) when a cell is bad;
 * serve-layer ``run_scenario_batch`` and executor request coalescing,
   cold and warm cache.
 """
@@ -59,7 +60,6 @@ from repro.scheduling.execute import (
     execute_schedule,
     execute_schedule_batch,
 )
-from repro.sweep import SweepSpec, run_sweep
 from repro.workloads import uniform_random_relation
 
 
@@ -547,122 +547,89 @@ class TestScheduleBatch:
 
 
 # ----------------------------------------------------------------------
-# sweep runner: fingerprint grouping
-# ----------------------------------------------------------------------
-def _cell(x, L, seed):
-    return {"x": x, "L": L, "value": x * 10 + L}
-
-
-def _cell_batch_run(params_list, seeds):
-    return [_cell(seed=s, **p) for p, s in zip(params_list, seeds)]
-
-
-def _cell_fingerprint(params):
-    return params["x"]
-
-
-_cell.batch_run = _cell_batch_run
-_cell.batch_fingerprint = _cell_fingerprint
-
-
-def _boomy(x, L, seed):
-    if L == 2:
-        raise RuntimeError("bad cell")
-    return x * 10 + L
-
-
-def _boomy_batch_run(params_list, seeds):
-    if any(p["L"] == 2 for p in params_list):
-        raise RuntimeError("batch poisoned")
-    return [_boomy(seed=s, **p) for p, s in zip(params_list, seeds)]
-
-
-def _boomy_fingerprint(params):
-    return params["x"]
-
-
-_boomy.batch_run = _boomy_batch_run
-_boomy.batch_fingerprint = _boomy_fingerprint
-
-_GRID = [{"x": x, "L": L} for x in (1, 2) for L in (0, 1, 3)]
-
-
-class TestSweepBatching:
-    def test_serial_identity_and_stats(self):
-        spec = SweepSpec(name="b", fn=_cell, grid=_GRID, seed=5)
-        plain = run_sweep(spec, jobs=1, batch=False)
-        fused = run_sweep(spec, jobs=1, batch=True)
-        assert fused.results == plain.results
-        assert plain.batch_stats["enabled"] is False
-        assert fused.batch_stats["enabled"] is True
-        assert fused.batch_stats["groups"] == 2  # one per x value
-        assert fused.batch_stats["batched_trials"] == len(_GRID)
-        assert fused.batch_stats["dispatched_units"] == 2
-        assert fused.batch_stats["amortization"] == len(_GRID) / 2
-        assert fused.telemetry()["batch"]["enabled"] is True
-        assert fused.telemetry()["schema_version"] >= 6
-
-    def test_default_engages_automatically(self):
-        spec = SweepSpec(name="b", fn=_cell, grid=_GRID, seed=5)
-        res = run_sweep(spec, jobs=1)  # batch=None
-        assert res.batch_stats["enabled"] is True
-
-    def test_pool_identity(self):
-        spec = SweepSpec(name="b", fn=_cell, grid=_GRID, seed=5)
-        serial = run_sweep(spec, jobs=1, batch=False)
-        pooled = run_sweep(spec, jobs=2, batch=True)
-        assert pooled.backend == "pool-steal"  # two fused units, two jobs
-        assert pooled.results == serial.results
-        assert pooled.batch_stats["enabled"] is True
-
-    def test_tracer_disables_batching(self):
-        from repro.obs.tracer import install_tracer, uninstall_tracer
-
-        spec = SweepSpec(name="b", fn=_cell, grid=_GRID, seed=5)
-        install_tracer()
-        try:
-            res = run_sweep(spec, jobs=1, batch=True)
-        finally:
-            uninstall_tracer()
-        assert res.batch_stats["enabled"] is False
-        assert res.results == run_sweep(spec, jobs=1, batch=False).results
-
-    def test_failed_batch_falls_back_per_member(self):
-        grid = [{"x": 1, "L": L} for L in (0, 1, 2, 3)]
-        spec = SweepSpec(name="b", fn=_boomy, grid=grid, seed=5)
-        res = run_sweep(spec, jobs=1, batch=True, on_error="skip")
-        # only the poisoned member is skipped; its group-mates survive
-        assert res.results == [10, 11, None, 13]
-        assert res.skipped == 1
-        assert res.batch_stats["fallbacks"] == 1
-
-    def test_failed_batch_raises_with_member_label(self):
-        from repro.sweep import TrialExecutionError
-
-        grid = [{"x": 1, "L": L} for L in (0, 2)]
-        spec = SweepSpec(name="b", fn=_boomy, grid=grid, seed=5)
-        with pytest.raises(TrialExecutionError):
-            run_sweep(spec, jobs=1, batch=True, on_error="raise")
-
-
-# ----------------------------------------------------------------------
 # experiments + serve
 # ----------------------------------------------------------------------
+_ABLATION_KW = dict(
+    p=32, n=2_000, schedule_m=8, m_values=(4, 8, 16), L_values=(1.0, 4.0), seed=3,
+)
+
+
+def _observer_scopes():
+    """One installed observer per case, as ``--trace``, ``--metrics`` and
+    ``--ledger`` install them."""
+    from repro.obs import (
+        LoadLedger,
+        MetricsRegistry,
+        Tracer,
+        ledger_scope,
+        metrics_scope,
+        tracing,
+    )
+
+    return {
+        "tracer": lambda: tracing(Tracer()),
+        "metrics": lambda: metrics_scope(MetricsRegistry()),
+        "ledger": lambda: ledger_scope(LoadLedger()),
+    }
+
+
 class TestPricingAblationExperiment:
-    def test_batch_on_off_identical(self):
+    def test_batch_on_off_identical(self, monkeypatch):
+        import repro.core.batched
         from repro.experiments import pricing_ablation
 
-        kw = dict(
-            p=32, n=2_000, schedule_m=8,
-            m_values=(4, 8, 16), L_values=(1.0, 4.0), seed=3,
-        )
-        off = pricing_ablation(batch=False, **kw)
-        on = pricing_ablation(batch=True, **kw)
-        stats = on.pop("batch")
+        passes = []
+        real = repro.core.batched.replay_batch
+
+        def counted(compiled, machines):
+            passes.append(len(machines))
+            return real(compiled, machines)
+
+        monkeypatch.setattr(repro.core.batched, "replay_batch", counted)
+        off = pricing_ablation(batch=False, **_ABLATION_KW)
         off.pop("batch")
-        assert on == off
-        assert stats["enabled"] is True
-        assert stats["amortization"] == 6.0
+        assert passes == []
+        runs = {"unobserved": pricing_ablation(batch=True, **_ABLATION_KW)}
+        for name, scope in _observer_scopes().items():
+            with scope():
+                runs[name] = pricing_ablation(batch=True, **_ABLATION_KW)
+        # looking does not change what runs: one fused pass in every case
+        assert passes == [6] * len(runs)
+        for name, on in runs.items():
+            stats = on.pop("batch")
+            assert on == off, name
+            assert stats["enabled"] is True, name
+            assert stats["amortization"] == 6.0, name
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_cell_falls_back_to_the_per_cell_sweep(self, jobs):
+        from repro.experiments import pricing_ablation
+
+        kw = dict(_ABLATION_KW, m_values=(4, 0, 16), jobs=jobs)
+        out = pricing_ablation(on_error="skip", **kw)
+        assert out["batch"] == {
+            "enabled": True, "groups": 1, "batched_trials": 6,
+            "dispatched_units": 1, "max_group": 6, "amortization": 6.0,
+            "fallbacks": 1,
+        }
+        times = {c["point"]: c["model_time"] for c in out["cells"]}
+        assert [k for k, t in times.items() if t is None] == [
+            "L=1,g=2,m=0", "L=4,g=2,m=0",
+        ]
+        assert out["sweep_errors"]["skipped"] == 2
+        good = pricing_ablation(batch=False, **dict(kw, m_values=(4, 16)))
+        assert {c["point"]: c for c in good["cells"]} == {
+            c["point"]: c for c in out["cells"] if c["model_time"] is not None
+        }
+
+    def test_failing_cell_raises_with_its_label(self):
+        from repro.experiments import pricing_ablation
+        from repro.sweep import TrialExecutionError
+
+        kw = dict(_ABLATION_KW, m_values=(4, 0, 16))
+        with pytest.raises(TrialExecutionError) as exc:
+            pricing_ablation(on_error="raise", **kw)
+        assert exc.value.label == "pricing_ablation[L=1,g=2,m=0:0]"
 
 
 SCENARIO = {"p": 16, "n": 1500, "m": 64, "workload": "zipf"}

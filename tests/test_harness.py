@@ -119,14 +119,43 @@ class TestProfileWorkload:
 
 class TestOnErrorFlag:
     def test_invalid_policy_is_usage_error(self, capsys):
-        assert main(["experiment", "leader_gap", "--on-error", "bogus"]) == 2
+        # argparse checks the policy, as it checks every other flag
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "leader_gap", "--on-error", "bogus"])
+        assert exc.value.code == 2
         assert "on-error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["1", "2"], ids=["single", "sweep"])
+    def test_chaos_rejects_invalid_policy_before_running(self, capsys, trials):
+        argv = ["chaos", "uniform", "--p", "16", "--n", "200", "--m", "4",
+                "--trials", trials, "--on-error", "bogus"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "on-error" in captured.err
+        assert captured.out == ""  # nothing ran
 
     def test_non_sweep_experiment_rejects_flag(self, capsys):
         assert (
             main(["experiment", "table1_measured", "--on-error", "skip"]) == 2
         )
         assert "does not run a sweep" in capsys.readouterr().err
+
+
+class TestLedgerCommand:
+    @pytest.mark.parametrize("model", ["qsm-m", "qsm-g"])
+    def test_route_on_a_shared_memory_model_is_rejected(self, capsys, model):
+        assert main(["ledger", "route", "--model", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and model in captured.err
+        assert captured.out == ""  # rejected before anything ran
+
+    @pytest.mark.parametrize("model", ["bsp-m", "bsp-g", "qsm-m", "qsm-g"])
+    def test_table1_programs_run_on_every_model(self, capsys, model):
+        for program in ("one-to-all", "broadcast", "summation"):
+            assert main(["ledger", program, "--model", model]) == 0
+        assert "total charge=" in capsys.readouterr().out
 
 
 class TestServeParser:

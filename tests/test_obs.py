@@ -531,7 +531,7 @@ class TestSweepObservability:
     def test_telemetry_schema_and_seed(self):
         result = run_sweep(_chaos_spec(trials=2), jobs=1)
         tel = result.telemetry()
-        assert tel["schema_version"] == TELEMETRY_SCHEMA_VERSION == 7
+        assert tel["schema_version"] == TELEMETRY_SCHEMA_VERSION == 8
         assert tel["seed"] == 7
         assert tel["jobs"] == 1
 
@@ -540,7 +540,7 @@ class TestSweepObservability:
         path = tmp_path / "sweep.json"
         result.to_json(str(path))
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 7 and doc["seed"] == 7
+        assert doc["schema_version"] == 8 and doc["seed"] == 7
         assert len(doc["trial_columns"]["wall_s"]) == 2
         # no ledger installed -> the v5 block is present but null
         assert doc["ledger"] is None
@@ -973,10 +973,13 @@ class TestCLI:
         pa, led = tmp_path / "pa.json", tmp_path / "led.json"
         assert main(["experiment", "pricing_ablation", "--json", str(pa),
                      "--ledger", str(led)]) == 0
-        cells = json.loads(pa.read_text())["cells"]
+        record = json.loads(pa.read_text())
+        cells = record["cells"]
         charges = json.loads(led.read_text())["columns"]["charge"]
         assert len(cells) == 64
         assert charges == [c["model_time"] for c in cells]
+        # the installed ledger observes the fused pass; it does not replace it
+        assert record["batch"]["enabled"] is True
 
     def test_top_once_renders_telemetry_file(self, tmp_path, capsys):
         from repro.harness import main
