@@ -9,19 +9,21 @@ priced by one call of the model's
 :meth:`~repro.core.engine.Machine._price_batch`, which derives the
 superstep's structure (max work, per-processor ``h``, the slot-injection
 histogram, QSM contention) once and prices it under all B machines'
-parameters, with one histogram pass per penalty family; shared-memory
-writes are applied per machine.
+parameters, charging each distinct ``(penalty, m)`` column of the
+histogram once; shared-memory writes are applied per machine.
 
 Bit-identity contract
 ---------------------
 ``replay_batch(compiled, machines)[b]`` equals
 ``compiled.replay(machines[b])`` exactly — model times, cost breakdowns
 and stats dicts (values *and* key insertion order).  Sequential replay
-is the batch of one, and each trial's row of the slot-charge kernel
-(:func:`repro.core.kernels.slot_charge_stats_batched`) does not depend on
-its batch-mates, so no second floating-point path exists to drift.  The
-contract is gated by ``tests/test_batched_replay.py``, and every model's
-pricing by the ``core/costs.py`` oracle in
+is the batch of one, and the slot-charge kernel
+(:func:`repro.core.kernels.slot_charge_stats_batched`) reduces each
+distinct ``(penalty, m)`` column once, as 1-D sums, and hands those
+scalars to every trial of the column: a trial's numbers are the ones
+its batch of one computes, so no second floating-point path exists to
+drift.  The contract is gated by ``tests/test_batched_replay.py``, and
+every model's pricing by the ``core/costs.py`` oracle in
 ``tests/test_pricing_oracle.py``.
 
 When batching engages

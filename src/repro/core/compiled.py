@@ -152,8 +152,9 @@ class CompiledProgram:
         application happens.  Each frame is priced by one
         :meth:`~repro.core.engine.Machine._price_batch` call over all
         machines, then its writes are applied per machine.  Element ``b``
-        therefore equals ``replay(machines[b])`` exactly: a trial's
-        pricing row does not depend on its batch-mates.
+        therefore equals ``replay(machines[b])`` exactly: the slot-charge
+        kernel reduces each distinct ``(penalty, m)`` column once and
+        gives every trial of it the scalars its batch of one computes.
 
         Observation follows the pass: each trial's finished records go to
         the installed tracer, metrics registry and ledger in order
@@ -213,7 +214,7 @@ class CompiledProgram:
                 break
             for record, t0, t1 in zip(run.records, stamps, stamps[1:]):
                 observation.observe(record, t0, t1)
-            run.ledger = observation.close(len(run.records), wall_end=stamps[-1])
+            run.ledger = observation.close(run.records, wall_end=stamps[-1])
         return runs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

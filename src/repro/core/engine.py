@@ -1079,7 +1079,7 @@ class Machine:
                 )
             finally:
                 if run is not None:
-                    ledger = run.close(len(records))
+                    ledger = run.close(records)
         finally:
             if arenas is self._arenas:
                 self._arenas_busy = False

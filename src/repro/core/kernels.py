@@ -7,7 +7,9 @@ engine's barrier loop and the models' ``_price_batch`` methods are built on:
   statistics of one slot histogram under B ``(m, penalty)`` columns
   (``c_m`` with idle-slot accounting, the literal paper charge, span,
   overloaded-slot count, peak load) shared by BSP(m) and QSM(m), whether
-  a superstep is priced for one machine or a batch of trials;
+  a superstep is priced for one machine or a batch of trials — each
+  distinct column is charged and reduced once, and its scalars are
+  scattered to every trial that shares it;
 * :func:`stable_group_order` — the delivery permutation (a stable argsort
   by small integer keys) computed via a combined-key ``np.sort``, which is
   ~7× faster than ``np.argsort(kind="stable")`` at engine scales;
@@ -48,38 +50,35 @@ def slot_charge_stats_batched(counts: np.ndarray, m_col, penalties):
     slots with ``m_t > m`` (length-``B`` arrays); the schedule ``span`` and
     peak slot load ``max_load`` are scalars shared by every trial.
 
-    Each distinct ``(penalty, m)`` charge row is evaluated once, by
+    ``f_m`` depends only on the penalty and ``m``, so each distinct
+    ``(penalty, m)`` column is charged once, by
     :meth:`~repro.core.costs.PenaltyFunction.charges` on a float64 copy of
-    the histogram made once per call, and shared.  The per-trial
-    reductions are one ``np.sum`` along ``axis=1`` of the stacked charge
-    matrix, so every trial's floats are independent of which other trials
-    share its batch (a reduction over a C-contiguous row sums in the same
-    pairwise order as a 1-D ``np.sum``).
+    the histogram made once per call, and reduced to its three scalars on
+    the spot; every trial of that column receives the same scalars.  The
+    span-sized work and memory scale with the number of distinct columns,
+    not with B, and a trial's floats are the 1-D sums its batch of one
+    computes, whatever else shares its batch.
     """
     B = len(penalties)
+    comm = np.zeros(B, dtype=np.float64)
+    c_m_paper = np.zeros(B, dtype=np.float64)
+    overloaded = np.zeros(B, dtype=_I64)
     if counts.size == 0:
-        zeros = np.zeros(B, dtype=np.float64)
-        return zeros, zeros.copy(), 0.0, np.zeros(B, dtype=_I64), 0
+        return comm, c_m_paper, 0.0, overloaded, 0
     counts_f = np.asarray(counts, dtype=np.float64)
-    charges = np.empty((B, counts.size), dtype=np.float64)
-    cache: dict = {}
-    for b in range(B):
-        pen = penalties[b]
-        m = m_col[b]
+    columns: dict = {}  # (id(penalty), m) -> (comm, c_m_paper, overloaded)
+    for b, (pen, m) in enumerate(zip(penalties, m_col)):
         key = (id(pen), m)
-        row = cache.get(key)
-        if row is None:
-            row = cache[key] = pen.charges(counts_f, m)
-        charges[b] = row
-    comm = np.sum(np.maximum(charges, 1.0), axis=1)
-    c_m_paper = np.sum(charges, axis=1)
-    span = float(counts.size)
-    m_arr = np.asarray(m_col)
-    overloaded = np.sum(
-        np.asarray(counts)[None, :] > m_arr[:, None], axis=1, dtype=_I64
-    )
-    max_load = int(counts.max())
-    return comm, c_m_paper, span, overloaded, max_load
+        column = columns.get(key)
+        if column is None:
+            row = pen.charges(counts_f, m)
+            column = columns[key] = (
+                np.sum(np.maximum(row, 1.0)),
+                np.sum(row),
+                np.count_nonzero(counts > m),
+            )
+        comm[b], c_m_paper[b], overloaded[b] = column
+    return comm, c_m_paper, float(counts.size), overloaded, int(counts.max())
 
 
 # ----------------------------------------------------------------------

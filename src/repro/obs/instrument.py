@@ -184,15 +184,19 @@ class RunObservation:
         )
         self.observe = make_superstep_observer(tracer, metrics, machine, p, span, ledger=ledger)
 
-    def close(self, supersteps: int, wall_end: Optional[float] = None):
+    def close(self, records, wall_end: Optional[float] = None):
         """End the ``run`` span (at ``wall_end`` when given, else now) and
         return the run's :class:`~repro.obs.ledger.LedgerView`, or ``None``
-        when no ledger is installed."""
+        when no ledger is installed.
+
+        ``records`` are the run's priced records; the span's model
+        duration is their costs summed in order, exactly as
+        :attr:`RunResult.time <repro.core.engine.RunResult.time>` sums
+        them (not a difference of two cumulative clock readings)."""
         span = self._span
         if span is not None:
-            tracer = self._tracer
-            tracer.end(span, model_dur=tracer.model_clock - span.model_start,
-                       supersteps=supersteps)
+            self._tracer.end(span, model_dur=sum(r.cost for r in records),
+                             supersteps=len(records))
             if wall_end is not None:
                 span.wall_dur = wall_end - span.wall_start
         return self._ledger.view(self._ledger_start) if self._ledger is not None else None

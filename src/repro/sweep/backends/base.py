@@ -92,7 +92,7 @@ def execute_task(
     task: TrialTask,
     collect_metrics: bool = False,
     collect_spans: bool = False,
-    collect_ledger: bool = False,
+    collect_ledger: Optional[bool] = None,
 ) -> Tuple[Any, float, int, Optional[dict], Optional[dict], Optional[dict]]:
     """Run one trial and time it.
 
@@ -107,7 +107,10 @@ def execute_task(
     backend, so ``jobs=N`` aggregates, span trees, and ledgers are
     **bit-identical** to ``jobs=1`` — same per-trial dumps, same merge
     order, no dependence on float-summation association or worker
-    scheduling.
+    scheduling.  ``collect_ledger`` is ``None`` (no ledger) or the
+    ``per_proc`` of the installed ledger, which the scratch ledger
+    copies, so the per-processor columns the installed ledger keeps
+    survive the merge.
     """
     delta: Optional[dict] = None
     spans: Optional[dict] = None
@@ -121,10 +124,12 @@ def execute_task(
             from repro.obs.tracer import Tracer, export_spans, tracing
 
             scratch_t = stack.enter_context(tracing(Tracer()))
-        if collect_ledger:
+        if collect_ledger is not None:
             from repro.obs.ledger import LoadLedger, ledger_scope
 
-            scratch_l = stack.enter_context(ledger_scope(LoadLedger(per_proc=False)))
+            scratch_l = stack.enter_context(
+                ledger_scope(LoadLedger(per_proc=collect_ledger))
+            )
         t0 = time.perf_counter()
         value = task.run()
         wall = time.perf_counter() - t0
@@ -132,8 +137,8 @@ def execute_task(
             delta = scratch_m.to_dict()
         if collect_spans:
             spans = export_spans(scratch_t)
-        if collect_ledger:
-            ledger_dump = scratch_l.to_dict(per_proc=False)
+        if collect_ledger is not None:
+            ledger_dump = scratch_l.to_dict()
     return value, wall, os.getpid(), delta, spans, ledger_dump
 
 
@@ -157,7 +162,7 @@ def attempt_task(
     mode: str,
     retries: int,
     collect_spans: bool = False,
-    collect_ledger: bool = False,
+    collect_ledger: Optional[bool] = None,
 ) -> Tuple[str, Any, int, Optional[BaseException]]:
     """Execute one trial under the error policy.
 

@@ -78,7 +78,7 @@ def _worker_main(
     mode: str,
     retries: int,
     collect_spans: bool = False,
-    collect_ledger: bool = False,
+    collect_ledger: Optional[bool] = None,
 ) -> None:
     """Long-lived worker: execute dispatched indices until the sentinel."""
     # a fork-inherited tracer/ledger would record rows nobody collects;
@@ -118,7 +118,7 @@ class PoolStealBackend:
         mode: str,
         retries: int,
         collect_spans: bool = False,
-        collect_ledger: bool = False,
+        collect_ledger: Optional[bool] = None,
     ) -> Tuple[List[Optional[TaskOutcome]], BackendStats]:
         n = len(tasks)
         workers = max(1, min(jobs, n))

@@ -42,7 +42,7 @@ class SerialBackend:
         mode: str,
         retries: int,
         collect_spans: bool = False,
-        collect_ledger: bool = False,
+        collect_ledger: Optional[bool] = None,
     ) -> Tuple[List[Optional[TaskOutcome]], BackendStats]:
         outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
         stats = new_stats(self.name, workers=1)

@@ -255,7 +255,7 @@ def run_sweep(
             mode=mode,
             retries=retries,
             collect_spans=tracer is not None,
-            collect_ledger=ledger is not None,
+            collect_ledger=None if ledger is None else ledger.per_proc,
         )
         for task, outcome in zip(tasks, outcomes):
             if outcome is None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,8 +94,12 @@ class TestBatchedKernels:
     COUNTS = np.array([0, 1, 3, 7, 2, 9, 4, 0, 5], dtype=np.int64)
 
     def test_slot_charge_stats_batched_mixed_penalties(self):
-        pens = [LINEAR, EXPONENTIAL, PolynomialPenalty(3.0), _SqrtPenalty(), LINEAR]
-        m_col = [2, 4, 3, 2, 2]
+        # repeated columns: LINEAR at m=2 four times in all, and two
+        # equal-valued but distinct PolynomialPenalty(3.0) objects at m=3
+        cubic = PolynomialPenalty(3.0)
+        pens = [LINEAR, EXPONENTIAL, PolynomialPenalty(3.0), _SqrtPenalty(), LINEAR,
+                LINEAR, cubic, EXPONENTIAL, LINEAR, cubic]
+        m_col = [2, 4, 3, 2, 2, 2, 3, 2, 2, 5]
         comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(
             self.COUNTS, m_col, pens
         )
@@ -105,6 +110,34 @@ class TestBatchedKernels:
             assert comm[b] == float(np.sum(np.maximum(charges, 1.0)))
             assert c_m_paper[b] == superstep_charge(self.COUNTS, m, pen)
             assert int(overloaded[b]) == int(np.sum(self.COUNTS > m))
+            # a trial's numbers are its batch of one's, bit for bit
+            one = slot_charge_stats_batched(self.COUNTS, [m], [pen])
+            assert comm[b].tobytes() == one[0][0].tobytes()
+            assert c_m_paper[b].tobytes() == one[1][0].tobytes()
+            assert overloaded[b] == one[3][0]
+
+    def test_slot_charge_stats_batched_memory_follows_distinct_columns(self):
+        # B = 256 trials over 4 distinct (penalty, m) columns: the kernel's
+        # temporaries scale with the columns, not with a (B, span) matrix
+        span, B = 20_000, 256
+        counts = np.random.default_rng(7).integers(0, 12, size=span)
+        columns = [(LINEAR, 4), (LINEAR, 8), (EXPONENTIAL, 4), (EXPONENTIAL, 8)]
+        pens = [columns[b % 4][0] for b in range(B)]
+        m_col = [columns[b % 4][1] for b in range(B)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = slot_charge_stats_batched(counts, m_col, pens)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * span * 8, peak  # below 8 float64 rows
+        for b in range(4):
+            one = slot_charge_stats_batched(counts, m_col[b:b + 1], pens[b:b + 1])
+            assert out[0][b::4].tolist() == [one[0][0]] * (B // 4)
+            assert out[1][b::4].tolist() == [one[1][0]] * (B // 4)
+            assert out[3][b::4].tolist() == [one[3][0]] * (B // 4)
 
     def test_slot_charge_stats_batched_empty(self):
         comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(

@@ -124,13 +124,14 @@ class TestNonReceipt:
 
 class TestTheorem41:
     def test_lower_bound_below_tree_upper(self):
-        """Sanity: the exact Theorem 4.1 lower bound never exceeds the tree
-        algorithm's measured time, across a parameter sweep."""
-        for p in (16, 64, 256):
-            for L in (1.0, 4.0, 16.0):
-                for g in (1.0, 2.0, 8.0):
+        """Theorem 4.1 gates at its exact constant: the proven lower bound
+        never exceeds the tree algorithm's measured time, over 80
+        ``(p, g, L)`` points with ``g <= L``."""
+        for p in (4, 16, 64, 256, 1024):
+            for L in (1.0, 2.0, 4.0, 16.0, 64.0):
+                for g in (1.0, 2.0, 4.0, 8.0, 16.0):
                     if g > L:
                         continue
                     mach = BSPg(MachineParams(p=p, g=g, L=L))
                     t = broadcast(mach, 1).time
-                    assert t >= broadcast_bsp_g_lower(p, g, L) * 0.49, (p, L, g)
+                    assert t >= broadcast_bsp_g_lower(p, g, L), (p, L, g)

@@ -211,6 +211,25 @@ class TestSpanReconciliation:
         runs = tr.find(cat="engine", name="run")
         assert runs[1].model_start == runs[0].model_start + runs[0].model_dur
 
+    def test_run_spans_carry_each_run_time_exactly(self):
+        # once earlier runs have advanced the tracer's clock, a difference
+        # of two clock readings drifts from RunResult.time in the last
+        # bits; the run span carries the run's own summed costs instead
+        from repro.core.compiled import compile_program
+
+        def machines(p):
+            return [_machine(p=p, m=8, L=4.0 + 0.37 * k) for k in range(6)]
+
+        compiled = compile_program(_machine(p=16, m=8, L=2.0), _ring_program, args=(3,))
+        with tracing() as tr:
+            live = [summation(mach, list(range(64)))[0] for mach in machines(64)]
+            replayed = compiled.replay_batch(machines(16))
+        runs = tr.find(cat="engine", name="run")
+        assert [s.args["path"] for s in runs] == ["loop"] * 6 + ["replay"] * 6
+        for span, res in zip(runs, live + replayed, strict=True):
+            assert span.model_dur == res.time
+            assert span.args["supersteps"] == len(res.records)
+
 
 def _observer(kind):
     """A fresh scope for one of the three observers, by name."""
@@ -527,6 +546,24 @@ class TestSweepObservability:
             ledgers.append(result.ledger)
         assert dumps[0] == dumps[1]  # bit-identical, not approximately
         assert ledgers[0] == ledgers[1] and ledgers[0] is not None
+
+    def test_swept_trials_keep_per_proc_columns(self):
+        # each trial's scratch ledger follows the installed ledger's
+        # per_proc, so the per-cell sweep (batch off) dumps what the fused
+        # pass dumps, per-processor counts included, at any job count
+        from repro.experiments import pricing_ablation
+
+        grid = dict(p=16, n=400, schedule_m=4, m_values=(4, 8), L_values=(1.0, 2.0))
+        dumps = {}
+        for batch in (True, False):
+            for jobs in (1, 2):
+                with ledger_scope(LoadLedger()) as book:
+                    pricing_ablation(batch=batch, jobs=jobs, **grid)
+                dumps[batch, jobs] = book.to_dict()
+        rows = dumps[True, 1]["proc_columns"]["sent_by_proc"]
+        assert len(rows) == 4 and all(isinstance(row, list) for row in rows)
+        for dump in dumps.values():
+            assert dump == dumps[True, 1]
 
     def test_telemetry_schema_and_seed(self):
         result = run_sweep(_chaos_spec(trials=2), jobs=1)
