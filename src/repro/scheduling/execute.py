@@ -48,7 +48,6 @@ __all__ = [
     "route",
     "route_reliable",
     "execute_schedule",
-    "execute_schedule_batch",
     "compile_schedule",
     "delivery_counts",
 ]
@@ -128,9 +127,9 @@ def compile_schedule(sched: Schedule) -> CompiledProgram:
     constructing processors, generators or arenas.  ``compile_schedule(
     sched).replay(machine)`` is bit-identical to running the routing
     program on the live loop on any message-passing machine (pinned by
-    ``tests/test_fused_kernel.py``); :func:`execute_schedule_batch` prices
-    one compilation under a whole parameter batch, and
-    :func:`execute_schedule` is its batch of one.
+    ``tests/test_fused_kernel.py``); :func:`execute_schedule` replays it
+    on one machine, and :meth:`CompiledProgram.replay_batch` prices it
+    under a whole parameter batch.
     """
     batch, results = _schedule_frame(sched)
     frames = [
@@ -148,52 +147,6 @@ def _check_router(machine: Machine, rel: HRelation) -> None:
         )
 
 
-def execute_schedule_batch(
-    machines: List[Machine],
-    sched: Schedule,
-    *,
-    compiled: Optional[CompiledProgram] = None,
-    deadline: Optional[float] = None,
-) -> List[RunResult]:
-    """Run one schedule on a batch of machines in a single fused pass.
-
-    Element ``b`` is bit-identical to ``execute_schedule(machines[b],
-    sched)``, whose replay path is this function's batch of one: the
-    frame assembly and delivery permutation are computed once
-    (:func:`_schedule_frame`), pricing goes through
-    :meth:`CompiledProgram.replay_batch`, and delivery is verified once —
-    the recorded results are shared, so one histogram check covers every
-    trial.  Pass ``compiled`` (from :func:`compile_schedule`) to reuse a
-    prior compilation across calls.  Machines with fault injectors are
-    refused, as on every replay.  ``deadline`` is an absolute
-    ``time.monotonic()`` timestamp; replay has no superstep loop to check
-    mid-run, so an expired deadline raises
-    :class:`~repro.core.engine.RunAborted` before superstep 0, as the live
-    loop does.
-    """
-    machines = list(machines)
-    if not machines:
-        return []
-    rel = sched.rel
-    for machine in machines:
-        _check_router(machine, rel)
-    if deadline is not None and _monotonic() > deadline:
-        raise RunAborted(
-            "run exceeded its absolute deadline at superstep 0",
-            partial=RunResult(params=machines[0].params, records=[],
-                              results=[None] * rel.p),
-            superstep=0,
-            reason="deadline",
-        )
-    if compiled is None:
-        compiled = compile_schedule(sched)
-    with traced("execute_schedule", cat="scheduling", track="machine",
-                p=rel.p, flits=rel.n):
-        out = compiled.replay_batch(machines)
-    _verify_delivery(out[0], rel, machines[0])
-    return out
-
-
 def execute_schedule(
     machine: Machine,
     sched: Schedule,
@@ -207,26 +160,36 @@ def execute_schedule(
     lost or duplicated (this would be an engine bug — the check is the
     library guarding its own invariants, not user error).  The routing
     program is straight-line, so unless the run is audited or faulted it
-    is replayed from :func:`compile_schedule` — the batch of one of
-    :func:`execute_schedule_batch` — whether or not a tracer, metrics
-    registry or ledger is installed.  ``audit=True`` or an attached fault
-    injector runs the program on the live loop instead; ``audit`` checks
-    every barrier with the invariant auditor (:mod:`repro.faults.audit`).
-    ``deadline`` is an absolute ``time.monotonic()`` timestamp (the
-    serving path's per-request deadline); an expired deadline raises
+    is replayed from :func:`compile_schedule` whether or not a tracer,
+    metrics registry or ledger is installed.  ``audit=True`` or an
+    attached fault injector runs the program on the live loop instead;
+    ``audit`` checks every barrier with the invariant auditor
+    (:mod:`repro.faults.audit`).  ``deadline`` is an absolute
+    ``time.monotonic()`` timestamp (the serving path's per-request
+    deadline); an expired deadline raises
     :class:`~repro.core.engine.RunAborted` before superstep 0 on both
-    paths.
+    paths — replay has no superstep loop to check mid-run.
     """
-    if not audit and machine.fault_injector is None:
-        return execute_schedule_batch([machine], sched, deadline=deadline)[0]
     rel = sched.rel
     _check_router(machine, rel)
+    live = audit or machine.fault_injector is not None
+    if not live and deadline is not None and _monotonic() > deadline:
+        raise RunAborted(
+            "run exceeded its absolute deadline at superstep 0",
+            partial=RunResult(params=machine.params, records=[],
+                              results=[None] * rel.p),
+            superstep=0,
+            reason="deadline",
+        )
     with traced("execute_schedule", cat="scheduling", track="machine",
                 p=rel.p, flits=rel.n):
-        res = machine.run(
-            _routing_program, per_proc_args=_flit_plan(sched), nprocs=rel.p,
-            audit=audit, deadline=deadline,
-        )
+        if live:
+            res = machine.run(
+                _routing_program, per_proc_args=_flit_plan(sched), nprocs=rel.p,
+                audit=audit, deadline=deadline,
+            )
+        else:
+            res = compile_schedule(sched).replay(machine)
     _verify_delivery(res, rel, machine)
     return res
 

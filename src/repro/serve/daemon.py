@@ -285,18 +285,22 @@ class ReproServer:
         params = body.get("params", {})
         if not isinstance(params, dict):
             raise ServeError("E_BAD_REQUEST", "params must be a JSON object")
+        # json.loads takes Infinity, NaN and 1e400 (inf): int(inf) and
+        # float(10**400) raise OverflowError
         try:
-            seed = int(body.get("seed", 0))
-        except (TypeError, ValueError):
-            raise ServeError("E_BAD_REQUEST", f"seed must be an int, got "
-                             f"{body.get('seed')!r}")
+            seed: Optional[int] = int(body.get("seed", 0))
+        except (TypeError, ValueError, OverflowError):
+            seed = None
+        if seed is None or seed < 0:  # seed sequences take integers >= 0
+            raise ServeError("E_BAD_REQUEST", f"seed must be an integer >= 0, "
+                             f"got {body.get('seed')!r}")
         deadline_s = body.get("deadline_s")
         now = time.monotonic()
         deadline = None
         if deadline_s is not None:
             try:
                 finite = math.isfinite(float(deadline_s))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 finite = False
             if not finite:
                 raise ServeError(
@@ -308,7 +312,7 @@ class ReproServer:
             if kind == "scenario":
                 scenario_params(params)
             cost = estimate_cost(kind, params)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServeError("E_BAD_REQUEST", f"bad params: {exc}")
         with self._seq_lock:
             self._seq += 1
@@ -422,7 +426,7 @@ def _make_handler(server: ReproServer, request_timeout: float):
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 return json.loads(raw.decode() or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise ServeError("E_BAD_REQUEST", f"body is not JSON: {exc}")
 
         def _query(self) -> Tuple[str, Dict[str, str]]:

@@ -1,11 +1,12 @@
 """The compute lane of ``repro serve``: where a request's pure compute
 runs once the executor's worker threads have done its bookkeeping.
 
-The compute is a scenario — :func:`repro.serve.executor.run_scenario_batch`
-for a coalesced group, or :func:`repro.serve.executor.run_scenario`, its
-batch of one, for a solo request — or an ``experiment``/``sweep`` kind.
-The scenario's params were validated at submit
-(:func:`repro.serve.protocol.scenario_params`), so a bad value never
+Each request computes once, alone, in the daemon's own process: a
+``scenario`` is one :func:`repro.serve.executor.run_scenario` call and
+an ``experiment`` runs at ``jobs=1``.  The scenario's params were
+validated at submit (:func:`repro.serve.protocol.scenario_params`) and
+an experiment's are checked before it runs
+(:func:`repro.serve.executor.experiment_params`), so a bad value never
 reaches the lane as a crash.  The bookkeeping stays on the executor's
 ``--workers`` threads: the admission hand-off, the response cache
 (including the store's fsync), retry/backoff, quarantine and chaos.
@@ -47,8 +48,8 @@ def _compute(
     """Run one compute handler.
 
     A scenario aborts at ``deadline`` (absolute, on the monotonic clock);
-    an experiment kind cannot abort mid-run and ignores it.  A
-    ``RunAborted`` is re-raised as its structured :class:`ServeError`.
+    an experiment cannot abort mid-run and ignores it.  A ``RunAborted``
+    is re-raised as its structured :class:`ServeError`.
     """
     from repro.core.engine import RunAborted
     from repro.serve.executor import _aborted_error, _run_experiment_kind, run_scenario
@@ -56,7 +57,7 @@ def _compute(
     try:
         if kind == "scenario":
             return run_scenario(params, seed, deadline=deadline)
-        return _run_experiment_kind(kind, params, seed)
+        return _run_experiment_kind(params, seed)
     except RunAborted as exc:
         raise _aborted_error(exc)
 

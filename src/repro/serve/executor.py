@@ -16,9 +16,9 @@ Layout:
   HTTP handler that accepted it blocks on that event, so an admitted
   request always gets an answer — success or structured error — before
   its connection closes (the zero-loss drain guarantee);
-* results of deterministic kinds (``scenario``, ``experiment``,
-  ``sweep``) are cached in the crash-safe :class:`repro.store.DiskStore`
-  under ``("response", fingerprint)`` keys, so a warm-cache reply is the
+* results of deterministic kinds (``scenario``, ``experiment``) are
+  cached in the crash-safe :class:`repro.store.DiskStore` under
+  ``("response", fingerprint)`` keys, so a warm-cache reply is the
   *same object* the cold run produced — bit-identical by construction;
 * a failing request is retried with exponential backoff
   (``base · 2^(attempt-1)``, capped); once a content fingerprint has
@@ -26,13 +26,9 @@ Layout:
   future submissions shed with ``E_QUARANTINED`` (poison-request
   containment).  :class:`repro.serve.chaos.ChaosPlan` injects the seeded
   worker kills these paths are tested against;
-* a worker popping a deadline-free ``scenario`` also pops every queued
-  request that matches it in everything but ``L`` (same seed and params
-  otherwise, up to :data:`MAX_COALESCE`) and answers the group from one
-  :func:`run_scenario_batch` call on the lane — the same function that
-  answers a solo scenario as a batch of one, so each member's payload is
-  its solo answer.  Per-request caching, chaos, retry, and quarantine
-  bookkeeping are untouched.
+* every compute runs once, alone, on the lane, in the daemon's own
+  process: a ``scenario`` is one :func:`run_scenario` call and an
+  ``experiment`` runs at ``jobs=1``.
 
 Determinism contract: handlers derive every RNG from the *request's*
 seed via :func:`repro.util.rng.derive_seed_sequence`, never from server
@@ -49,12 +45,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.serve.admission import AdmissionController
 from repro.serve.chaos import ChaosPlan
 from repro.serve.engine import ComputeLane
-from repro.serve.protocol import KINDS, Request, ServeError
+from repro.serve.protocol import KINDS, Request, ServeError, is_integer, is_positive
 from repro.serve.telemetry import ServerMetrics
 from repro.store.disk import DiskStore
 
@@ -62,11 +58,10 @@ if TYPE_CHECKING:
     from repro.core.engine import RunAborted
 
 __all__ = [
-    "MAX_COALESCE",
     "ExecutorConfig",
     "RequestExecutor",
+    "experiment_params",
     "run_scenario",
-    "run_scenario_batch",
 ]
 
 
@@ -95,10 +90,6 @@ class ExecutorConfig:
         return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
 
-#: requests fused into a single coalesced scenario batch, at most
-MAX_COALESCE = 16
-
-
 # ----------------------------------------------------------------------
 # handlers — module-level pure functions so tests can call them directly
 # and assert bit-identity with the daemon's answers
@@ -121,158 +112,142 @@ def _aborted_error(exc: RunAborted) -> ServeError:
 def run_scenario(
     params: Dict[str, Any], seed: int, *, deadline: Optional[float] = None
 ) -> Dict[str, Any]:
-    """Route one h-relation on a BSP(m): the ``scenario`` kind, and the
-    batch of one of :func:`run_scenario_batch`.
+    """Route one h-relation on a BSP(m): the ``scenario`` kind.
 
     Pure in ``(params, seed)`` — the daemon's answer for a scenario is
     exactly this function's return value, which is how the determinism
-    tests compare served vs. direct execution.  ``deadline`` (absolute
-    monotonic) aborts the run before its superstep 0 with
-    ``RunAborted(reason="deadline")``.
-    """
-    return run_scenario_batch([params], seed, deadline=deadline)[0]
-
-
-def run_scenario_batch(
-    params_list: "list[Dict[str, Any]]",
-    seed: int,
-    *,
-    deadline: Optional[float] = None,
-) -> "list[Dict[str, Any]]":
-    """Scenario requests that differ only in ``L``, in one fused pass.
-
-    The scenario handler factors cleanly: the workload relation, the
-    Unbalanced-Send schedule, and the recorded routing structure depend
-    on ``(workload, p, n, m, epsilon, alpha, seed)`` but *not* on ``L``
-    — latency only re-prices the recorded superstep.  So a burst of
-    compatible requests costs one relation build, one schedule, one
-    compiled program, and one
-    :func:`repro.scheduling.execute.execute_schedule_batch` pass; a solo
-    scenario is the batch of one.  Params are read through
+    tests compare served vs. direct execution.  Params are read through
     :func:`repro.serve.protocol.scenario_params`, which supplies the
-    defaults and rejects bad values with ``E_BAD_REQUEST``.
+    defaults and rejects bad values with ``E_BAD_REQUEST``.  ``deadline``
+    (absolute monotonic) aborts the run before its superstep 0 with
+    ``RunAborted(reason="deadline")``.
     """
     from repro.models.bsp_m import BSPm
     from repro.core.params import MachineParams
     from repro.scheduling import evaluate_schedule
-    from repro.scheduling.execute import execute_schedule_batch
+    from repro.scheduling.execute import execute_schedule
     from repro.scheduling.static_send import unbalanced_send
     from repro.serve.protocol import scenario_params
     from repro.util.rng import derive_seed_sequence
     from repro.workloads.relations import build_relation
 
-    trials = [scenario_params(pp) for pp in params_list]
-    base = trials[0]
-    p, m, workload = base["p"], base["m"], base["workload"]
+    pp = scenario_params(params)
+    p, m, L, workload = pp["p"], pp["m"], pp["L"], pp["workload"]
     rel = build_relation(
-        workload, p, base["n"], base["alpha"],
+        workload, p, pp["n"], pp["alpha"],
         derive_seed_sequence(seed, "scenario", workload),
     )
     sched = unbalanced_send(
-        rel, m, base["epsilon"],
+        rel, m, pp["epsilon"],
         seed=derive_seed_sequence(seed, "scenario", "route"),
     )
-    machines = [BSPm(MachineParams(p=p, m=m, L=t["L"])) for t in trials]
-    runs = execute_schedule_batch(machines, sched, deadline=deadline)
-    return [
-        {
-            "kind": "scenario",
-            "workload": workload,
-            "p": p,
-            "n": int(rel.n),
-            "m": m,
-            "model_time": float(res.time),
-            "supersteps": int(res.supersteps),
-            "schedule": evaluate_schedule(sched, m=m, L=mach.params.L).to_dict(),
-        }
-        for mach, res in zip(machines, runs)
-    ]
+    res = execute_schedule(
+        BSPm(MachineParams(p=p, m=m, L=L)), sched, deadline=deadline
+    )
+    return {
+        "kind": "scenario",
+        "workload": workload,
+        "p": p,
+        "n": int(rel.n),
+        "m": m,
+        "model_time": float(res.time),
+        "supersteps": int(res.supersteps),
+        "schedule": evaluate_schedule(sched, m=m, L=L).to_dict(),
+    }
 
 
-def _coalesce_key(req: Request) -> Optional[Any]:
-    """Batch-compatibility key, or ``None`` when the request must run
-    alone.  Only deadline-free scenarios coalesce, and only with requests
-    sharing the same seed and every parameter except ``L`` — exactly the
-    precondition of :func:`run_scenario_batch`."""
-    if req.kind != "scenario" or req.deadline is not None:
-        return None
-    from repro.serve.protocol import canonical_params
-
-    rest = {k: v for k, v in req.params.items() if k != "L"}
-    return (req.seed, canonical_params(rest))
-
-
-class _ScenarioBatch:
-    """Lazily-computed fused result shared by one coalesced group.
-
-    The batch runs at most once, on the compute lane, for the first
-    member that actually needs a compute (members answered from the
-    response cache never trigger it).  A member's retry reuses the
-    already-computed value — the handlers are pure in ``(params, seed)``,
-    so recomputing could only return the same payload.
-    """
-
-    def __init__(self, requests: "list[Request]", lane: ComputeLane) -> None:
-        self.requests = list(requests)
-        self._lane = lane
-        self._payloads: Optional[Dict[int, Dict[str, Any]]] = None
-
-    def payload_for(self, req: Request) -> Dict[str, Any]:
-        if self._payloads is None:
-            results = self._lane.run(
-                run_scenario_batch,
-                [r.params for r in self.requests],
-                self.requests[0].seed,
-            )
-            self._payloads = {
-                id(r): res for r, res in zip(self.requests, results)
-            }
-        return self._payloads[id(req)]
+def _experiment_value(name: str, key: str, value: Any, default: Any) -> Any:
+    """``value`` checked against the type of the parameter's ``default``
+    (an integral float for an int parameter comes back as an int), or
+    ``E_BAD_REQUEST``."""
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, want = is_integer(value, 1), "an integer >= 1"
+        if ok:
+            value = int(value)
+    elif isinstance(default, float):
+        ok, want = is_positive(value), "a finite number > 0"
+    elif isinstance(default, tuple):
+        ok = isinstance(value, list) and bool(value) and all(map(is_positive, value))
+        want = "a non-empty list of finite numbers > 0"
+    else:
+        return value
+    if not ok:
+        raise ServeError(
+            "E_BAD_REQUEST",
+            f"experiment {name!r} param {key} must be {want}, got {value!r}",
+        )
+    return value
 
 
-def _run_experiment_kind(
-    kind: str, params: Dict[str, Any], seed: int
-) -> Dict[str, Any]:
-    """``experiment`` / ``sweep`` kinds: a registered experiment by name.
+def experiment_params(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    """A served experiment's name and keyword arguments, or
+    ``E_BAD_REQUEST``.
 
-    Placement follows the daemon's machine, never the client: a request
-    cannot set ``jobs``.  ``experiment`` runs at the experiment's default
-    ``jobs=1``; ``sweep`` runs at ``jobs=0`` (all usable cores) and
-    defaults to the skip-don't-die error policy, which a request may
-    override with ``on_error``.  The request seed *always* wins over any
-    seed smuggled into params: the fingerprint covers the seed field.
+    ``params.name`` must be a registered experiment; every other key must
+    be one of its parameters.  Placement follows the daemon's machine,
+    never the client, so ``jobs`` is not accepted.  Each value other than
+    ``seed`` (the request's seed replaces it) is checked against the
+    parameter's default: a bool default takes a JSON boolean, an int
+    default an integer >= 1 (an integral float such as ``8e2`` is
+    accepted), a float default a finite number > 0, a tuple default a
+    non-empty list of finite numbers > 0, and ``on_error`` a sweep error
+    policy (:func:`repro.sweep.parse_on_error`).
     """
     import inspect
 
-    from repro.experiments import EXPERIMENTS, UnknownExperimentError, run_experiment
+    from repro.experiments import EXPERIMENTS
+    from repro.sweep import parse_on_error
 
-    params = dict(params)
-    name = params.pop("name", None)
-    if not name or name not in EXPERIMENTS:
+    kwargs = dict(params)
+    name = kwargs.pop("name", None)
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ServeError(
             "E_BAD_REQUEST",
             f"params.name must be a registered experiment, got {name!r}",
             choices=sorted(EXPERIMENTS),
         )
-    accepted = set(inspect.signature(EXPERIMENTS[name]).parameters) - {"jobs"}
-    unknown = sorted(set(params) - accepted)
+    defaults = {
+        key: param.default
+        for key, param in inspect.signature(EXPERIMENTS[name]).parameters.items()
+        if key != "jobs"
+    }
+    unknown = sorted(set(kwargs) - set(defaults))
     if unknown:
         raise ServeError(
             "E_BAD_REQUEST",
             f"experiment {name!r} does not accept {unknown}",
-            accepted=sorted(accepted),
+            accepted=sorted(defaults),
         )
-    kwargs = dict(params)
+    for key, value in kwargs.items():
+        if key == "seed":
+            continue
+        if key == "on_error":
+            try:
+                parse_on_error(value)
+            except ValueError as exc:
+                raise ServeError("E_BAD_REQUEST", str(exc))
+            continue
+        kwargs[key] = _experiment_value(name, key, value, defaults[key])
+    return name, kwargs
+
+
+def _run_experiment_kind(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """The ``experiment`` kind: a registered experiment by name, run in
+    the daemon's process at the experiment's default ``jobs=1``.
+
+    Params are checked first (:func:`experiment_params`), so input the
+    experiment cannot run is ``E_BAD_REQUEST``, never a crash.  The
+    request seed *always* wins over any seed smuggled into params: the
+    fingerprint covers the seed field.
+    """
+    from repro.experiments import run_experiment
+
+    name, kwargs = experiment_params(params)
     kwargs["seed"] = seed
-    if kind == "sweep":
-        kwargs["jobs"] = 0
-        if "on_error" in accepted:
-            kwargs.setdefault("on_error", "skip")
-    try:
-        result = run_experiment(name, **kwargs)
-    except UnknownExperimentError as exc:  # pragma: no cover - pre-checked
-        raise ServeError("E_BAD_REQUEST", str(exc))
-    return {"kind": kind, "name": name, "result": result}
+    return {"kind": "experiment", "name": name,
+            "result": run_experiment(name, **kwargs)}
 
 
 # ----------------------------------------------------------------------
@@ -420,46 +395,22 @@ class RequestExecutor:
                 if self._stop and not self._work:
                     return
                 req = self._work.pop(0)
-                group = [req]
-                if self._work:
-                    key = _coalesce_key(req)
-                    if key is not None:
-                        keep: "list[Request]" = []
-                        for other in self._work:
-                            if (
-                                len(group) < MAX_COALESCE
-                                and _coalesce_key(other) == key
-                            ):
-                                group.append(other)
-                            else:
-                                keep.append(other)
-                        if len(group) > 1:
-                            self._work[:] = keep
-                self._in_flight += len(group)
+                self._in_flight += 1
                 self.metrics.gauge("inflight", self._in_flight)
             try:
-                if len(group) == 1:
-                    self._serve_one(req)
-                else:
-                    self.metrics.inc("batch.rounds")
-                    self.metrics.inc("batch.coalesced", len(group))
-                    ctx = _ScenarioBatch(group, self._lane)
-                    for member in group:
-                        self._serve_one(member, batch=ctx)
+                self._serve_one(req)
             finally:
                 with self._lock:
-                    self._in_flight -= len(group)
+                    self._in_flight -= 1
                     self.metrics.gauge("inflight", self._in_flight)
                     self._idle.notify_all()
 
     # -- per-request execution -----------------------------------------
-    def _serve_one(
-        self, req: Request, batch: Optional[_ScenarioBatch] = None
-    ) -> None:
+    def _serve_one(self, req: Request) -> None:
         started = time.monotonic()
         self.metrics.observe("wait_s", started - req.submitted)
         try:
-            payload = self._execute(req, started, batch)
+            payload = self._execute(req)
             self._complete(req, payload, None)
             self.metrics.inc("requests.ok")
         except ServeError as err:
@@ -505,12 +456,7 @@ class RequestExecutor:
         if self.store is not None and req.kind != "ping":
             self.store.put(("response", req.fingerprint), payload)
 
-    def _execute(
-        self,
-        req: Request,
-        started: float,
-        batch: Optional[_ScenarioBatch] = None,
-    ) -> Dict[str, Any]:
+    def _execute(self, req: Request) -> Dict[str, Any]:
         self._check_deadline(req)
         self.check_quarantine(req.fingerprint)
         cached = self._cache_get(req)
@@ -527,7 +473,7 @@ class RequestExecutor:
             req.attempts = attempt
             try:
                 self.chaos.kill_if_planned(req.fingerprint, attempt)
-                payload = self._handle(req, batch)
+                payload = self._handle(req)
             except ServeError:
                 raise
             except Exception as exc:
@@ -562,15 +508,11 @@ class RequestExecutor:
             self._cache_put(req, payload)
             return {"cached": False, "attempts": attempt, "payload": payload}
 
-    def _handle(
-        self, req: Request, batch: Optional[_ScenarioBatch] = None
-    ) -> Dict[str, Any]:
+    def _handle(self, req: Request) -> Dict[str, Any]:
         if req.kind == "ping":
             return {"kind": "ping", "seed": req.seed}
         if req.kind not in KINDS:
             raise ServeError(
                 "E_BAD_REQUEST", f"unknown kind {req.kind!r}; choose one of {KINDS}"
             )
-        if batch is not None:
-            return batch.payload_for(req)
         return self._lane.call(req.kind, req.params, req.seed, req.deadline)

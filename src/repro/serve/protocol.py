@@ -48,6 +48,8 @@ __all__ = [
     "canonical_params",
     "error_payload",
     "estimate_cost",
+    "is_integer",
+    "is_positive",
     "ok_payload",
     "request_fingerprint",
     "scenario_params",
@@ -57,10 +59,10 @@ PROTOCOL_VERSION = 1
 
 #: request kinds the executor knows how to serve.  ``scenario`` routes one
 #: h-relation (bit-identical to the batch ``route()`` call at the same
-#: seed); ``experiment``/``sweep`` run a registered experiment, the latter
-#: defaulting to a parallel fan-out over :mod:`repro.sweep`; ``ping`` is
-#: the health/latency probe (cost 1, never cached).
-KINDS = ("ping", "scenario", "experiment", "sweep")
+#: seed); ``experiment`` runs a registered experiment in the daemon's
+#: process at ``jobs=1``; ``ping`` is the health/latency probe (cost 1,
+#: never cached).
+KINDS = ("ping", "scenario", "experiment")
 
 #: code -> HTTP status.  E_QUEUE_FULL is the 429-style load shed of the
 #: bounded admission queue; E_OVERSIZED sheds requests larger than the
@@ -128,8 +130,8 @@ def request_fingerprint(kind: str, params: Dict[str, Any], seed: int) -> str:
 def estimate_cost(kind: str, params: Dict[str, Any]) -> int:
     """The request's Unbalanced-Send size ``x_i`` in flits.
 
-    Scenario cost is its relation size ``n``; experiment/sweep cost scales
-    the per-trial flit volume by the trial count.  Estimates only steer
+    Scenario cost is its relation size ``n``; experiment cost scales the
+    per-trial flit volume by the trial count.  Estimates only steer
     scheduling fairness and oversized shedding — they never change
     results.
     """
@@ -153,6 +155,29 @@ SCENARIO_WORKLOADS = ("uniform", "zipf", "balanced", "one_to_all")
 
 #: integer scenario params and their least valid value
 _SCENARIO_INTS = {"p": 1, "n": 0, "m": 1}
+
+
+def _finite(value: Any) -> bool:
+    """A JSON number, not a boolean, whose float value is finite:
+    ``json.loads`` reads ``Infinity`` and ``1e400`` as inf, and an
+    integer literal can exceed the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+def is_integer(value: Any, least: int) -> bool:
+    """``value`` is an integer >= ``least``; an integral float such as
+    ``2e4`` counts, a boolean does not."""
+    return _finite(value) and value == int(value) and value >= least
+
+
+def is_positive(value: Any) -> bool:
+    """``value`` is a finite number > 0, not a boolean."""
+    return _finite(value) and value > 0
 
 
 def scenario_params(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -179,18 +204,16 @@ def scenario_params(params: Dict[str, Any]) -> Dict[str, Any]:
                     f"unknown workload {value!r}; choose one of {SCENARIO_WORKLOADS}",
                 )
             continue
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if key in _SCENARIO_INTS:
             least = _SCENARIO_INTS[key]
-            if not (number and math.isfinite(value) and value == int(value)
-                    and value >= least):
+            if not is_integer(value, least):
                 raise ServeError(
                     "E_BAD_REQUEST",
                     f"scenario {key} must be an integer >= {least}, got {value!r}",
                 )
             out[key] = int(value)
         else:
-            if not (number and math.isfinite(value) and value > 0):
+            if not is_positive(value):
                 raise ServeError(
                     "E_BAD_REQUEST",
                     f"scenario {key} must be a finite number > 0, got {value!r}",

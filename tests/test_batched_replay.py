@@ -7,7 +7,7 @@ landed:
   for all nine machine classes (costs, breakdowns, stats dicts incl. key
   order, shared-memory state), plus its validation/fallback edges and the
   model violations a single machine of a batch raises;
-* ``execute_schedule_batch`` / ``compile_schedule`` ≡ ``execute_schedule``;
+* ``compile_schedule(sched).replay_batch`` ≡ ``execute_schedule``;
 * the slot-charge kernel ``slot_charge_stats_batched`` row-for-row
   against the ``core/costs.py`` formulas;
 * ``stable_group_order`` against ``np.argsort(kind="stable")`` including
@@ -15,15 +15,11 @@ landed:
   now route through it;
 * the ``pricing_ablation`` experiment: its fused pass equals the
   per-cell sweep, runs under every observer, and falls back to the
-  sweep (skip or raise, per cell) when a cell is bad;
-* serve-layer ``run_scenario_batch`` and executor request coalescing,
-  cold and warm cache.
+  sweep (skip or raise, per cell) when a cell is bad.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 import tracemalloc
 
 import numpy as np
@@ -56,11 +52,7 @@ from repro.core.kernels import (
     stable_group_order,
 )
 from repro.scheduling import unbalanced_send
-from repro.scheduling.execute import (
-    compile_schedule,
-    execute_schedule,
-    execute_schedule_batch,
-)
+from repro.scheduling.execute import compile_schedule, execute_schedule
 from repro.workloads import uniform_random_relation
 
 
@@ -541,7 +533,7 @@ class TestReplayBatchOtherModels:
 
 
 # ----------------------------------------------------------------------
-# schedule layer: compile_schedule / execute_schedule_batch
+# schedule layer: compile_schedule / execute_schedule
 # ----------------------------------------------------------------------
 class TestScheduleBatch:
     def test_compile_schedule_replay_matches_execute(self, routing_compiled):
@@ -555,11 +547,11 @@ class TestScheduleBatch:
             assert rb.cost == ra.cost
             assert rb.stats == ra.stats
 
-    def test_execute_schedule_batch_identity(self, routing_compiled):
+    def test_replay_batch_matches_execute_schedule(self, routing_compiled):
         sched, _ = routing_compiled
         grid = [(m, L) for m in (8, 16, 32) for L in (1.0, 4.0)]
         machines = [BSPm(MachineParams(p=P, m=m, L=L)) for m, L in grid]
-        batched = execute_schedule_batch(machines, sched)
+        batched = compile_schedule(sched).replay_batch(machines)
         for (m, L), bat in zip(grid, batched):
             direct = execute_schedule(BSPm(MachineParams(p=P, m=m, L=L)), sched)
             assert bat.time == direct.time
@@ -567,20 +559,14 @@ class TestScheduleBatch:
                 assert rb.cost == ra.cost
                 assert rb.stats == ra.stats
 
-    def test_execute_schedule_batch_reuses_compiled(self, routing_compiled):
-        sched, compiled = routing_compiled
-        machines = [BSPm(MachineParams(p=P, m=m, L=1)) for m in (8, 16)]
-        out = execute_schedule_batch(machines, sched, compiled=compiled)
-        assert out[0].time == compiled.replay(BSPm(MachineParams(p=P, m=8, L=1))).time
-
     def test_shared_memory_machine_rejected(self, routing_compiled):
         sched, _ = routing_compiled
         with pytest.raises(ValueError, match="point-to-point"):
-            execute_schedule_batch([QSMm(MachineParams(p=P, m=4))], sched)
+            execute_schedule(QSMm(MachineParams(p=P, m=4)), sched)
 
 
 # ----------------------------------------------------------------------
-# experiments + serve
+# experiments
 # ----------------------------------------------------------------------
 _ABLATION_KW = dict(
     p=32, n=2_000, schedule_m=8, m_values=(4, 8, 16), L_values=(1.0, 4.0), seed=3,
@@ -664,75 +650,3 @@ class TestPricingAblationExperiment:
             pricing_ablation(on_error="raise", **kw)
         assert exc.value.label == "pricing_ablation[L=1,g=2,m=0:0]"
 
-
-SCENARIO = {"p": 16, "n": 1500, "m": 64, "workload": "zipf"}
-
-
-class TestServeBatching:
-    def test_run_scenario_batch_identity(self):
-        from repro.serve.executor import run_scenario, run_scenario_batch
-
-        params_list = [dict(SCENARIO, L=L) for L in (1.0, 2.0, 8.0)]
-        batch = run_scenario_batch(params_list, seed=7)
-        for pp, got in zip(params_list, batch):
-            assert got == run_scenario(pp, 7)
-
-    def test_executor_coalesces_cold_and_warm(self, tmp_path):
-        from repro.serve import ExecutorConfig, ReproServer, ServeClient
-        from repro.serve.executor import run_scenario
-        from repro.store.disk import DiskStore
-
-        store = DiskStore(str(tmp_path / "store"), tag="t")
-        server = ReproServer(
-            port=0, store=store,
-            executor=ExecutorConfig(workers=1, backoff_base=0.01),
-        )
-        server.start()
-        try:
-            client = ServeClient(server.url, timeout=60)
-            Ls = [1.0, 2.0, 4.0, 8.0]
-            results = {}
-            lock = threading.Lock()
-
-            def go(L):
-                r = client.submit("scenario", dict(SCENARIO, L=L), seed=5)
-                with lock:
-                    results[L] = r
-
-            threads = [threading.Thread(target=go, args=(L,)) for L in Ls]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            blob = json.dumps  # arrays never appear in responses
-            for L in Ls:
-                want = run_scenario(dict(SCENARIO, L=L), 5)
-                assert blob(results[L]["result"], sort_keys=True) == blob(
-                    want, sort_keys=True
-                )
-            warm = client.submit("scenario", dict(SCENARIO, L=2.0), seed=5)
-            assert warm["cached"] is True
-            assert blob(warm["result"], sort_keys=True) == blob(
-                run_scenario(dict(SCENARIO, L=2.0), 5), sort_keys=True
-            )
-        finally:
-            server.drain(timeout=30)
-
-    def test_coalesce_key_compatibility(self):
-        from repro.serve.executor import _coalesce_key
-        from repro.serve.protocol import Request
-
-        def req(kind="scenario", params=None, seed=5, deadline=None):
-            return Request(
-                seq=0, kind=kind, params=params or dict(SCENARIO, L=1.0),
-                seed=seed, fingerprint="f", cost=1, deadline=deadline,
-                submitted=0.0,
-            )
-
-        base = _coalesce_key(req())
-        assert base is not None
-        assert _coalesce_key(req(params=dict(SCENARIO, L=9.0))) == base
-        assert _coalesce_key(req(seed=6)) != base
-        assert _coalesce_key(req(params=dict(SCENARIO, L=1.0, m=8))) != base
-        assert _coalesce_key(req(deadline=99.0)) is None
-        assert _coalesce_key(req(kind="ping")) is None

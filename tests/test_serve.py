@@ -4,6 +4,8 @@ call — cold cache, warm cache, and after a seeded crash retry)."""
 
 from __future__ import annotations
 
+import http.client
+import inspect
 import json
 import math
 import os
@@ -22,6 +24,7 @@ from repro.serve import (
     AdmissionController,
     ChaosPlan,
     ExecutorConfig,
+    KINDS,
     ReproServer,
     Request,
     ServeClient,
@@ -30,7 +33,7 @@ from repro.serve import (
     estimate_cost,
     request_fingerprint,
 )
-from repro.serve.executor import run_scenario
+from repro.serve.executor import experiment_params, run_scenario
 from repro.serve.protocol import SCENARIO_DEFAULTS, scenario_params
 from repro.store.disk import DiskStore
 
@@ -66,7 +69,7 @@ class TestProtocol:
     def test_fingerprint_covers_seed_and_kind(self):
         base = request_fingerprint("scenario", {"p": 4}, 7)
         assert request_fingerprint("scenario", {"p": 4}, 8) != base
-        assert request_fingerprint("sweep", {"p": 4}, 7) != base
+        assert request_fingerprint("experiment", {"p": 4}, 7) != base
 
     def test_scenario_params_fill_defaults(self):
         assert scenario_params({}) == SCENARIO_DEFAULTS
@@ -74,7 +77,8 @@ class TestProtocol:
         assert got["n"] == 20_000 and type(got["n"]) is int
         assert got["L"] == 3.0 and type(got["L"]) is float
         for bad in ({"n": 2.5}, {"p": True}, {"epsilon": math.inf},
-                    {"workload": "ring"}, {"p": "64"}):
+                    {"workload": "ring"}, {"p": "64"}, {"p": 10**400},
+                    {"L": 10**400}):
             with pytest.raises(ServeError) as exc:
                 scenario_params(bad)
             assert exc.value.code == "E_BAD_REQUEST"
@@ -82,11 +86,36 @@ class TestProtocol:
     def test_estimate_cost_shapes(self):
         assert estimate_cost("ping", {}) == 1
         assert estimate_cost("scenario", {"n": 500}) == 500
-        assert estimate_cost("sweep", {"n": 100, "trials": 5}) == 500
+        assert estimate_cost("experiment", {"n": 100, "trials": 5}) == 500
 
     def test_serve_error_rejects_unknown_code(self):
         with pytest.raises(ValueError):
             ServeError("E_MADE_UP", "nope")
+
+    def test_experiment_params_follow_the_defaults(self):
+        name, kwargs = experiment_params(
+            {"name": "unbalanced_send", "p": 16, "n": 8e2, "epsilon": 1,
+             "include_telemetry": True, "on_error": "retry:2", "seed": -3})
+        assert name == "unbalanced_send"
+        assert kwargs["n"] == 800 and type(kwargs["n"]) is int
+        assert kwargs["epsilon"] == 1 and kwargs["seed"] == -3
+        good = {"m_values": [4, 8.0], "batch": False, "model": "bsp_g"}
+        assert experiment_params({"name": "pricing_ablation", **good})[1] == good
+        bad = [
+            ("unbalanced_send", {"p": True}), ("unbalanced_send", {"n": 2.5}),
+            ("unbalanced_send", {"n": math.inf}), ("unbalanced_send", {"n": "8"}),
+            ("unbalanced_send", {"epsilon": 0}), ("unbalanced_send", {"epsilon": math.nan}),
+            ("unbalanced_send", {"epsilon": 10**400}),
+            ("unbalanced_send", {"include_telemetry": 1}),
+            ("unbalanced_send", {"on_error": None}), ("unbalanced_send", {"jobs": 1}),
+            ("pricing_ablation", {"m_values": []}), ("pricing_ablation", {"m_values": 8}),
+            ("pricing_ablation", {"L_values": [1.0, -2.0]}),
+            ("dynamic_stability", {"horizon": 0}), (["unbalanced_send"], {}),
+        ]
+        for name, params in bad:
+            with pytest.raises(ServeError) as exc:
+                experiment_params({"name": name, **params})
+            assert exc.value.code == "E_BAD_REQUEST", (name, params)
 
 
 # ----------------------------------------------------------------------
@@ -253,21 +282,6 @@ class TestDeterminism:
         )
         assert got["result"]["result"] == want
 
-    def test_sweep_kind_matches_library(self, served):
-        """A served sweep fans out on the daemon's machine (``jobs=0``)
-        and answers exactly what the serial library call does."""
-        server, client = served
-        from repro.experiments import run_experiment
-
-        params = {"name": "unbalanced_send", "p": 128, "m": 16, "n": 5000,
-                  "trials": 4}
-        got = client.submit("sweep", params, seed=7)
-        want = run_experiment(
-            "unbalanced_send", p=128, m=16, n=5000, trials=4, seed=7,
-            jobs=1, on_error="skip",
-        )
-        assert got["result"]["result"] == _json_roundtrip(want)
-
 
 # ----------------------------------------------------------------------
 # structured sheds over the wire
@@ -283,8 +297,8 @@ class TestSheds:
     def test_oversized_is_413(self, served):
         server, client = served
         with pytest.raises(ServeRequestError) as exc:
-            client.submit("sweep", {"name": "unbalanced_send", "n": 10**9,
-                                    "trials": 1000})
+            client.submit("experiment", {"name": "unbalanced_send", "n": 10**9,
+                                         "trials": 1000})
         assert exc.value.code == "E_OVERSIZED"
         assert exc.value.http_status == 413
 
@@ -302,10 +316,74 @@ class TestSheds:
                  "trials": 2}
         for key, value in (("jobs", 16), ("backend", "serial")):
             with pytest.raises(ServeRequestError) as exc:
-                client.submit("sweep", dict(small, **{key: value}))
+                client.submit("experiment", dict(small, **{key: value}))
             assert exc.value.code == "E_BAD_REQUEST", key
             assert exc.value.http_status == 400
             assert key not in exc.value.extra["accepted"]
+
+    def test_sweep_kind_is_400_at_submit(self, served):
+        """Every compute runs in the daemon's own process, so there is no
+        ``sweep`` kind to fork a worker pool: it is an unknown kind."""
+        server, client = served
+        params = {"name": "unbalanced_send", "p": 16, "m": 8, "n": 800,
+                  "trials": 2}
+        with pytest.raises(ServeRequestError) as exc:
+            client.submit("sweep", params, seed=7)
+        assert exc.value.code == "E_BAD_REQUEST"
+        assert exc.value.http_status == 400
+        counters = client.metrics()["counters"]
+        # none was admitted: admitted requests end ok or failed
+        assert counters.get("serve.requests.ok", 0) == 0
+        assert counters.get("serve.requests.failed", 0) == 0
+
+    @pytest.mark.parametrize("body", [
+        b'{"kind": "ping", "seed": Infinity}',
+        b'{"kind": "ping", "seed": 1e400}',
+        b'{"kind": "experiment", "params": {"name": "unbalanced_send", "n": 1e400}}',
+        b'{"kind": "experiment", "params": {"name": "unbalanced_send", '
+        b'"trials": Infinity}}',
+        b'{"kind": "ping", "deadline_s": 1' + b"0" * 400 + b"}",
+        b'{"kind": "scenario", "params": {"p": 8, "n": 100, "m": 4}, "seed": -1}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["seed-inf", "seed-1e400", "n-1e400", "trials-inf", "deadline-10e400",
+            "seed-negative", "nested-100k"])
+    def test_unusable_body_is_400_with_no_crash(self, served, body):
+        """``json.loads`` takes ``Infinity``, ``1e400``, integers past the
+        float range and deep nesting: each is a structured 400, never a
+        dropped connection or a crashed compute."""
+        server, client = served
+        conn = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            conn.request("POST", "/v1/submit", body)
+            reply = conn.getresponse()
+            status, payload = reply.status, json.loads(reply.read())
+        finally:
+            conn.close()
+        assert status == 400
+        assert payload["error"]["code"] == "E_BAD_REQUEST"
+        counters = client.metrics()["counters"]
+        assert counters.get("serve.worker.crashes", 0) == 0
+
+    def test_bad_experiment_input_is_400_not_a_crash(self, served):
+        """Input the experiment cannot run is refused before it runs: no
+        retry, no crash count, no quarantine."""
+        server, client = served
+        base = {"name": "unbalanced_send", "p": 16, "m": 8, "n": 800, "trials": 1}
+        bad = [("m", 0), ("p", 0), ("trials", 0), ("epsilon", -1.0), ("n", "800"),
+               ("on_error", "bogus")]
+        for key, value in bad:
+            with pytest.raises(ServeRequestError) as exc:
+                client.submit("experiment", dict(base, **{key: value}), seed=1)
+            assert exc.value.code == "E_BAD_REQUEST", key
+            assert exc.value.http_status == 400
+            assert exc.value.extra.get("attempts") is None  # never retried
+        with pytest.raises(ServeRequestError) as exc:
+            client.submit("experiment", {"name": "dynamic_stability", "horizon": 0})
+        assert exc.value.code == "E_BAD_REQUEST"
+        counters = client.metrics()["counters"]
+        assert counters.get("serve.worker.crashes", 0) == 0
+        assert counters.get("serve.retry.attempts", 0) == 0
+        assert server.executor.quarantined() == {}
 
     def test_bad_scenario_input_is_400_at_submit(self, served):
         server, client = served
@@ -349,6 +427,89 @@ class TestSheds:
         with pytest.raises(ServeRequestError) as exc:
             client._call("GET", "/v1/nope")
         assert exc.value.code == "E_BAD_REQUEST"
+
+
+# ----------------------------------------------------------------------
+# the submit boundary, fuzzed in process
+# ----------------------------------------------------------------------
+#: numbers ``json.loads`` yields beyond strict JSON (``Infinity``, ``NaN``,
+#: ``1e400`` -> inf), integers past the float range, and the edges of
+#: the valid ranges
+_EDGE_NUMBERS = st.sampled_from(
+    [math.inf, -math.inf, math.nan, 10**400, -(10**400), -1, 0])
+_JSON_VALUES = st.recursive(
+    st.one_of(_EDGE_NUMBERS, st.integers(), st.floats(), st.booleans(),
+              st.none(), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+#: a body field or param value: an edge number half the time
+_FIELD = st.one_of(_EDGE_NUMBERS, _JSON_VALUES)
+
+
+def _param_dicts(known_keys):
+    keys = st.one_of(st.sampled_from(sorted(known_keys)), st.text(max_size=6))
+    return st.dictionaries(keys, _FIELD, max_size=6)
+
+
+class TestSubmitBoundary:
+    """Whatever a client sends, the request parser and the experiment
+    param check answer with a structured ``E_BAD_REQUEST`` or accept it:
+    no other exception reaches the connection or the compute lane."""
+
+    def test_build_request_raises_only_serve_errors(self):
+        server = ReproServer(port=0)  # bound, never started: no HTTP round trip
+        bodies = st.fixed_dictionaries(
+            {"kind": st.one_of(st.sampled_from(KINDS), _JSON_VALUES), "seed": _FIELD},
+            optional={
+                "params": st.one_of(
+                    _param_dicts({*SCENARIO_DEFAULTS, "name", "trials"}),
+                    _JSON_VALUES),
+                "deadline_s": _FIELD,
+            },
+        )
+
+        @settings(max_examples=200, deadline=None)
+        @given(body=st.one_of(bodies, _JSON_VALUES))
+        def check(body):
+            try:
+                req = server._build_request(body)
+            except ServeError as err:
+                assert err.code == "E_BAD_REQUEST"
+            else:
+                assert isinstance(req, Request) and req.kind in KINDS
+                assert req.seed >= 0
+
+        try:
+            check()
+        finally:
+            server.drain(timeout=5)
+
+    def test_experiment_param_check_raises_only_serve_errors(self):
+        from repro.experiments import EXPERIMENTS
+
+        accepted = {
+            name: set(inspect.signature(fn).parameters) - {"jobs"}
+            for name, fn in EXPERIMENTS.items()
+        }
+        known = set().union(*accepted.values()) | {"jobs"}
+        names = st.one_of(st.sampled_from(sorted(EXPERIMENTS)), _JSON_VALUES)
+
+        @settings(max_examples=200, deadline=None)
+        @given(name=names, rest=_param_dicts(known))
+        def check(name, rest):
+            params = {**rest, "name": name}
+            try:
+                got, kwargs = experiment_params(params)
+            except ServeError as err:
+                assert err.code == "E_BAD_REQUEST"
+            else:
+                assert got == name and set(kwargs) <= accepted[name]
+
+        check()
 
 
 # ----------------------------------------------------------------------
@@ -500,10 +661,9 @@ class TestStreamingTelemetry:
 # the compute lane
 # ----------------------------------------------------------------------
 class _HeldCompute:
-    """Wraps the scenario handler (solo scenarios are its batch of one):
-    records the thread of every compute and the seeds computed, and holds
-    the compute of ``hold_seed`` until :meth:`release` — a lane blocked on
-    one long compute."""
+    """Wraps the scenario handler: records the thread of every compute
+    and the seeds computed, and holds the compute of ``hold_seed`` until
+    :meth:`release` — a lane blocked on one long compute."""
 
     def __init__(self, monkeypatch, hold_seed=None):
         import repro.serve.executor as executor_mod
@@ -513,17 +673,17 @@ class _HeldCompute:
         self._release = threading.Event()
         self.threads = []
         self.seeds = []
-        batch = executor_mod.run_scenario_batch
+        compute = executor_mod.run_scenario
 
-        def held_batch(params_list, seed, **kw):
+        def held(params, seed, **kw):
             self.threads.append(_thread_id())
             self.seeds.append(seed)
             if seed == self.hold_seed:
                 self.entered.set()
                 assert self._release.wait(60)
-            return batch(params_list, seed, **kw)
+            return compute(params, seed, **kw)
 
-        monkeypatch.setattr(executor_mod, "run_scenario_batch", held_batch)
+        monkeypatch.setattr(executor_mod, "run_scenario", held)
 
     def release(self):
         self._release.set()
@@ -551,7 +711,7 @@ class TestComputeLane:
             tmp_path, executor=ExecutorConfig(workers=4, backoff_base=0.01)
         )
         params = [dict(SCENARIO, p=8, n=400, L=float(1 + i % 2)) for i in range(8)]
-        seeds = [200 + i // 2 for i in range(8)]  # L-pairs may coalesce
+        seeds = [200 + i // 2 for i in range(8)]  # same-seed L-pairs
         replies = [None] * 8
 
         def go(i):
@@ -565,7 +725,6 @@ class TestComputeLane:
                 t.join(timeout=60)
         finally:
             server.drain(timeout=30)
-        # before the direct calls below, which go through the wrapper too
         assert held.threads
         ((name, _ident),) = set(held.threads)  # one thread ran them all
         assert name == "repro-serve-compute"
