@@ -439,16 +439,8 @@ def _ablation_machine(compiled, model: str, g: float, m: int, L: float):
     from repro.models.bsp_m import BSPm
     from repro.models.self_scheduling import SelfSchedulingBSPm
 
-    params = MachineParams(p=compiled.p, g=g, m=m, L=L)
-    if model == "bsp_g":
-        return BSPg(params)
-    if model == "bsp_m":
-        return BSPm(params)
-    if model == "self_scheduling":
-        return SelfSchedulingBSPm(params)
-    raise ValueError(
-        f"unknown ablation model {model!r}; choose from {_ABLATION_MODELS}"
-    )
+    machine = {"bsp_g": BSPg, "bsp_m": BSPm, "self_scheduling": SelfSchedulingBSPm}
+    return machine[model](MachineParams(p=compiled.p, g=g, m=m, L=L))
 
 
 def _replay_summary(res) -> Dict[str, Any]:
@@ -525,9 +517,14 @@ def pricing_ablation(
     from repro.sweep import parse_on_error, resolve_jobs
     from repro.workloads import uniform_random_relation
 
-    # a bad policy or job count fails alike on the fused and per-cell paths
+    # a bad policy, job count or model fails alike on the fused and
+    # per-cell paths, before anything is routed
     parse_on_error(on_error)
     resolve_jobs(jobs)
+    if model not in _ABLATION_MODELS:
+        raise ValueError(
+            f"unknown ablation model {model!r}; choose from {_ABLATION_MODELS}"
+        )
     rel = uniform_random_relation(
         p, n, seed=derive_seed_sequence(seed, "pricing_ablation", "workload")
     )

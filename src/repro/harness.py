@@ -1046,8 +1046,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--max-queue", type=int, default=64,
-        help="pending-request bound; beyond it submissions shed with "
-        "E_QUEUE_FULL (HTTP 429)",
+        help="bound on queued plus drawn requests; beyond it submissions "
+        "shed with E_QUEUE_FULL (HTTP 429)",
     )
     sv.add_argument(
         "--oversized-factor", type=int, default=64,
@@ -1060,8 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--workers", type=int, default=4,
-        help="executor threads doing admission hand-off, caching and "
-        "retries; every compute runs on one compute-lane thread",
+        help="requests in service at once, each on the HTTP thread that "
+        "accepted it; every compute runs on one compute-lane thread",
     )
     sv.add_argument(
         "--uds", default=None, metavar="PATH",

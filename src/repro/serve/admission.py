@@ -9,16 +9,30 @@ slot 0.  Here the mapping is *request = processor, estimated cost =
 x_i, global budget m = flits the backend may carry per slot*:
 
 * queued requests are batched into **rounds**; each round draws seeded
-  uniform start slots over its own window and is serviced in
-  ``(start_slot, submission_seq)`` order — cheap requests interleave
-  fairly ahead of heavyweight sweeps instead of convoying behind them,
-  exactly the property the paper proves for unbalanced traffic;
+  uniform start slots over its own window and is served in
+  ``(start_slot, submission_seq)`` order.  A round is drawn when a
+  request may start and none are drawn, so rounds form whenever there is
+  a backlog.  A request costing more than its round's window ``W`` is
+  oversized and starts at slot 0, so oversized requests keep arrival
+  order.  Under the default budget (``budget_m = 4096``, ``eps = 0.2``)
+  ``W`` is about 0.03% of the round's total cost (94 slots for 16
+  scenarios of ``n = 20000``), so nearly every request is oversized;
+  only a much cheaper one, such as a ping among scenarios, is drawn
+  across the window, and it is then served after the oversized ones;
 * a request whose cost exceeds ``oversized_factor × budget_m`` (more
   traffic than ``oversized_factor`` exclusive slots of budget) is **shed
   at submission** with ``E_OVERSIZED`` — the serving analogue of the
   paper's oversized senders, which would monopolize the window;
-* the queue is **bounded**: beyond ``max_queue`` pending requests,
-  submission fails fast with ``E_QUEUE_FULL`` (429-style) — never a hang;
+* the queue is **bounded**: once ``max_queue`` requests are queued or
+  drawn, submission fails fast with ``E_QUEUE_FULL`` (429-style) — never
+  a hang;
+* each admitted request is served on the thread that submitted it:
+  :meth:`AdmissionController.take` blocks that thread until its request
+  is next in service order and fewer than ``limit`` requests are in
+  service, and :meth:`AdmissionController.done` frees its place.  The
+  controller is the daemon's only queue and its only count of
+  unfinished requests (queued + drawn + in service), which the drain
+  barrier :meth:`AdmissionController.wait_idle` reads;
 * per-round telemetry (window, overloaded slots — slots whose drawn load
   exceeds ``m`` — queue depth) flows to :mod:`repro.serve.telemetry`.
 
@@ -43,10 +57,11 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.serve.protocol import Request, ServeError
 
@@ -126,13 +141,18 @@ class Round:
 
 
 class AdmissionController:
-    """Bounded queue + per-round Unbalanced-Send scheduling (thread-safe)."""
+    """The daemon's one queue: bounded admission, per-round
+    Unbalanced-Send draws, and the turns of the requests in service
+    (thread-safe, one lock)."""
 
     def __init__(self, config: AdmissionConfig) -> None:
         self.config = config
-        self._queue: Deque[Request] = deque()
-        self._lock = threading.Lock()
-        self._nonempty = threading.Condition(self._lock)
+        self._queue: Deque[Request] = deque()  # admitted, not yet drawn
+        self._drawn: Deque[Request] = deque()  # drawn, in service order
+        self._in_service = 0  # took a turn, not yet done()
+        # reentrant: take() calls next_round() with the lock held
+        self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
         self._rounds = 0
         self._draining = False
         self.max_cost = config.oversized_factor * config.budget_m
@@ -141,7 +161,7 @@ class AdmissionController:
     # submission side
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> int:
-        """Admit a request; returns queue depth after admission.
+        """Admit a request; returns the queue depth after admission.
 
         Raises :class:`ServeError` with ``E_DRAINING``, ``E_OVERSIZED`` or
         ``E_QUEUE_FULL`` — the three explicit sheds.  Admission is the
@@ -163,23 +183,21 @@ class AdmissionController:
                 raise ServeError(
                     "E_DRAINING", "server is draining; not accepting new work"
                 )
-            if len(self._queue) >= self.config.max_queue:
+            depth = len(self._queue) + len(self._drawn)
+            if depth >= self.config.max_queue:
                 raise ServeError(
                     "E_QUEUE_FULL",
                     f"admission queue is at its bound "
-                    f"({self.config.max_queue} pending requests)",
-                    queue_depth=len(self._queue),
+                    f"({self.config.max_queue} queued or drawn requests)",
+                    queue_depth=depth,
                 )
             self._queue.append(request)
-            depth = len(self._queue)
-            self._nonempty.notify()
-            return depth
+            return depth + 1
 
     def start_drain(self) -> None:
-        """Stop admitting; already-queued requests still get served."""
+        """Stop admitting; already-admitted requests still get served."""
         with self._lock:
             self._draining = True
-            self._nonempty.notify_all()
 
     @property
     def draining(self) -> bool:
@@ -187,20 +205,80 @@ class AdmissionController:
             return self._draining
 
     def depth(self) -> int:
+        """Requests waiting for their turn: queued or drawn."""
         with self._lock:
-            return len(self._queue)
+            return len(self._queue) + len(self._drawn)
+
+    def in_service(self) -> int:
+        """Requests that took their turn and are not yet done."""
+        with self._lock:
+            return self._in_service
+
+    def outstanding(self) -> int:
+        """Admitted requests not yet done: queued, drawn or in service."""
+        with self._lock:
+            return len(self._queue) + len(self._drawn) + self._in_service
+
+    def wait_idle(self, timeout: Optional[float] = None) -> bool:
+        """Block until no admitted request is unfinished (the drain
+        barrier); ``False`` if ``timeout`` lapsed first."""
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: not (self._queue or self._drawn or self._in_service),
+                timeout,
+            )
 
     # ------------------------------------------------------------------
-    # dispatch side
+    # service side
     # ------------------------------------------------------------------
-    def next_round(self, timeout: Optional[float] = None) -> Optional[Round]:
-        """Block until work is pending, then schedule up to ``max_batch``
-        requests with the Unbalanced-Send draw.  Returns ``None`` on
-        timeout (or when woken empty during drain) so the dispatcher loop
-        can re-check its stop flag."""
-        with self._lock:
-            if not self._queue:
-                self._nonempty.wait(timeout)
+    def take(
+        self,
+        request: Request,
+        limit: int,
+        timeout: float,
+        on_round: Callable[[Round], None],
+    ) -> None:
+        """Block until ``request`` is next in service order and fewer than
+        ``limit`` requests are in service, then count it in service.
+
+        A caller that finds a free place and no drawn requests draws the
+        next round (:meth:`next_round`) and hands it to ``on_round``,
+        with the lock held.  After ``timeout`` seconds without a turn the
+        request leaves the queue and ``E_INTERNAL`` is raised.
+        """
+        end = time.monotonic() + timeout
+        with self._changed:
+            while True:
+                if self._in_service < limit:
+                    if not self._drawn and self._queue:
+                        on_round(self.next_round())
+                    if self._drawn and self._drawn[0] is request:
+                        self._drawn.popleft()
+                        self._in_service += 1
+                        self._changed.notify_all()  # the next may start too
+                        return
+                remaining = end - time.monotonic()
+                if remaining <= 0:
+                    for waiting in (self._queue, self._drawn):
+                        if request in waiting:
+                            waiting.remove(request)
+                    self._changed.notify_all()
+                    raise ServeError(
+                        "E_INTERNAL",
+                        f"no turn within {timeout}s (service wedged?)",
+                    )
+                self._changed.wait(remaining)
+
+    def done(self) -> None:
+        """Free the place of a request that :meth:`take` put in service."""
+        with self._changed:
+            self._in_service -= 1
+            self._changed.notify_all()
+
+    def next_round(self) -> Optional[Round]:
+        """Draw up to ``max_batch`` queued requests as the next round;
+        they then wait in its service order.  ``None`` if none is queued."""
+        with self._changed:
             if not self._queue:
                 return None
             batch = [
@@ -208,8 +286,10 @@ class AdmissionController:
                 for _ in range(min(self.config.max_batch, len(self._queue)))
             ]
             self._rounds += 1
-            index = self._rounds
-        return self._schedule(index, batch)
+            rnd = self._schedule(self._rounds, batch)
+            self._drawn.extend(req for _slot, req in rnd.order)
+            self._changed.notify_all()  # the round's head may start
+            return rnd
 
     def _schedule(self, index: int, batch: List[Request]) -> Round:
         """The §6 draw over one batch (see module docstring)."""

@@ -10,7 +10,9 @@ Endpoints (all JSON):
     and matching HTTP status — a client never hangs on an unanswered
     accepted request.
 ``GET /v1/healthz``
-    Liveness + drain state + queue/in-flight gauges.
+    Liveness + drain state + admission's counts: ``queue_depth``
+    (queued or drawn), ``in_flight`` (in service) and ``outstanding``
+    (their sum).
 ``GET /v1/metrics``
     The :class:`repro.serve.telemetry.ServerMetrics` snapshot (a
     ``repro.obs`` metrics dump; ``repro compare`` consumes it as-is).
@@ -34,11 +36,18 @@ Every response carries an explicit ``Content-Length`` and a charset on
 its ``Content-Type`` (JSON replies are ``application/json;
 charset=utf-8``), on every path — including errors.
 
+Each admitted request is served on the handler thread that accepted it
+(:meth:`repro.serve.executor.RequestExecutor.serve`).
+
 Drain discipline (the zero-loss guarantee): ``drain()`` closes
-admission (new submissions shed with ``E_DRAINING``), waits for the
-executor's outstanding counter to hit zero — every accepted request has
-its completion event set — waits for all handler threads to finish
-writing responses, and only then shuts the listener down.
+admission (new submissions shed with ``E_DRAINING``), waits until
+admission counts no unfinished request — none queued, drawn or in
+service — waits for every submit handler to have its reply, and only
+then shuts the listener down.
+
+The listen backlog is ``socket.SOMAXCONN``, not ``socketserver``'s 5,
+so a burst of clients queues in the kernel instead of being reset;
+``E_QUEUE_FULL`` is the daemon's only load shed.
 """
 
 from __future__ import annotations
@@ -75,15 +84,19 @@ __all__ = ["ReproServer"]
 
 #: request bodies above this are rejected outright (E_BAD_REQUEST)
 MAX_BODY_BYTES = 1 << 20
-#: hard cap on how long a submit handler will wait for its completion
-#: event — a backstop against executor bugs, not a normal code path
-SUBMIT_WAIT_CAP_S = 600.0
 #: ceiling on a single /v1/events long-poll (clients re-poll with their
 #: cursor; an unbounded wait would pin handler threads through a drain)
 EVENTS_POLL_CAP_S = 55.0
 
 
-class _UnixThreadingHTTPServer(ThreadingHTTPServer):
+class _ThreadingHTTPServer(ThreadingHTTPServer):
+    """The daemon's listener (TCP here, AF_UNIX in the subclass below),
+    with the system's largest listen backlog."""
+
+    request_queue_size = socket.SOMAXCONN
+
+
+class _UnixThreadingHTTPServer(_ThreadingHTTPServer):
     """HTTP over a Unix-domain socket (``repro serve --uds /path.sock``).
 
     ``HTTPServer.server_bind`` unpacks ``host, port = server_address[:2]``
@@ -140,7 +153,7 @@ class ReproServer:
         self.store = store
         self._seq = 0
         self._seq_lock = threading.Lock()
-        self._responding = 0  # handler threads between admission and reply
+        self._responding = 0  # submit handlers between admission and reply
         self._responding_lock = threading.Lock()
         self._responding_done = threading.Condition(self._responding_lock)
         self._drained = threading.Event()
@@ -153,7 +166,7 @@ class ReproServer:
                 uds, handler
             )
         else:
-            self.httpd = ThreadingHTTPServer((host, port), handler)
+            self.httpd = _ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
 
     # -- lifecycle -----------------------------------------------------
@@ -171,7 +184,7 @@ class ReproServer:
         return f"http://{host}:{port}"
 
     def start(self) -> None:
-        """Start executor threads and the listener (non-blocking)."""
+        """Start the compute lane and the listener (non-blocking)."""
         self.executor.start()
         self._started = True
         t = threading.Thread(
@@ -195,9 +208,9 @@ class ReproServer:
         """
         self.admission.start_drain()
         self.metrics.emit_event("drain")  # wakes /v1/events long-pollers
-        clean = self.executor.wait_idle(timeout)
-        # every completion event is set; wait for handlers to finish
-        # writing their responses before tearing the listener down
+        clean = self.admission.wait_idle(timeout)
+        # every admitted request is done; wait for its handler to have
+        # its reply before tearing the listener down
         end = None if timeout is None else time.monotonic() + timeout
         with self._responding_lock:
             while self._responding:
@@ -227,42 +240,26 @@ class ReproServer:
 
     # -- submission (called from handler threads) ----------------------
     def submit(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        """Validate, admit, wait, and build the (status, payload) reply."""
+        """Validate, admit, serve, and build the (status, payload) reply."""
         self.metrics.inc("requests.submitted")
         try:
             req = self._build_request(body)
-        except ServeError as err:
-            self.metrics.shed(err.code)
-            return err.http_status, error_payload(err)
-        try:
             self.executor.check_quarantine(req.fingerprint)
             depth = self.admission.submit(req)
         except ServeError as err:
             self.metrics.shed(err.code)
             return err.http_status, error_payload(err)
-        self.executor.note_admitted()
         self.metrics.gauge("queue.depth", depth)
         with self._responding_lock:
             self._responding += 1
         try:
-            return self._await_reply(req)
+            outcome = self.executor.serve(req)
+        except ServeError as err:  # counted by the executor
+            return err.http_status, error_payload(err)
         finally:
             with self._responding_lock:
                 self._responding -= 1
                 self._responding_done.notify_all()
-
-    def _await_reply(self, req: Request) -> Tuple[int, Dict[str, Any]]:
-        event: threading.Event = req.extra["event"]
-        if not event.wait(SUBMIT_WAIT_CAP_S):  # pragma: no cover - backstop
-            err = ServeError(
-                "E_INTERNAL",
-                f"no completion within {SUBMIT_WAIT_CAP_S}s (executor wedged?)",
-            )
-            return err.http_status, error_payload(err)
-        error: Optional[ServeError] = req.extra.get("error")
-        if error is not None:
-            return error.http_status, error_payload(error)
-        outcome = req.extra["result"]
         payload = ok_payload(
             outcome["payload"],
             kind=req.kind,
@@ -326,7 +323,6 @@ class ReproServer:
             cost=cost,
             deadline=deadline,
             submitted=now,
-            extra={"event": threading.Event()},
         )
 
     # -- introspection -------------------------------------------------
@@ -336,8 +332,8 @@ class ReproServer:
             "protocol_version": PROTOCOL_VERSION,
             "status": "draining" if self.admission.draining else "serving",
             "queue_depth": self.admission.depth(),
-            "in_flight": self.executor.in_flight(),
-            "outstanding": self.executor.outstanding(),
+            "in_flight": self.admission.in_service(),
+            "outstanding": self.admission.outstanding(),
         }
 
     def stats(self) -> Dict[str, Any]:

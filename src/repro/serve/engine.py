@@ -1,5 +1,5 @@
 """The compute lane of ``repro serve``: where a request's pure compute
-runs once the executor's worker threads have done its bookkeeping.
+runs while the HTTP thread serving the request does its bookkeeping.
 
 Each request computes once, alone, in the daemon's own process: a
 ``scenario`` is one :func:`repro.serve.executor.run_scenario` call and
@@ -7,14 +7,15 @@ an ``experiment`` runs at ``jobs=1``.  The scenario's params were
 validated at submit (:func:`repro.serve.protocol.scenario_params`) and
 an experiment's are checked before it runs
 (:func:`repro.serve.executor.experiment_params`), so a bad value never
-reaches the lane as a crash.  The bookkeeping stays on the executor's
-``--workers`` threads: the admission hand-off, the response cache
-(including the store's fsync), retry/backoff, quarantine and chaos.
+reaches the lane as a crash.  The bookkeeping stays on the request's
+own HTTP thread, one of at most ``--workers`` in service: the response
+cache (including the store's fsync), retry/backoff, quarantine and
+chaos.
 
 Under CPython's GIL the daemon is a globally limited machine with
-``m = 1``: however many worker threads hold requests, one of them
-computes at a time.  Letting every worker compute anyway costs memory,
-not time.  glibc gives each thread that allocates its own malloc arena,
+``m = 1``: however many threads hold requests, one of them computes at
+a time.  Letting every serving thread compute anyway costs memory, not
+time.  glibc gives each thread that allocates its own malloc arena,
 and each arena keeps a scenario's working set (about 2.2 MB at
 ``n = 20000`` flits) after the request ends.  :class:`ComputeLane`
 charges for the restriction that binds: one long-lived thread runs every
@@ -23,7 +24,9 @@ compute, and the next compute overlaps the previous reply's store write.
 The lane re-checks a request's deadline when it picks the request up, so
 a request that expired in the lane's queue sheds ``E_DEADLINE`` without
 building anything, and it records that queue wait as the histogram
-``serve.compute.wait_s``.  It uses only ``threading`` and
+``serve.compute.wait_s``.  A caller waits for its job at most
+:data:`WAIT_CAP_S`; a job not yet picked up by then leaves the queue,
+and the caller gets ``E_INTERNAL``.  It uses only ``threading`` and
 ``collections``, which the daemon has loaded before it is ready.
 """
 
@@ -39,7 +42,11 @@ from repro.serve.protocol import ServeError
 if TYPE_CHECKING:
     from repro.serve.telemetry import ServerMetrics
 
-__all__ = ["ComputeLane"]
+__all__ = ["ComputeLane", "WAIT_CAP_S"]
+
+#: longest a request waits for its turn or for its compute: a backstop
+#: against a wedged compute, not a normal code path
+WAIT_CAP_S = 600.0
 
 
 def _compute(
@@ -82,7 +89,7 @@ class _Job:
 class ComputeLane:
     """One long-lived thread runs every compute.
 
-    Callers (the executor's worker threads) block in :meth:`run` until
+    Callers (the threads serving requests) block in :meth:`run` until
     their job is done; the job's return value or exception is handed back
     to them, so the executor's retry and error handling see exactly what
     an in-thread call would raise.  Before :meth:`start` and after the
@@ -127,17 +134,25 @@ class ComputeLane:
     ) -> Any:
         """Queue ``fn(*args)`` on the lane and wait for its outcome.  A job
         whose ``deadline`` has passed when the lane picks it up raises
-        ``E_DEADLINE`` instead of running."""
+        ``E_DEADLINE`` instead of running; no outcome within
+        :data:`WAIT_CAP_S` raises ``E_INTERNAL``."""
         job = _Job(fn, args, deadline)
         with self._cond:
             queued = self._thread is not None and not self._closed
             if queued:
                 self._jobs.append(job)
                 self._cond.notify()
-        if queued:
-            job.done.wait()
-        else:
+        if not queued:
             self._execute(job)
+        elif not job.done.wait(WAIT_CAP_S):
+            with self._cond:
+                if job in self._jobs:  # never picked up: it must not run later
+                    self._jobs.remove(job)
+            if not job.done.is_set():
+                raise ServeError(
+                    "E_INTERNAL",
+                    f"no compute outcome within {WAIT_CAP_S}s (lane wedged?)",
+                )
         if job.error is not None:
             raise job.error
         return job.value

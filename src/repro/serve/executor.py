@@ -4,18 +4,21 @@ state machine.
 
 Layout:
 
-* a single **dispatcher** thread pulls Unbalanced-Send rounds from the
-  :class:`repro.serve.admission.AdmissionController` and feeds requests,
-  in service order, to a bounded pool of **worker** threads;
-* the workers do each request's bookkeeping — deadline and quarantine
-  checks, cache get/put, retry/backoff, chaos — and hand its compute to
+* each admitted request is served on the HTTP handler thread that
+  accepted it: :meth:`RequestExecutor.serve` waits in
+  :meth:`repro.serve.admission.AdmissionController.take` until the
+  request is next in its Unbalanced-Send round's service order and fewer
+  than ``workers`` requests are in service, then answers it, success or
+  structured error, so an admitted request always gets an answer before
+  its connection closes (the zero-loss drain guarantee);
+* that thread does the request's bookkeeping — deadline and quarantine
+  checks, cache get/put, retry/backoff, chaos — and hands its compute to
   the **compute lane** of :mod:`repro.serve.engine`, one thread that
   runs every compute in turn (the GIL lets one thread compute at a time
   anyway, and a single computing thread keeps a single malloc arena);
-* each request carries a ``threading.Event`` in ``Request.extra``; the
-  HTTP handler that accepted it blocks on that event, so an admitted
-  request always gets an answer — success or structured error — before
-  its connection closes (the zero-loss drain guarantee);
+  both waits, for the turn and for the lane, are bounded by
+  :data:`repro.serve.engine.WAIT_CAP_S`, after which the request gets
+  ``E_INTERNAL``;
 * results of deterministic kinds (``scenario``, ``experiment``) are
   cached in the crash-safe :class:`repro.store.DiskStore` under
   ``("response", fingerprint)`` keys, so a warm-cache reply is the
@@ -47,9 +50,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.serve.admission import AdmissionController
+from repro.serve import engine
+from repro.serve.admission import AdmissionController, Round
 from repro.serve.chaos import ChaosPlan
-from repro.serve.engine import ComputeLane
 from repro.serve.protocol import KINDS, Request, ServeError, is_integer, is_positive
 from repro.serve.telemetry import ServerMetrics
 from repro.store.disk import DiskStore
@@ -69,7 +72,7 @@ __all__ = [
 class ExecutorConfig:
     """Tunables of the execution/retry layer."""
 
-    workers: int = 4  # bookkeeping threads; compute runs on the one lane
+    workers: int = 4  # requests in service at once; compute runs on the one lane
     max_attempts: int = 3  # tries per submission before E_CRASHED
     backoff_base: float = 0.05  # seconds; attempt k sleeps base * 2^(k-1)
     backoff_cap: float = 2.0  # ceiling on a single backoff sleep
@@ -192,12 +195,13 @@ def experiment_params(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     parameter's default: a bool default takes a JSON boolean, an int
     default an integer >= 1 (an integral float such as ``8e2`` is
     accepted), a float default a finite number > 0, a tuple default a
-    non-empty list of finite numbers > 0, and ``on_error`` a sweep error
-    policy (:func:`repro.sweep.parse_on_error`).
+    non-empty list of finite numbers > 0, ``on_error`` a sweep error
+    policy (:func:`repro.sweep.parse_on_error`) and ``model`` (of
+    ``pricing_ablation``) one of its ablation models.
     """
     import inspect
 
-    from repro.experiments import EXPERIMENTS
+    from repro.experiments import _ABLATION_MODELS, EXPERIMENTS
     from repro.sweep import parse_on_error
 
     kwargs = dict(params)
@@ -229,6 +233,15 @@ def experiment_params(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
             except ValueError as exc:
                 raise ServeError("E_BAD_REQUEST", str(exc))
             continue
+        if key == "model":
+            if value not in _ABLATION_MODELS:
+                raise ServeError(
+                    "E_BAD_REQUEST",
+                    f"experiment {name!r} param model must be one of "
+                    f"{list(_ABLATION_MODELS)}, got {value!r}",
+                    choices=list(_ABLATION_MODELS),
+                )
+            continue
         kwargs[key] = _experiment_value(name, key, value, defaults[key])
     return name, kwargs
 
@@ -256,7 +269,8 @@ def _run_experiment_kind(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 
 class RequestExecutor:
-    """Dispatcher + worker pool with retry, quarantine, and caching."""
+    """Serves admitted requests in their turn, with retry, quarantine and
+    caching."""
 
     def __init__(
         self,
@@ -272,81 +286,23 @@ class RequestExecutor:
         self.config = config or ExecutorConfig()
         self.store = store
         self.chaos = chaos or ChaosPlan()
-        self._lane = ComputeLane(metrics)
+        self._lane = engine.ComputeLane(metrics)
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._in_flight = 0
-        self._outstanding = 0  # admitted but not yet completed
         self._failures: Dict[str, int] = {}  # fingerprint -> crash count
         self._quarantined: Dict[str, str] = {}  # fingerprint -> last error
-        self._work: "list[Request]" = []
-        self._work_ready = threading.Condition(self._lock)
-        self._stop = False
-        self._threads: list[threading.Thread] = []
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
         self._lane.start()
-        dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
-        )
-        dispatcher.start()
-        self._threads.append(dispatcher)
-        for i in range(self.config.workers):
-            t = threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-worker-{i}", daemon=True
-            )
-            t.start()
-            self._threads.append(t)
 
     def stop(self) -> None:
-        with self._lock:
-            self._stop = True
-            self._work_ready.notify_all()
-            self._idle.notify_all()
         self.admission.start_drain()
         self._lane.shutdown()
-
-    def note_admitted(self) -> None:
-        """Called by the server right after ``admission.submit`` succeeds.
-
-        The outstanding counter is the drain invariant: it covers a
-        request through *every* intermediate state — queued, mid-round in
-        the dispatcher, in ``_work``, running — and only drops when its
-        completion event is set, so ``wait_idle`` cannot return early in
-        the window where a round has left the admission queue but not yet
-        reached the worker list.
-        """
-        with self._lock:
-            self._outstanding += 1
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted request has been answered.
-
-        This is the drain barrier: with admission closed, idle means
-        every accepted request has had its completion event set.
-        """
-        end = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            while self._outstanding:
-                remaining = None if end is None else end - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._idle.wait(remaining if remaining is not None else 0.5)
-            return True
-
-    def in_flight(self) -> int:
-        with self._lock:
-            return self._in_flight
 
     def cache_hit_count(self) -> int:
         """Served-from-cache count so far (rides the round event stream)."""
         with self.metrics._lock:
             return int(self.metrics.registry.counter("serve.cache.hits").value)
-
-    def outstanding(self) -> int:
-        with self._lock:
-            return self._outstanding
 
     # -- quarantine ----------------------------------------------------
     def check_quarantine(self, fingerprint: str) -> None:
@@ -366,77 +322,50 @@ class RequestExecutor:
         with self._lock:
             return dict(self._quarantined)
 
-    # -- dispatch / workers --------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                if self._stop:
-                    return
-            rnd = self.admission.next_round(timeout=0.1)
-            if rnd is None:
-                continue
-            depth = self.admission.depth()
-            self.metrics.round_scheduled(
-                rnd.window, rnd.overloaded_slots, len(rnd.order),
-                queue_depth=depth,
-                cache_hits=self.cache_hit_count(),
+    # -- per-request service -------------------------------------------
+    def serve(self, req: Request) -> Dict[str, Any]:
+        """Wait for an admitted request's turn, run it and return its
+        outcome; a structured failure is raised as :class:`ServeError`."""
+        try:
+            self.admission.take(
+                req, self.config.workers, engine.WAIT_CAP_S, self._round_drawn
             )
-            self.metrics.gauge("queue.depth", depth)
-            with self._lock:
-                for _slot, req in rnd.order:  # already in service order
-                    self._work.append(req)
-                self._work_ready.notify_all()
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._work and not self._stop:
-                    self._work_ready.wait(0.25)
-                if self._stop and not self._work:
-                    return
-                req = self._work.pop(0)
-                self._in_flight += 1
-                self.metrics.gauge("inflight", self._in_flight)
-            try:
-                self._serve_one(req)
-            finally:
-                with self._lock:
-                    self._in_flight -= 1
-                    self.metrics.gauge("inflight", self._in_flight)
-                    self._idle.notify_all()
-
-    # -- per-request execution -----------------------------------------
-    def _serve_one(self, req: Request) -> None:
+        except ServeError as err:
+            self._failed(err)
+            raise
         started = time.monotonic()
+        self.metrics.gauge("inflight", self.admission.in_service())
         self.metrics.observe("wait_s", started - req.submitted)
         try:
-            payload = self._execute(req)
-            self._complete(req, payload, None)
-            self.metrics.inc("requests.ok")
+            outcome = self._execute(req)
         except ServeError as err:
-            self.metrics.shed(err.code)
-            self.metrics.inc("requests.failed")
-            self._complete(req, None, err)
-        except Exception as exc:  # defense: never let a worker die silently
+            self._failed(err)
+            raise
+        except Exception as exc:  # defense: a bookkeeping bug still answers
             err = ServeError("E_INTERNAL", f"{type(exc).__name__}: {exc}")
-            self.metrics.shed(err.code)
-            self.metrics.inc("requests.failed")
-            self._complete(req, None, err)
+            self._failed(err)
+            raise err from exc
         finally:
+            self.admission.done()
+            self.metrics.gauge("inflight", self.admission.in_service())
             self.metrics.observe("service_s", time.monotonic() - started)
+        self.metrics.inc("requests.ok")
+        return outcome
 
-    def _complete(
-        self, req: Request, payload: Any, error: Optional[ServeError]
-    ) -> None:
-        req.extra["result"] = payload
-        req.extra["error"] = error
-        with self._lock:
-            if self._outstanding > 0:
-                self._outstanding -= 1
-            self._idle.notify_all()
-        event = req.extra.get("event")
-        if event is not None:
-            event.set()
+    def _round_drawn(self, rnd: Round) -> None:
+        """Report a round this request's thread drew (admission's lock is
+        held, so the depth is exact)."""
+        depth = self.admission.depth()
+        self.metrics.round_scheduled(
+            rnd.window, rnd.overloaded_slots, len(rnd.order),
+            queue_depth=depth,
+            cache_hits=self.cache_hit_count(),
+        )
+        self.metrics.gauge("queue.depth", depth)
+
+    def _failed(self, err: ServeError) -> None:
+        self.metrics.shed(err.code)
+        self.metrics.inc("requests.failed")
 
     def _check_deadline(self, req: Request) -> None:
         if req.deadline is not None and time.monotonic() > req.deadline:

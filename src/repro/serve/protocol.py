@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 __all__ = [
@@ -112,7 +112,6 @@ class Request:
     deadline: Optional[float]  # absolute time.monotonic(), None = no deadline
     submitted: float  # time.monotonic() at acceptance
     attempts: int = 0
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 def canonical_params(params: Dict[str, Any]) -> str:

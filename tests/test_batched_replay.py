@@ -641,6 +641,19 @@ class TestPricingAblationExperiment:
             c["point"]: c for c in out["cells"] if c["model_time"] is not None
         }
 
+    def test_unknown_model_fails_before_routing(self, monkeypatch):
+        import repro.experiments
+        from repro.experiments import pricing_ablation
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the per-cell sweep ran")
+
+        monkeypatch.setattr(repro.experiments, "run_sweep", no_sweep)
+        with pytest.raises(ValueError, match="unknown ablation model 'bogus'") as exc:
+            pricing_ablation(model="bogus", **_ABLATION_KW)
+        assert type(exc.value) is ValueError  # not a TrialExecutionError
+        assert "self_scheduling" in str(exc.value)
+
     def test_failing_cell_raises_with_its_label(self):
         from repro.experiments import pricing_ablation
         from repro.sweep import TrialExecutionError

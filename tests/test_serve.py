@@ -156,7 +156,7 @@ class TestAdmission:
             ctl = AdmissionController(AdmissionConfig(budget_m=8, seed=seed))
             for i in range(6):
                 ctl.submit(_req(i, cost=10 + i))
-            rnd = ctl.next_round(timeout=1)
+            rnd = ctl.next_round()
             return rnd.window, [r.seq for _, r in rnd.order]
 
         assert one_round(3) == one_round(3)  # same seed, same schedule
@@ -167,14 +167,29 @@ class TestAdmission:
         )
         ctl.submit(_req(1, cost=95))  # bigger than the window -> slot 0
         ctl.submit(_req(2, cost=5))
-        rnd = ctl.next_round(timeout=1)
+        rnd = ctl.next_round()
         assert rnd.window == 10  # ceil((95 + 5) / 10)
         slot_of = {r.seq: s for s, r in rnd.order}
         assert slot_of[1] == 0  # the paper's oversized-sender rule
 
-    def test_next_round_timeout_returns_none(self):
+    def test_take_times_out_and_leaves_the_queue(self):
         ctl = AdmissionController(AdmissionConfig())
-        assert ctl.next_round(timeout=0.01) is None
+        first, second = _req(1, 5), _req(2, 5)
+        ctl.submit(first)
+        ctl.submit(second)
+        rounds = []
+        ctl.take(first, 1, 1.0, rounds.append)  # draws both; first starts
+        assert [len(rnd.order) for rnd in rounds] == [2]
+        t0 = time.monotonic()
+        with pytest.raises(ServeError) as exc:
+            ctl.take(second, 1, 0.05, rounds.append)  # no free place
+        assert exc.value.code == "E_INTERNAL"
+        assert time.monotonic() - t0 < 5
+        assert (ctl.depth(), ctl.in_service(), ctl.outstanding()) == (0, 1, 1)
+        assert not ctl.wait_idle(timeout=0.01)
+        ctl.done()
+        assert ctl.wait_idle(timeout=1)
+        assert ctl.next_round() is None  # nothing is left to draw
 
     def test_pinned_draw(self):
         """The stdlib draw for one fixed seed: a change to the draw (its
@@ -182,7 +197,7 @@ class TestAdmission:
         ctl = AdmissionController(AdmissionConfig(budget_m=4, epsilon=0.0, seed=11))
         for seq, cost in enumerate([1, 3, 9, 2, 30, 5]):
             ctl.submit(_req(seq, cost))
-        rnd = ctl.next_round(timeout=1)
+        rnd = ctl.next_round()
         assert (rnd.index, rnd.window, rnd.total_cost) == (1, 13, 50)
         assert [(s, r.seq) for s, r in rnd.order] == [
             (0, 4), (0, 5), (2, 3), (3, 2), (7, 1), (12, 0),
@@ -380,6 +395,14 @@ class TestSheds:
         with pytest.raises(ServeRequestError) as exc:
             client.submit("experiment", {"name": "dynamic_stability", "horizon": 0})
         assert exc.value.code == "E_BAD_REQUEST"
+        ablation = {"name": "pricing_ablation", "p": 16, "n": 200, "schedule_m": 4,
+                    "m_values": [4, 8], "L_values": [1.0]}
+        for model in ("bogus", "bogus", 5):  # twice: never quarantined
+            with pytest.raises(ServeRequestError) as exc:
+                client.submit("experiment", dict(ablation, model=model))
+            assert exc.value.code == "E_BAD_REQUEST", model
+            assert exc.value.http_status == 400
+            assert "bsp_m" in exc.value.extra["choices"]
         counters = client.metrics()["counters"]
         assert counters.get("serve.worker.crashes", 0) == 0
         assert counters.get("serve.retry.attempts", 0) == 0
@@ -804,7 +827,7 @@ class TestComputeLane:
             for t in threads[1:]:
                 t.start()
             _wait_for(lambda: _lane_jobs(server) >= 1)
-            _wait_for(lambda: server.executor.outstanding() == len(seeds))
+            _wait_for(lambda: server.admission.outstanding() == len(seeds))
             drained = {}
             drainer = threading.Thread(
                 target=lambda: drained.update(clean=server.drain(timeout=60))
@@ -917,6 +940,156 @@ class TestComputeLane:
         # once the lane has drained, a job runs on the caller's thread
         _wait_for(lambda: lane._closed)
         assert lane.run(threading.current_thread) is threading.current_thread()
+
+
+# ----------------------------------------------------------------------
+# each request is served on the thread that accepted it
+# ----------------------------------------------------------------------
+class TestServedOnItsOwnThread:
+    def test_daemon_starts_only_the_listener_and_the_lane(self, tmp_path):
+        before = set(threading.enumerate())
+        server, client = make_server(tmp_path)
+        try:
+            started = {t.name for t in set(threading.enumerate()) - before}
+            assert started == {"repro-serve-http", "repro-serve-compute"}
+            assert client.ping()["ok"]
+        finally:
+            server.drain(timeout=30)
+
+    def test_backlog_is_drawn_as_one_round_in_draw_order(self, tmp_path, monkeypatch):
+        """Six requests queued behind a held compute are drawn as one
+        round and computed in the order the round's draw gives them."""
+        cfg = AdmissionConfig(seed=3, budget_m=1, oversized_factor=10**6)
+        held = _HeldCompute(monkeypatch, hold_seed=0)
+        server, client = make_server(
+            tmp_path, admission=cfg,
+            executor=ExecutorConfig(workers=1, backoff_base=0.01),
+        )
+        sizes = [400, 900, 250, 700, 1200, 500]
+        params = [dict(SCENARIO, p=8, n=n) for n in sizes]
+        seeds = [10 + i for i in range(len(sizes))]
+        threads = [threading.Thread(target=client.submit, args=("scenario", SCENARIO),
+                                    kwargs={"seed": 0})]
+        threads += [
+            threading.Thread(target=client.submit, args=("scenario", params[i]),
+                             kwargs={"seed": seeds[i]})
+            for i in range(len(sizes))
+        ]
+        try:
+            threads[0].start()
+            assert held.entered.wait(30)
+            for i, t in enumerate(threads[1:]):  # one at a time: seq order
+                t.start()
+                _wait_for(lambda: server.admission.depth() == i + 1)
+            held.release()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            events, _seq = client.events(since=0, timeout=0.1)
+        finally:
+            held.release()
+            server.drain(timeout=30)
+        assert [e["requests"] for e in events if e["kind"] == "round"] == [1, 6]
+        # the held request was seq 1 and round 1; the backlog is seqs 2..7
+        batch = [
+            Request(seq=2 + i, kind="scenario", params=params[i], seed=seeds[i],
+                    fingerprint="", cost=estimate_cost("scenario", params[i]),
+                    deadline=None, submitted=0.0)
+            for i in range(len(sizes))
+        ]
+        drawn = [r.seed for _slot, r in AdmissionController(cfg)._schedule(2, batch).order]
+        assert drawn != seeds  # the draw reorders this backlog
+        assert held.seeds == [0] + drawn
+
+    def test_drain_count_returns_to_zero_under_switch_churn(self, tmp_path):
+        server, client = make_server(tmp_path)
+        errors = []
+
+        def pings():
+            try:
+                for _ in range(100):
+                    client.ping()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=pings) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert errors == []
+            assert client.healthz()["outstanding"] == 0
+        finally:
+            clean = server.drain(timeout=5)
+        assert clean
+
+    def test_wedged_compute_gets_e_internal_within_the_cap(self, tmp_path, monkeypatch):
+        """A compute that never returns costs its caller, and the request
+        queued behind it on the lane, one ``E_INTERNAL`` after the wait
+        cap; the queued one leaves the lane's queue without running."""
+        from repro.serve import engine
+
+        monkeypatch.setattr(engine, "WAIT_CAP_S", 0.5)
+        held = _HeldCompute(monkeypatch, hold_seed=2)
+        server, client = make_server(tmp_path)
+        outcome = {}
+
+        def submit(seed):
+            t0 = time.monotonic()
+            try:
+                client.submit("scenario", SCENARIO, seed=seed)
+            except ServeRequestError as exc:
+                outcome[seed] = (exc.code, time.monotonic() - t0)
+
+        threads = [threading.Thread(target=submit, args=(seed,)) for seed in (2, 3)]
+        try:
+            threads[0].start()
+            assert held.entered.wait(30)
+            threads[1].start()  # queues on the lane behind the wedged compute
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for seed in (2, 3):
+                code, waited = outcome[seed]
+                assert code == "E_INTERNAL" and 0.5 <= waited < 10, outcome
+            assert client.healthz()["outstanding"] == 0
+        finally:
+            held.release()
+            clean = server.drain(timeout=30)
+        assert clean
+        _wait_for(lambda: server.executor._lane._closed)
+        assert held.seeds == [2]
+
+    def test_burst_of_clients_gets_replies_not_resets(self, served):
+        """64 clients connect at once, five times over: each gets a reply
+        (the listen backlog holds them), never a reset connection."""
+        server, client = served
+        barrier = threading.Barrier(64)
+        replies, errors = [], []
+
+        def burst():
+            for _ in range(5):
+                barrier.wait(timeout=60)
+                try:
+                    replies.append(client.ping()["ok"])
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+
+        threads = [threading.Thread(target=burst) for _ in range(64)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert replies == [True] * 320
 
 
 # ----------------------------------------------------------------------

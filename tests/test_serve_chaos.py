@@ -116,9 +116,22 @@ class TestSeededKills:
 
 
 class TestOverload:
-    def test_bounded_queue_sheds_structured_and_never_hangs(self):
+    def test_bounded_queue_sheds_structured_and_never_hangs(self, monkeypatch):
+        """With the one place in service held, ``max_queue`` more requests
+        wait and every other submission sheds ``E_QUEUE_FULL`` at once."""
+        import repro.serve.executor as executor_mod
+
+        entered, release = threading.Event(), threading.Event()
+        compute = executor_mod.run_scenario
+
+        def held(params, seed, **kw):
+            entered.set()
+            assert release.wait(JOIN_S)
+            return compute(params, seed, **kw)
+
+        monkeypatch.setattr(executor_mod, "run_scenario", held)
         server, client = start_server(
-            admission=AdmissionConfig(max_queue=2, max_batch=1),
+            admission=AdmissionConfig(max_queue=2),
             executor=ExecutorConfig(workers=1, backoff_base=0.005),
         )
         outcomes = []
@@ -135,18 +148,24 @@ class TestOverload:
 
         threads = [threading.Thread(target=go, args=(i,)) for i in range(10)]
         try:
-            for t in threads:
+            threads[0].start()
+            assert entered.wait(JOIN_S)
+            for t in threads[1:]:
                 t.start()
+            end = time.monotonic() + JOIN_S
+            while len(outcomes) < 7 and time.monotonic() < end:
+                time.sleep(0.01)
+            assert outcomes == ["E_QUEUE_FULL"] * 7  # shed without waiting
+            assert client.healthz()["queue_depth"] == 2
+            release.set()
             for t in threads:
                 t.join(timeout=JOIN_S)
             assert not any(t.is_alive() for t in threads), "a client hung"
-            assert len(outcomes) == 10  # every submission was answered
-            assert set(outcomes) <= {"ok", "E_QUEUE_FULL"}
-            assert outcomes.count("ok") >= 1
-            if "E_QUEUE_FULL" in outcomes:
-                shed = client.metrics()["counters"]["serve.shed.queue_full"]
-                assert shed == outcomes.count("E_QUEUE_FULL")
+            assert sorted(outcomes) == ["E_QUEUE_FULL"] * 7 + ["ok"] * 3
+            shed = client.metrics()["counters"]["serve.shed.queue_full"]
+            assert shed == 7
         finally:
+            release.set()
             server.drain(timeout=30)
 
 
