@@ -1,16 +1,15 @@
-"""Batched multi-trial replay: one recorded schedule, B parameter points.
+"""Batched multi-trial replay: one routing superstep, B parameter points.
 
-Many experiments price the *same* straight-line program under many
+Many experiments price the *same* routing schedule under many
 ``(g, m, L, penalty)`` points.  :func:`replay_batch` is their entry
 point to :meth:`~repro.core.compiled.CompiledProgram.replay_batch`, the
-one replay loop; ``pricing_ablation`` prices its whole grid in one call,
-observed or not (the sweep runner fuses nothing itself).  Each frame is
-priced by one call of the model's
-:meth:`~repro.core.engine.Machine._price_batch`, which derives the
-superstep's structure (max work, per-processor ``h``, the slot-injection
-histogram, QSM contention) once and prices it under all B machines'
-parameters, charging each distinct ``(penalty, m)`` column of the
-histogram once; shared-memory writes are applied per machine.
+one replay pass; ``pricing_ablation`` prices its whole grid in one call,
+observed or not (the sweep runner fuses nothing itself).  The compiled
+superstep is priced by one call of the model's
+:meth:`~repro.core.engine.Machine._price_batch`, which derives its
+structure (max work, per-processor ``h``, the slot-injection histogram)
+once and prices it under all B machines' parameters, charging each
+distinct ``(penalty, m)`` column of the histogram once.
 
 Bit-identity contract
 ---------------------
@@ -28,15 +27,13 @@ every model's pricing by the ``core/costs.py`` oracle in
 
 When batching engages
 ---------------------
-Always: all machines must be instances of the *same* concrete model
-class (any model — each prices through its own ``_price_batch``),
-recorded and replayed on the same memory kind, with enough processors
-and no fault injector.  A model rule a machine breaks (a LogP over its
-``ceil(L/g)`` capacity, an EREW PRAM step with contention, a PRAM(m)
-address past its ``m``) raises the same
+Always: all machines must be message-passing machines of the *same*
+concrete model class (each prices through its own ``_price_batch``),
+with enough processors and no fault injector.  A model rule a machine
+breaks (a LogP over its ``ceil(L/g)`` capacity, say) raises the same
 :class:`~repro.core.engine.ModelViolation` its sequential replay would.
 An installed tracer, metrics registry or ledger does not change the
-pass: it observes each trial's finished records afterwards, in order,
+pass: it observes each trial's finished record afterwards, in order,
 exactly as B sequential replays would have fed it.
 """
 

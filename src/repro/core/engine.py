@@ -74,7 +74,6 @@ from repro.core.events import (
     CostBreakdown,
     Message,
     MessageBatch,
-    RequestBatch,
     SuperstepRecord,
     _column_take,
 )
@@ -1221,19 +1220,14 @@ class Machine:
                 values = [get(a) for a in rb.addr_list()]
             for handle, start, stop in rb.handles:
                 handle._resolve_span(values, start, stop)
-        if record.write_batch.n:
-            self._apply_writes(record.write_batch)
-
-    def _apply_writes(self, wb: RequestBatch) -> None:
-        """Apply a superstep's write batch to shared memory in record
-        order (the live loop's delivery and replay share this step)."""
-        mem = self.shared_memory
-        if isinstance(mem, DenseSharedMemory) and isinstance(wb.addr, np.ndarray):
-            mem.put(wb.addr, wb.value)
-        else:
-            vals = wb.value
-            for i, a in enumerate(wb.addr_list()):
-                mem[a] = None if vals is None else vals[i]
+        wb = record.write_batch
+        if wb.n:
+            if isinstance(mem, DenseSharedMemory) and isinstance(wb.addr, np.ndarray):
+                mem.put(wb.addr, wb.value)
+            else:
+                vals = wb.value
+                for i, a in enumerate(wb.addr_list()):
+                    mem[a] = None if vals is None else vals[i]
 
     # ------------------------------------------------------------------
     def time(self, program: Callable[..., Any], **kwargs) -> float:

@@ -20,11 +20,15 @@ stall or crash), and guarantees **exactly-once** delivery of every flit:
   ``total_flits`` over the data rounds' records always equals
   ``rel.n + retried``.
 
-The protocol's cost is the paper's own accounting: the sum of the engine
-times of every data and ack superstep plus the idle backoff supersteps
-(an empty BSP superstep costs ``L``).  With a null fault plan the round-0
-run is bit-identical to :func:`repro.scheduling.execute.execute_schedule`
-on a clean machine, so ``fault_free_time`` (the round-0 engine time) makes
+Every data and ack round is one superstep of the routing program of
+:mod:`repro.scheduling.execute`, run on the live loop through the same
+per-processor plan (``_flit_plan``, slices of the routing superstep)
+with sequence numbers as payloads.  The protocol's cost is the paper's
+own accounting: the sum of the engine times of every data and ack
+superstep plus the idle backoff supersteps (an empty BSP superstep costs
+``L``).  On a clean machine the round-0 run equals
+:func:`repro.scheduling.execute.route` in records, frozen columns and
+results, so ``fault_free_time`` (the round-0 engine time) makes
 ``overhead`` an exact resilience price.
 """
 
@@ -39,6 +43,7 @@ from repro.core.engine import Machine, RunResult
 from repro.core.events import SuperstepRecord
 from repro.obs.metrics import active_metrics
 from repro.obs.tracer import active_tracer
+from repro.scheduling.execute import _flit_plan, _routing_program
 from repro.scheduling.naive import naive_schedule
 from repro.scheduling.schedule import expand_per_flit
 from repro.scheduling.static_send import unbalanced_send
@@ -114,13 +119,6 @@ class TransportResult:
         }
 
 
-def _transport_program(ctx, slots, dests, seq_ids):
-    """One protocol superstep: inject the assigned flits, return arrivals."""
-    ctx.send_many(dests, payloads=seq_ids, slots=slots)
-    yield
-    return ctx.receive().payloads
-
-
 def _run_flits(
     machine: Machine,
     p: int,
@@ -133,21 +131,16 @@ def _run_flits(
     max_time: Optional[float],
     audit: bool,
 ) -> RunResult:
-    """Schedule one round's flits against the bandwidth limit and run it."""
+    """Schedule one round's flits against the bandwidth limit and run the
+    routing program on them, sequence numbers as payloads."""
     rel = HRelation(p=p, src=src, dest=dest, length=np.ones(src.size, dtype=_I64))
     if machine.params.m is not None:
         sched = scheduler(rel, machine.params.m, epsilon, seed=rng)
     else:
         sched = naive_schedule(rel)
-    slots = np.asarray(sched.flit_slots, dtype=_I64)
-    order = np.argsort(src, kind="stable")
-    bounds = np.searchsorted(src[order], np.arange(p + 1, dtype=_I64))
-    plan = []
-    for pid in range(p):
-        idx = order[bounds[pid] : bounds[pid + 1]]
-        plan.append((slots[idx], dest[idx], seq_ids[idx]))
     return machine.run(
-        _transport_program, per_proc_args=plan, nprocs=p, max_time=max_time, audit=audit
+        _routing_program, per_proc_args=_flit_plan(sched, seq_ids), nprocs=p,
+        max_time=max_time, audit=audit,
     )
 
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from typing import Callable, Dict
 
@@ -86,17 +87,23 @@ def _effective_jobs(args: argparse.Namespace, default: int = 1) -> int:
     return resolve_jobs(jobs)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _positive(kind: Callable[[str], float], noun: str) -> Callable[[str], float]:
+    """argparse type: a strictly positive finite ``kind`` (int or float)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a positive {noun}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _positive(int, "integer")
+_positive_float = _positive(float, "number")
 
 
 #: namespace entries that are CLI plumbing, not run parameters
@@ -644,9 +651,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     from repro.obs import compare_files
 
-    comparison = compare_files(
-        args.baseline, args.candidate, tolerance=args.tolerance
-    )
+    try:
+        comparison = compare_files(args.baseline, args.candidate, tolerance=args.tolerance)
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json is not None:
         text = json.dumps(comparison.to_dict(), indent=2) + "\n"
         if args.json == "-":
@@ -874,33 +883,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t1 = sub.add_parser("table1", help="print the analytic Table 1")
-    t1.add_argument("--p", type=int, default=4096)
-    t1.add_argument("--m", type=int, default=256)
+    t1.add_argument("--p", type=_positive_int, default=4096)
+    t1.add_argument("--m", type=_positive_int, default=256)
     t1.add_argument("--L", type=float, default=4.0)
     t1.set_defaults(func=_cmd_table1)
 
     me = sub.add_parser("measure", help="measured Table 1 on all four models")
-    me.add_argument("--p", type=int, default=256)
-    me.add_argument("--m", type=int, default=16)
-    me.add_argument("--L", type=float, default=8.0)
+    me.add_argument("--p", type=_positive_int, default=256)
+    me.add_argument("--m", type=_positive_int, default=16)
+    me.add_argument("--L", type=_positive_float, default=8.0)
     _add_obs_args(me)
     me.set_defaults(func=_cmd_measure)
 
     sc = sub.add_parser("schedule", help="compare the Section 6 senders on a workload")
     sc.add_argument("--workload", choices=["balanced", "uniform", "zipf", "one-to-all"], default="zipf")
-    sc.add_argument("--p", type=int, default=1024)
+    sc.add_argument("--p", type=_positive_int, default=1024)
     sc.add_argument("--n", type=int, default=100_000)
-    sc.add_argument("--m", type=int, default=64)
+    sc.add_argument("--m", type=_positive_int, default=64)
     sc.add_argument("--alpha", type=float, default=1.2)
     sc.add_argument("--epsilon", type=float, default=0.15)
     sc.add_argument("--seed", type=int, default=None)
     sc.set_defaults(func=_cmd_schedule)
 
     dy = sub.add_parser("dynamic", help="Theorem 6.5 vs 6.7 stability experiment")
-    dy.add_argument("--p", type=int, default=256)
-    dy.add_argument("--m", type=int, default=16)
-    dy.add_argument("--L", type=float, default=8.0)
-    dy.add_argument("--window", type=int, default=128)
+    dy.add_argument("--p", type=_positive_int, default=256)
+    dy.add_argument("--m", type=_positive_int, default=16)
+    dy.add_argument("--L", type=_positive_float, default=8.0)
+    dy.add_argument("--window", type=_positive_int, default=128)
     dy.add_argument("--horizon", type=int, default=20_000)
     dy.add_argument("--seed", type=int, default=None)
     dy.add_argument(
@@ -959,10 +968,10 @@ def build_parser() -> argparse.ArgumentParser:
         help='"route-verify" pins the docs/performance.md 40k-flit routing '
         "profile (p=256, m=64, L=1); the others honour --p/--n/--m/--L",
     )
-    ch.add_argument("--p", type=int, default=256)
+    ch.add_argument("--p", type=_positive_int, default=256)
     ch.add_argument("--n", type=int, default=20_000)
-    ch.add_argument("--m", type=int, default=64)
-    ch.add_argument("--L", type=float, default=1.0)
+    ch.add_argument("--m", type=_positive_int, default=64)
+    ch.add_argument("--L", type=_positive_float, default=1.0)
     ch.add_argument("--alpha", type=float, default=1.2, help="zipf skew")
     ch.add_argument("--epsilon", type=float, default=0.15)
     ch.add_argument("--seed", type=int, default=None)
@@ -986,8 +995,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PID:START[:DUR]",
         help="crash a processor for DUR supersteps (repeatable)",
     )
-    ch.add_argument("--max-rounds", type=int, default=64)
-    ch.add_argument("--backoff-base", type=int, default=1)
+    ch.add_argument("--max-rounds", type=_positive_int, default=64)
+    ch.add_argument("--backoff-base", type=_positive_int, default=1)
     ch.add_argument(
         "--trials", type=int, default=1,
         help="> 1 sweeps that many independently seeded chaos runs and "
@@ -1136,9 +1145,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine model; -m variants take the globally-limited half of "
         "the matched parameter pair, -g variants the locally-limited half",
     )
-    lg.add_argument("--p", type=int, default=64)
-    lg.add_argument("--m", type=int, default=8)
-    lg.add_argument("--L", type=float, default=4.0)
+    lg.add_argument("--p", type=_positive_int, default=64)
+    lg.add_argument("--m", type=_positive_int, default=8)
+    lg.add_argument("--L", type=_positive_float, default=4.0)
     lg.add_argument("--n", type=int, default=4096, help="route workload flits")
     lg.add_argument("--epsilon", type=float, default=0.15)
     lg.add_argument("--seed", type=int, default=None)

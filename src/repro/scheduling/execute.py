@@ -14,16 +14,21 @@ limited ones get Unbalanced-Send.
 
 The routing program is the engine's highest-volume workload (the 40k-flit
 profile in docs/performance.md), so it is written in the columnar idiom
-end-to-end: the per-processor plan is three array slices (slot, dest,
-flit-id) produced by one argsort of the schedule's flit columns, the
-program is a single ``ctx.send_many`` call per processor, and delivery is
-verified by one histogram of the concatenated payload columns — no
-per-flit Python objects anywhere.  Unless the run is audited or faulted,
+end-to-end.  Its one superstep is built once, from one stable
+group-by-source sort of the schedule's flit columns
+(:func:`_routing_superstep`): :func:`compile_schedule` assembles the
+frozen batch and the delivery results from it, the live loop's
+per-processor plan is three slices of it (slot, dest, payload), and the
+reliable transport (:mod:`repro.faults.transport`) runs every data and
+ack round through the same plan and the same :func:`_routing_program`,
+its sequence numbers as payloads.  The program is a single
+``ctx.send_many`` call per processor, and delivery is verified by one
+histogram of the concatenated payload columns — no per-flit Python
+objects anywhere.  Unless the run is audited or faulted,
 :func:`execute_schedule` does not run that program on the live loop at
-all: it replays the one superstep :func:`compile_schedule` assembles
-straight from the schedule, which is bit-identical.  An installed
-tracer, metrics registry or ledger observes that replay; it does not
-change the path.
+all: it replays the compiled superstep, which is bit-identical.  An
+installed tracer, metrics registry or ledger observes that replay; it
+does not change the path.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from time import monotonic as _monotonic
 
 from repro.core.compiled import CompiledProgram
 from repro.core.engine import Machine, RunAborted, RunResult
-from repro.core.events import MessageBatch, RequestBatch
+from repro.core.events import MessageBatch
 from repro.core.kernels import group_bounds, stable_group_order
 from repro.obs.tracer import traced
 from repro.scheduling.schedule import Schedule, expand_per_flit
@@ -53,89 +58,68 @@ __all__ = [
 ]
 
 
-def _flit_plan(sched: Schedule) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-processor ``(slots, dests, flit_ids)`` column triples.
-
-    One stable argsort groups the schedule's flit columns by source; each
-    processor's plan is then three contiguous array slices.
-    """
+def _routing_superstep(
+    sched: Schedule, payload: Optional[np.ndarray] = None
+) -> MessageBatch:
+    """The routing program's one superstep, frozen: the schedule's flit
+    columns grouped by source with one stable sort, in flit order within
+    each source, exactly as the live loop freezes them.  ``payload[k]`` is
+    flit ``k``'s payload, its flit id when omitted (the transport passes
+    its sequence numbers)."""
     rel = sched.rel
     flit_src = np.asarray(sched.flit_src, dtype=np.int64)
-    flit_dest = np.asarray(expand_per_flit(rel.dest, rel.length), dtype=np.int64)
-    flit_slot = np.asarray(sched.flit_slots, dtype=np.int64)
-    flit_id = np.arange(rel.n, dtype=np.int64)
     order = stable_group_order(flit_src, rel.p - 1)
-    src_sorted = flit_src[order]
-    bounds = np.searchsorted(src_sorted, np.arange(rel.p + 1, dtype=np.int64))
-    plan = []
-    for pid in range(rel.p):
-        idx = order[bounds[pid] : bounds[pid + 1]]
-        plan.append((flit_slot[idx], flit_dest[idx], flit_id[idx]))
-    return plan
+    return MessageBatch(
+        flit_src[order],
+        np.asarray(expand_per_flit(rel.dest, rel.length), dtype=np.int64)[order],
+        np.ones(rel.n, dtype=np.int64),
+        sched.flit_slots[order],
+        np.ones(rel.n, dtype=bool),
+        order if payload is None else payload[order],
+    )
 
 
-def _routing_program(ctx, slots, dests, flit_ids):
-    ctx.send_many(dests, payloads=flit_ids, slots=slots)
+def _flit_plan(
+    sched: Schedule, payload: Optional[np.ndarray] = None
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-processor ``(slots, dests, payloads)`` arguments of
+    :func:`_routing_program`: slices of :func:`_routing_superstep`."""
+    batch = _routing_superstep(sched, payload)
+    bounds = group_bounds(batch.src, sched.rel.p).tolist()
+    return [
+        (batch.slot[s:e], batch.dest[s:e], batch.payload[s:e])
+        for s, e in zip(bounds, bounds[1 : sched.rel.p + 1])
+    ]
+
+
+def _routing_program(ctx, slots, dests, payloads):
+    ctx.send_many(dests, payloads=payloads, slots=slots)
     yield
     return ctx.receive().payloads
-
-
-def _schedule_frame(sched: Schedule) -> Tuple[MessageBatch, List]:
-    """The one-barrier routing superstep's ``(frozen batch, per-processor
-    results)``, assembled directly from the schedule's flit columns.
-
-    This is the parameter-independent *structure* of the routing program:
-    one stable group-by-source sort builds the batch, and the delivery
-    permutation (group the sorted batch by destination) yields each
-    processor's inbox payload slice, ``[]`` when nothing arrived — exactly
-    what ``ctx.receive().payloads`` returns on the trampoline path.
-    Computed once per compilation (:func:`compile_schedule`), so a batched
-    replay pays for it once, not once per trial.
-    """
-    rel = sched.rel
-    p = rel.p
-    flit_src = np.asarray(sched.flit_src, dtype=np.int64)
-    flit_dest = np.asarray(expand_per_flit(rel.dest, rel.length), dtype=np.int64)
-    flit_slot = np.asarray(sched.flit_slots, dtype=np.int64)
-    order = stable_group_order(flit_src, p - 1)
-    dest = flit_dest[order]
-    payload = order  # flit ids are arange(n), so ids-sorted-by-src == order
-    batch = MessageBatch(
-        flit_src[order],
-        dest,
-        np.ones(rel.n, dtype=np.int64),
-        flit_slot[order],
-        np.ones(rel.n, dtype=bool),
-        payload,
-    )
-    bounds = group_bounds(dest, p)
-    delivered = payload[stable_group_order(dest, p - 1)]
-    results: List = []
-    for pid in range(p):
-        s, e = int(bounds[pid]), int(bounds[pid + 1])
-        results.append(delivered[s:e] if e > s else [])
-    return batch, results
 
 
 def compile_schedule(sched: Schedule) -> CompiledProgram:
     """Compile a schedule's routing program without executing it.
 
-    The routing program is straight-line (every processor issues one
-    ``send_many`` computed from the schedule, independent of anything it
-    receives), so its single superstep frame and delivery results are
-    assembled directly from the schedule's flit columns, without
-    constructing processors, generators or arenas.  ``compile_schedule(
-    sched).replay(machine)`` is bit-identical to running the routing
-    program on the live loop on any message-passing machine (pinned by
-    ``tests/test_fused_kernel.py``); :func:`execute_schedule` replays it
-    on one machine, and :meth:`CompiledProgram.replay_batch` prices it
-    under a whole parameter batch.
+    The routing program is straight-line, so its one superstep is
+    :func:`_routing_superstep`, and the delivery permutation (group the
+    batch by destination) yields each processor's inbox payload slice,
+    ``[]`` when nothing arrived, exactly what ``ctx.receive().payloads``
+    returns on the live loop.  No processors, generators or arenas are
+    built.  ``compile_schedule(sched).replay(machine)`` equals running the
+    routing program on the live loop on any message-passing machine
+    (pinned by ``tests/test_fused_kernel.py``); :func:`execute_schedule`
+    replays it on one machine, and :meth:`CompiledProgram.replay_batch`
+    prices it under a whole parameter batch.
     """
-    batch, results = _schedule_frame(sched)
-    frames = [
-        ([0.0] * sched.rel.p, batch, RequestBatch.empty(), RequestBatch.empty())
+    p = sched.rel.p
+    batch = _routing_superstep(sched)
+    bounds = group_bounds(batch.dest, p).tolist()
+    delivered = batch.payload[stable_group_order(batch.dest, p - 1)]
+    results: List = [
+        delivered[s:e] if e > s else [] for s, e in zip(bounds, bounds[1 : p + 1])
     ]
-    return CompiledProgram(frames, results, sched.rel.p, False)
+    return CompiledProgram(batch, results, p)
 
 
 def _check_router(machine: Machine, rel: HRelation) -> None:

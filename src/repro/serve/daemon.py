@@ -42,8 +42,8 @@ Each admitted request is served on the handler thread that accepted it
 Drain discipline (the zero-loss guarantee): ``drain()`` closes
 admission (new submissions shed with ``E_DRAINING``), waits until
 admission counts no unfinished request — none queued, drawn or in
-service — waits for every submit handler to have its reply, and only
-then shuts the listener down.
+service — waits for every submit handler to have written its reply,
+and only then shuts the listener down.
 
 The listen backlog is ``socket.SOMAXCONN``, not ``socketserver``'s 5,
 so a burst of clients queues in the kernel instead of being reset;
@@ -52,6 +52,7 @@ so a burst of clients queues in the kernel instead of being reset;
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -153,9 +154,8 @@ class ReproServer:
         self.store = store
         self._seq = 0
         self._seq_lock = threading.Lock()
-        self._responding = 0  # submit handlers between admission and reply
-        self._responding_lock = threading.Lock()
-        self._responding_done = threading.Condition(self._responding_lock)
+        self._responding = 0  # submit handlers between submit and written reply
+        self._responding_done = threading.Condition()
         self._drained = threading.Event()
         self._started = False
 
@@ -210,15 +210,10 @@ class ReproServer:
         self.metrics.emit_event("drain")  # wakes /v1/events long-pollers
         clean = self.admission.wait_idle(timeout)
         # every admitted request is done; wait for its handler to have
-        # its reply before tearing the listener down
-        end = None if timeout is None else time.monotonic() + timeout
-        with self._responding_lock:
-            while self._responding:
-                remaining = None if end is None else end - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    clean = False
-                    break
-                self._responding_done.wait(remaining if remaining is not None else 0.5)
+        # written its reply before tearing the listener down
+        with self._responding_done:
+            if not self._responding_done.wait_for(lambda: not self._responding, timeout):
+                clean = False
         self.executor.stop()
         if self._started:
             self.httpd.shutdown()
@@ -239,6 +234,20 @@ class ReproServer:
         signal.signal(signal.SIGINT, _handle)
 
     # -- submission (called from handler threads) ----------------------
+    @contextlib.contextmanager
+    def responding(self):
+        """Count one submit handler from before :meth:`submit` until its
+        reply is written: :meth:`drain` waits for the count to reach zero,
+        so no admitted request's reply is cut off by the shutdown."""
+        with self._responding_done:
+            self._responding += 1
+        try:
+            yield
+        finally:
+            with self._responding_done:
+                self._responding -= 1
+                self._responding_done.notify_all()
+
     def submit(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         """Validate, admit, serve, and build the (status, payload) reply."""
         self.metrics.inc("requests.submitted")
@@ -250,16 +259,10 @@ class ReproServer:
             self.metrics.shed(err.code)
             return err.http_status, error_payload(err)
         self.metrics.gauge("queue.depth", depth)
-        with self._responding_lock:
-            self._responding += 1
         try:
             outcome = self.executor.serve(req)
         except ServeError as err:  # counted by the executor
             return err.http_status, error_payload(err)
-        finally:
-            with self._responding_lock:
-                self._responding -= 1
-                self._responding_done.notify_all()
         payload = ok_payload(
             outcome["payload"],
             kind=req.kind,
@@ -506,8 +509,9 @@ def _make_handler(server: ReproServer, request_timeout: float):
                     except ServeError as err:
                         self._reply_error(err)
                         return
-                    status, payload = server.submit(body)
-                    self._reply(status, payload)
+                    with server.responding():
+                        status, payload = server.submit(body)
+                        self._reply(status, payload)
                 elif path == "/v1/drain":
                     self._reply(202, {"ok": True, "status": "draining"})
                     threading.Thread(

@@ -4,9 +4,12 @@ Gates — the same way fused≡legacy execution was gated when the fused path
 landed:
 
 * ``replay_batch(compiled, machines)[b]`` ≡ ``compiled.replay(machines[b])``
-  for all nine machine classes (costs, breakdowns, stats dicts incl. key
-  order, shared-memory state), plus its validation/fallback edges and the
-  model violations a single machine of a batch raises;
+  for the message-passing models (costs, breakdowns, stats dicts incl. key
+  order), plus its validation edges;
+* ``machines[0]._price_batch(record, machines)[b]`` ≡
+  ``machines[b]._price(record)`` for every record of live runs on the
+  other models (QSM(m), QSM(g), LogP, two-level BSP, PRAM, PRAM(m)), and
+  the model violations a single machine of a batch raises;
 * ``compile_schedule(sched).replay_batch`` ≡ ``execute_schedule``;
 * the slot-charge kernel ``slot_charge_stats_batched`` row-for-row
   against the ``core/costs.py`` formulas;
@@ -44,14 +47,13 @@ from repro import (
 )
 from repro.core.arena import RequestArena, SendArena
 from repro.core.batched import replay_batch
-from repro.core.compiled import compile_program
 from repro.core.costs import slot_charges, superstep_charge
 from repro.core.kernels import (
     _COMBINED_SORT_LIMIT,
     slot_charge_stats_batched,
     stable_group_order,
 )
-from repro.scheduling import unbalanced_send
+from repro.scheduling import naive_schedule, unbalanced_send
 from repro.scheduling.execute import compile_schedule, execute_schedule
 from repro.workloads import uniform_random_relation
 
@@ -64,6 +66,21 @@ class _SqrtPenalty(PenaltyFunction):
 
     def overload(self, rho: np.ndarray) -> np.ndarray:
         return rho * np.sqrt(rho)
+
+
+def _assert_prices_identical(records, machines):
+    """Each record priced for the whole batch equals every machine's own
+    ``_price`` of it: cost, breakdown and stats (values and key order)."""
+    assert records
+    for record in records:
+        batched = machines[0]._price_batch(record, machines)
+        assert len(batched) == len(machines)
+        for mach, (cost, breakdown, stats) in zip(machines, batched):
+            want_cost, want_breakdown, want_stats = mach._price(record)
+            assert cost == want_cost
+            assert breakdown == want_breakdown
+            assert list(stats.keys()) == list(want_stats.keys())
+            assert stats == want_stats
 
 
 def _assert_runs_identical(seq, bat):
@@ -291,14 +308,13 @@ class TestReplayBatchMessagePassing:
         )
 
     def test_quiet_superstep_identity(self):
-        # a frame with no communication exercises the empty-histogram path
-        def quiet(ctx):
-            yield
-
-        compiled = compile_program(BSPm(MachineParams(p=4, m=2, L=3)), quiet)
+        # an empty relation's superstep exercises the empty-histogram path
+        compiled = compile_schedule(naive_schedule(uniform_random_relation(4, 0)))
         machines = [BSPm(MachineParams(p=4, m=m, L=L)) for m in (2, 4) for L in (1, 5)]
         for mach, bat in zip(machines, replay_batch(compiled, machines)):
             _assert_runs_identical(compiled.replay(mach), bat)
+            assert len(bat.records) == 1
+            assert bat.time == mach.params.L
 
     def test_mixed_model_classes_rejected(self, routing_compiled):
         _, compiled = routing_compiled
@@ -349,7 +365,7 @@ class TestReplayBatchMessagePassing:
 
 
 # ----------------------------------------------------------------------
-# replay_batch: shared-memory (QSM) models
+# batch pricing of live records: shared-memory (QSM) models
 # ----------------------------------------------------------------------
 def _qsm_program(ctx, rounds, k, span):
     addrs = (ctx.pid * k + np.arange(k, dtype=np.int64)) % span
@@ -361,55 +377,31 @@ def _qsm_program(ctx, rounds, k, span):
         yield
 
 
-def _qsm_machine(cls, span, **kw):
-    mach = cls(MachineParams(**kw))
-    mach.use_dense_memory(span)
-    return mach
-
-
 class TestReplayBatchSharedMemory:
     P, ROUNDS, K = 16, 3, 5
 
     @pytest.fixture(scope="class")
-    def qsm_compiled(self):
+    def qsm_records(self):
         span = self.P * self.K
-        recorder = _qsm_machine(QSMm, span, p=self.P, m=4)
-        return span, compile_program(
-            recorder, _qsm_program, args=(self.ROUNDS, self.K, span)
-        )
+        recorder = QSMm(MachineParams(p=self.P, m=4))
+        recorder.use_dense_memory(span)
+        return recorder.run(_qsm_program, args=(self.ROUNDS, self.K, span)).records
 
-    def test_qsm_m_grid_identity(self, qsm_compiled):
-        span, compiled = qsm_compiled
+    def test_qsm_m_grid_identity(self, qsm_records):
         pens = [EXPONENTIAL, LINEAR, _SqrtPenalty()]
         machines = [
             QSMm(MachineParams(p=self.P, m=m), penalty=pens[i % len(pens)])
             for i, m in enumerate((2, 4, 8, 16, 4, 2))
         ]
-        for mach in machines:
-            mach.use_dense_memory(span)
-        batched = replay_batch(compiled, machines)
-        for mach, bat in zip(machines, batched):
-            twin = QSMm(MachineParams(p=self.P, m=mach.params.m), penalty=mach.penalty)
-            twin.use_dense_memory(span)
-            seq = compiled.replay(twin)
-            _assert_runs_identical(seq, bat)
-            # writes were applied to each batch machine exactly as sequential
-            assert list(mach.shared_memory._cells) == list(twin.shared_memory._cells)
-            assert mach.shared_memory._overflow == twin.shared_memory._overflow
+        _assert_prices_identical(qsm_records, machines)
 
-    def test_qsm_g_grid_identity(self, qsm_compiled):
-        span, compiled = qsm_compiled
-        machines = [
-            _qsm_machine(QSMg, span, p=self.P, g=g) for g in (1.0, 1.5, 2.0, 3.0)
-        ]
-        batched = replay_batch(compiled, machines)
-        for mach, bat in zip(machines, batched):
-            twin = _qsm_machine(QSMg, span, p=self.P, g=mach.params.g)
-            _assert_runs_identical(compiled.replay(twin), bat)
+    def test_qsm_g_grid_identity(self, qsm_records):
+        machines = [QSMg(MachineParams(p=self.P, g=g)) for g in (1.0, 1.5, 2.0, 3.0)]
+        _assert_prices_identical(qsm_records, machines)
 
 
 # ----------------------------------------------------------------------
-# replay_batch: LogP, two-level BSP, PRAM and PRAM(m)
+# batch pricing of live records: LogP, two-level BSP, PRAM and PRAM(m)
 # ----------------------------------------------------------------------
 def _msg_program(ctx, rounds):
     # every processor but 0 sends to processor 0 in slot 0 (a peak of
@@ -438,13 +430,15 @@ def _pram_m_program(ctx, rom, rounds):
     yield from _pram_program(ctx, rounds, 1)
 
 
-def _assert_violation_matches(sequential, batch):
-    """A batch with one violating machine raises that machine's own
-    sequential ``ModelViolation``."""
+def _assert_violation_matches(records, machines, bad):
+    """Priced in order, a batch with one violating machine raises that
+    machine's own ``_price`` ``ModelViolation``."""
     with pytest.raises(ModelViolation) as seq:
-        sequential()
+        for record in records:
+            bad._price(record)
     with pytest.raises(ModelViolation) as bat:
-        batch()
+        for record in records:
+            machines[0]._price_batch(record, machines)
     assert str(bat.value) == str(seq.value)
 
 
@@ -452,32 +446,31 @@ class TestReplayBatchOtherModels:
     P = 8
 
     @pytest.fixture(scope="class")
-    def msg_compiled(self):
+    def msg_records(self):
         recorder = LogP(MachineParams(p=self.P, g=1.0, o=0.5, L=8.0))
-        return compile_program(recorder, _msg_program, args=(3,))
+        return recorder.run(_msg_program, args=(3,)).records
 
     @pytest.fixture(scope="class")
-    def pram_m_compiled(self):
+    def pram_m_records(self):
         recorder = PRAMm(MachineParams(p=self.P, m=16))
-        return compile_program(recorder, _pram_m_program, args=(3,))
+        return recorder.run(_pram_m_program, args=(3,)).records
 
-    def test_logp_mixed_params_identity(self, msg_compiled):
+    def _pram_records(self, stride):
+        return PRAM(MachineParams(p=self.P)).run(_pram_program, args=(3, stride)).records
+
+    def test_logp_mixed_params_identity(self, msg_records):
         machines = [
             LogP(MachineParams(p=self.P, g=g, o=o, L=L))
             for g, o, L in ((1.0, 0.5, 8.0), (2.0, 3.0, 16.0), (1.5, 0.0, 12.0))
         ]
-        for mach, bat in zip(machines, replay_batch(msg_compiled, machines)):
-            _assert_runs_identical(msg_compiled.replay(mach), bat)
+        _assert_prices_identical(msg_records, machines)
 
-    def test_logp_capacity_violation_matches_sequential(self, msg_compiled):
+    def test_logp_capacity_violation_matches_sequential(self, msg_records):
         bad = LogP(MachineParams(p=self.P, g=1.0, L=4.0))  # ceil(L/g) = 4 < 7
         ok = LogP(MachineParams(p=self.P, g=1.0, L=8.0))
-        _assert_violation_matches(
-            lambda: msg_compiled.replay(bad),
-            lambda: replay_batch(msg_compiled, [ok, bad]),
-        )
+        _assert_violation_matches(msg_records, [ok, bad], bad)
 
-    def test_two_level_mixed_coefficients_identity(self, msg_compiled):
+    def test_two_level_mixed_coefficients_identity(self, msg_records):
         machines = [
             TwoLevelBSP(MachineParams(p=p, L=L), g1=g1, g2=g2)
             for p, L, g1, g2 in (
@@ -486,50 +479,27 @@ class TestReplayBatchOtherModels:
                 (2 * self.P, 2.0, 2.0, 0.25),
             )
         ]
-        for mach, bat in zip(machines, replay_batch(msg_compiled, machines)):
-            _assert_runs_identical(msg_compiled.replay(mach), bat)
+        _assert_prices_identical(msg_records, machines)
 
     @pytest.mark.parametrize(
         "stride,rules", [(1, ("erew", "qrqw", "crcw", "qrqw")), (2, ("qrqw", "crcw"))]
     )
     def test_pram_mixed_rules_identity(self, stride, rules):
-        compiled = compile_program(
-            PRAM(MachineParams(p=self.P)), _pram_program, args=(3, stride)
-        )
         machines = [PRAM(MachineParams(p=self.P), rule=rule) for rule in rules]
-        for mach, bat in zip(machines, replay_batch(compiled, machines)):
-            twin = PRAM(MachineParams(p=self.P), rule=mach.rule)
-            _assert_runs_identical(compiled.replay(twin), bat)
-            assert dict(mach.shared_memory) == dict(twin.shared_memory)
+        _assert_prices_identical(self._pram_records(stride), machines)
 
     def test_erew_violation_matches_sequential(self):
-        compiled = compile_program(
-            PRAM(MachineParams(p=self.P)), _pram_program, args=(3, 2)
-        )
-        _assert_violation_matches(
-            lambda: compiled.replay(PRAM(MachineParams(p=self.P), rule="erew")),
-            lambda: replay_batch(
-                compiled,
-                [PRAM(MachineParams(p=self.P), rule=rule) for rule in ("crcw", "erew")],
-            ),
-        )
+        machines = [PRAM(MachineParams(p=self.P), rule=rule) for rule in ("crcw", "erew")]
+        _assert_violation_matches(self._pram_records(2), machines, machines[1])
 
-    def test_pram_m_mixed_m_identity(self, pram_m_compiled):
+    def test_pram_m_mixed_m_identity(self, pram_m_records):
         machines = [PRAMm(MachineParams(p=self.P, m=m)) for m in (8, 16, 64)]
-        for mach, bat in zip(machines, replay_batch(pram_m_compiled, machines)):
-            twin = PRAMm(MachineParams(p=self.P, m=mach.params.m))
-            _assert_runs_identical(pram_m_compiled.replay(twin), bat)
-            assert dict(mach.shared_memory) == dict(twin.shared_memory)
+        _assert_prices_identical(pram_m_records, machines)
 
-    def test_pram_m_address_violation_matches_sequential(self, pram_m_compiled):
+    def test_pram_m_address_violation_matches_sequential(self, pram_m_records):
         # the program addresses cells 0..p-1, so m = 4 is too small
-        _assert_violation_matches(
-            lambda: pram_m_compiled.replay(PRAMm(MachineParams(p=self.P, m=4))),
-            lambda: replay_batch(
-                pram_m_compiled,
-                [PRAMm(MachineParams(p=self.P, m=m)) for m in (16, 4)],
-            ),
-        )
+        machines = [PRAMm(MachineParams(p=self.P, m=m)) for m in (16, 4)]
+        _assert_violation_matches(pram_m_records, machines, machines[1])
 
 
 # ----------------------------------------------------------------------

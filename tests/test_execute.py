@@ -6,16 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BSPg, BSPm, MachineParams, QSMm
+from repro.core.costs import EXPONENTIAL, LINEAR, PolynomialPenalty
 from repro.scheduling import (
     delivery_counts,
     evaluate_schedule,
     execute_schedule,
+    grouped_schedule,
+    naive_schedule,
     offline_optimal_schedule,
     route,
     unbalanced_consecutive_send,
+    unbalanced_granular_send,
     unbalanced_send,
 )
-from repro.workloads import uniform_random_relation, zipf_h_relation
+from repro.workloads import build_relation, uniform_random_relation, zipf_h_relation
+
+#: the Section 6 senders, as ``(rel, m, epsilon, seed) -> Schedule``
+_SENDERS = {
+    "unbalanced_send": lambda rel, m, eps, seed: unbalanced_send(rel, m, eps, seed=seed),
+    "consecutive": lambda rel, m, eps, seed: unbalanced_consecutive_send(
+        rel, m, eps, seed=seed),
+    "granular": lambda rel, m, eps, seed: unbalanced_granular_send(rel, m, seed=seed),
+    "grouped": lambda rel, m, eps, seed: grouped_schedule(rel, m),
+    "naive": lambda rel, m, eps, seed: naive_schedule(rel),
+    "offline_optimal": lambda rel, m, eps, seed: offline_optimal_schedule(rel, m),
+}
 
 
 class TestExecuteSchedule:
@@ -27,16 +42,38 @@ class TestExecuteSchedule:
         counts = delivery_counts(res, 32)
         assert np.array_equal(counts, rel.recv_sizes)
 
-    def test_engine_cost_matches_evaluator(self):
-        """The engine and the vectorized evaluator price the same schedule
-        identically — the library's central consistency invariant."""
-        rel = uniform_random_relation(64, 2000, seed=2)
-        for m, eps, seed in [(8, 0.1, 3), (16, 0.3, 4), (64, 0.2, 5)]:
-            sched = unbalanced_send(rel, m=m, epsilon=eps, seed=seed)
-            rep = evaluate_schedule(sched, m=m, L=1.0)
-            mach = BSPm(MachineParams(p=64, m=m, L=1.0))
-            res = execute_schedule(mach, sched)
-            assert res.time == pytest.approx(rep.superstep_cost), (m, eps)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.integers(1, 40),
+        n=st.integers(0, 600),
+        m=st.integers(1, 64),
+        epsilon=st.floats(0.05, 0.5),
+        L=st.floats(0.5, 64.0),
+        shape=st.sampled_from(["uniform", "zipf", "balanced", "one_to_all"]),
+        sender=st.sampled_from(sorted(_SENDERS)),
+        penalty=st.sampled_from([EXPONENTIAL, LINEAR, PolynomialPenalty(2.0)]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_engine_cost_matches_evaluator(
+        self, p, n, m, epsilon, L, shape, sender, penalty, seed
+    ):
+        """Replay, the live loop and the vectorized evaluator price the same
+        schedule identically — the library's central consistency invariant,
+        over drawn relations, senders and penalty families."""
+        rel = build_relation(shape, p, n, 1.2, seed)
+        sched = _SENDERS[sender](rel, m, epsilon, seed)
+
+        def machine():
+            return BSPm(MachineParams(p=p, m=m, L=L), penalty=penalty)
+
+        replayed = execute_schedule(machine(), sched)
+        live = execute_schedule(machine(), sched, audit=True)
+        assert replayed.time == live.time
+        (got,), (want,) = replayed.records, live.records
+        assert (got.cost, got.breakdown) == (want.cost, want.breakdown)
+        assert list(got.stats.items()) == list(want.stats.items())
+        rep = evaluate_schedule(sched, m=m, L=L, penalty=penalty)
+        assert replayed.time == pytest.approx(rep.superstep_cost, rel=1e-12)
 
     def test_offline_schedule_executes(self):
         rel = zipf_h_relation(32, 3000, alpha=1.3, seed=6)

@@ -18,7 +18,7 @@ from repro.faults import (
 )
 from repro.scheduling import route, route_reliable, unbalanced_send
 from repro.scheduling.execute import execute_schedule
-from repro.workloads import uniform_random_relation
+from repro.workloads import build_relation, uniform_random_relation
 
 
 def make_machine(p=16, m=4, L=2.0):
@@ -410,6 +410,25 @@ class TestReliableTransport:
         )
         # total time = engine supersteps + backoff at L each, exactly
         assert res.time == pytest.approx(engine_time + res.backoff_steps * 2.0)
+
+    @pytest.mark.parametrize("kind", ["uniform", "zipf"])
+    def test_round_zero_runs_the_routing_superstep(self, kind):
+        # the transport's data rounds run the routing program's plan: on a
+        # clean machine round 0 is route()'s superstep, column for column
+        rel = build_relation(kind, 16, 400, 1.2, 3)
+        got = reliable_route(make_machine(), rel, seed=7).data_runs[0]
+        want, _ = route(make_machine(), rel, seed=7)
+        assert got.time == want.time
+        assert len(got.records) == len(want.records) == 1
+        for rg, rw in zip(got.records, want.records):
+            assert (rg.cost, rg.breakdown, rg.work) == (rw.cost, rw.breakdown, rw.work)
+            assert list(rg.stats.items()) == list(rw.stats.items())
+            for col in ("src", "dest", "size", "slot", "consecutive", "payload"):
+                a, b = getattr(rg.msg_batch, col), getattr(rw.msg_batch, col)
+                assert a.dtype == b.dtype and np.array_equal(a, b), col
+        assert len(got.results) == len(want.results) == rel.p
+        for a, b in zip(got.results, want.results):
+            assert type(a) is type(b) and np.array_equal(a, b)
 
     def test_round_zero_is_fault_free_baseline(self):
         # pricing never depends on faults, so round 0's time equals the

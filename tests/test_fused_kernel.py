@@ -1,8 +1,8 @@
 """Bit-identity gates for the superstep barrier loop.
 
-The live loop (arena-backed freeze + kernel pricing + bincount delivery),
-compiled-superstep replay and the compiled routing fast path of
-``execute_schedule`` are optimizations, not semantic changes: every model
+The live loop (arena-backed freeze + kernel pricing + bincount delivery)
+and the compiled routing superstep that ``execute_schedule`` replays are
+optimizations, not semantic changes: every model
 time, cost breakdown, stats dict (keys in order), frozen record column,
 per-processor result and post-run shared memory must equal what the
 engine's original gather loop produced.  Those runs are pinned in
@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.compiled import CompiledProgram, compile_program
 from repro.core.costs import (
     EXPONENTIAL,
     LINEAR,
@@ -36,7 +35,7 @@ from repro.models.qsm_m import QSMm
 from repro.models.self_scheduling import SelfSchedulingBSPm
 from repro.obs import Tracer, tracing
 from repro.scheduling import unbalanced_send
-from repro.scheduling.execute import execute_schedule
+from repro.scheduling.execute import compile_schedule, execute_schedule
 from repro.workloads import uniform_random_relation
 
 P = 8
@@ -291,43 +290,27 @@ def test_direct_routing_matches_trampoline():
     _assert_results_identical(res_d, res_t)
 
 
-def test_compiled_replay_reproduces_recording():
-    mach = _machine(BSPm)
-    compiled, res_rec = CompiledProgram.record(mach, _msg_program, args=(P,))
-    res_rep = compiled.replay(_machine(BSPm))
-    _assert_records_identical(res_rec, res_rep)
-    _assert_results_identical(res_rec, res_rep)
+def _routing_schedule():
+    rel = uniform_random_relation(P, 400, seed=4)
+    return unbalanced_send(rel, 4, 0.2, seed=5)
 
 
 def test_compiled_replay_reprices_under_new_machine():
-    compiled = compile_program(_machine(BSPm), _msg_program, args=(P,))
+    sched = _routing_schedule()
+    compiled = compile_schedule(sched)
     for target in (
         BSPm(MachineParams(p=P, g=2.0, L=50.0, m=4), penalty=LINEAR),
         BSPm(MachineParams(p=P, g=2.0, L=8.0, m=2)),
     ):
         res_rep = compiled.replay(target)
-        res_fresh = target.__class__(target.params, penalty=target.penalty).run(
-            _msg_program, args=(P,)
-        )
-        _assert_records_identical(res_rep, res_fresh)
-
-
-def test_compiled_replay_applies_writes_to_shared_memory():
-    mach = _machine(QSMm)
-    compiled, res_rec = CompiledProgram.record(mach, _qsm_program, args=(P,))
-    expected = dict(mach.shared_memory)
-    target = _machine(QSMm)
-    res_rep = compiled.replay(target)
-    _assert_records_identical(res_rec, res_rep)
-    assert dict(target.shared_memory) == expected
+        twin = target.__class__(target.params, penalty=target.penalty)
+        res_live = execute_schedule(twin, sched, audit=True)
+        _assert_records_identical(res_rep, res_live)
+        _assert_results_identical(res_rep, res_live)
 
 
 def test_compiled_mode_refuses_fault_injectors():
-    mach = _machine(BSPm)
-    mach.inject_faults(FaultPlan(seed=1, drop_rate=0.5))
-    with pytest.raises(ValueError, match="fault injector"):
-        compile_program(mach, _msg_program, args=(P,))
-    compiled = compile_program(_machine(BSPm), _msg_program, args=(P,))
+    compiled = compile_schedule(_routing_schedule())
     faulty = _machine(BSPm)
     faulty.inject_faults(FaultPlan(seed=1, drop_rate=0.5))
     with pytest.raises(ValueError, match="fault injector"):

@@ -143,6 +143,50 @@ class TestOnErrorFlag:
         assert "does not run a sweep" in capsys.readouterr().err
 
 
+#: ``(argv, exit code)``: a size the command cannot run with is an
+#: argparse usage error, and a record compare cannot read is an
+#: ``error:`` line; the zeros that run (no flits, no horizon) still run
+SIZE_ARGUMENTS = [
+    (["table1", "--p", "0"], 2),
+    (["table1", "--m", "0"], 2),
+    (["measure", "--m", "0"], 2),
+    (["schedule", "--m", "0"], 2),
+    (["measure", "--p", "0"], 2),
+    (["measure", "--L", "0"], 2),
+    (["schedule", "--p", "0"], 2),
+    (["dynamic", "--window", "0"], 2),
+    (["ledger", "one-to-all", "--p", "0"], 2),
+    (["chaos", "uniform", "--p", "0"], 2),
+    (["chaos", "uniform", "--m", "0"], 2),
+    (["chaos", "uniform", "--max-rounds", "0"], 2),
+    (["chaos", "uniform", "--backoff-base", "0"], 2),
+    (["compare", "{missing}", "{missing}"], 2),
+    (["compare", "{not_json}", "{not_json}"], 2),
+    (["schedule", "--n", "0"], 0),
+    (["dynamic", "--horizon", "0"], 0),
+]
+
+
+class TestSizeArguments:
+    @pytest.mark.parametrize(
+        "argv,code", SIZE_ARGUMENTS, ids=[" ".join(a) for a, _ in SIZE_ARGUMENTS]
+    )
+    def test_exit_code(self, capsys, tmp_path, argv, code):
+        not_json = tmp_path / "record.txt"
+        not_json.write_text("not json\n")
+        argv = [a.format(missing=tmp_path / "absent.json", not_json=not_json)
+                for a in argv]
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code, captured.err
+        if code:
+            assert "error:" in captured.err and "Traceback" not in captured.err
+            assert captured.out == ""  # rejected before anything ran
+
+
 class TestLedgerCommand:
     @pytest.mark.parametrize("model", ["qsm-m", "qsm-g"])
     def test_route_on_a_shared_memory_model_is_rejected(self, capsys, model):

@@ -55,7 +55,7 @@ from repro.obs import (
 from repro.obs.compare import classify
 from repro.obs.metrics import Histogram
 from repro.scheduling import route_reliable, unbalanced_send
-from repro.scheduling.execute import execute_schedule
+from repro.scheduling.execute import compile_schedule, execute_schedule
 from repro.sweep import TELEMETRY_SCHEMA_VERSION, SweepSpec, run_sweep
 from repro.workloads import uniform_random_relation
 
@@ -215,12 +215,10 @@ class TestSpanReconciliation:
         # once earlier runs have advanced the tracer's clock, a difference
         # of two clock readings drifts from RunResult.time in the last
         # bits; the run span carries the run's own summed costs instead
-        from repro.core.compiled import compile_program
-
         def machines(p):
             return [_machine(p=p, m=8, L=4.0 + 0.37 * k) for k in range(6)]
 
-        compiled = compile_program(_machine(p=16, m=8, L=2.0), _ring_program, args=(3,))
+        compiled = _compiled_route(p=16, m=8)
         with tracing() as tr:
             live = [summation(mach, list(range(64)))[0] for mach in machines(64)]
             replayed = compiled.replay_batch(machines(16))
@@ -241,12 +239,10 @@ def _ledger_rows(ledger):
     return dump["runs"], dump["columns"], dump["proc_columns"]
 
 
-def _ring_program(ctx, rounds):
-    for r in range(rounds):
-        ctx.work(ctx.pid % 3 + r)
-        ctx.send((ctx.pid + 1 + r) % ctx.nprocs, r, size=1 + ctx.pid % 2)
-        yield
-        ctx.receive()
+def _compiled_route(p, m):
+    """The compiled routing superstep of a small uniform relation."""
+    rel = uniform_random_relation(p, 40 * p, seed=2)
+    return compile_schedule(unbalanced_send(rel, m, 0.2, seed=3))
 
 
 class TestObservedReplay:
@@ -279,9 +275,8 @@ class TestObservedReplay:
 
     def test_replay_batch_observes_like_sequential_replays(self, monkeypatch):
         from repro.core.batched import replay_batch
-        from repro.core.compiled import compile_program
 
-        compiled = compile_program(_machine(p=16, m=4, L=2.0), _ring_program, args=(3,))
+        compiled = _compiled_route(p=16, m=4)
         grid = [(m, L) for m in (2, 4, 8) for L in (1.0, 3.0)]
 
         def machines():
@@ -305,7 +300,7 @@ class TestObservedReplay:
 
         monkeypatch.setattr(BSPm, "_price_batch", counting)
         batched, *batched_obs = observed(lambda: replay_batch(compiled, machines()))
-        assert priced == [len(grid)] * len(compiled.frames)
+        assert priced == [len(grid)]
         sequential, *sequential_obs = observed(
             lambda: [compiled.replay(mach) for mach in machines()])
         assert batched_obs == sequential_obs

@@ -1030,6 +1030,34 @@ class TestServedOnItsOwnThread:
             clean = server.drain(timeout=5)
         assert clean
 
+    def test_drain_waits_for_the_reply_write(self, tmp_path, monkeypatch):
+        """A request served but not yet answered holds the drain until its
+        reply is written, however late its handler thread gets to it."""
+        server, client = make_server(tmp_path)
+        handler = server.httpd.RequestHandlerClass
+        reply, written = handler._reply, []
+
+        def slow_reply(self, status, payload):
+            if self.path == "/v1/submit":
+                time.sleep(0.5)  # a handler thread not yet scheduled
+            reply(self, status, payload)
+            written.append(self.path)
+
+        monkeypatch.setattr(handler, "_reply", slow_reply)
+        got = {}
+        pinger = threading.Thread(target=lambda: got.update(client.ping()))
+        try:
+            pinger.start()
+            _wait_for(lambda: server.metrics.snapshot()["counters"].get(
+                "serve.requests.ok", 0) == 1)
+            clean = server.drain(timeout=5)
+            assert written == ["/v1/submit"]
+            pinger.join(timeout=30)
+        finally:
+            server.drain(timeout=5)
+        assert clean
+        assert got["ok"] is True
+
     def test_wedged_compute_gets_e_internal_within_the_cap(self, tmp_path, monkeypatch):
         """A compute that never returns costs its caller, and the request
         queued behind it on the lane, one ``E_INTERNAL`` after the wait
@@ -1203,6 +1231,63 @@ class TestMalformedContentLength:
                 proc.communicate()
         assert proc.returncode == 0
         assert "drained; bye" in out
+        assert "Traceback" not in err
+
+
+_SLOW_REPLY_DAEMON = """
+import sys, time
+import repro.serve.daemon as daemon
+from repro.harness import main
+
+make_handler = daemon._make_handler
+
+def slow_make_handler(server, request_timeout):
+    handler = make_handler(server, request_timeout)
+    reply = handler._reply
+
+    def slow_reply(self, status, payload):
+        if self.path == "/v1/submit":
+            time.sleep(0.5)  # a handler thread not yet scheduled
+        reply(self, status, payload)
+
+    handler._reply = slow_reply
+    return handler
+
+daemon._make_handler = slow_make_handler
+sys.exit(main(["serve", "--port", "0", "--no-store"]))
+"""
+
+
+class TestDrainWithReplyInFlight:
+    def test_cli_drain_writes_the_reply_before_exiting(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_REPLY_DAEMON],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_fresh_env(),
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            host, port = line.split("http://")[1].split()[0].split(":")
+            client = ServeClient(f"http://{host}:{port}", timeout=30)
+            ping = http.client.HTTPConnection(host, int(port), timeout=30)
+            try:
+                ping.request("POST", "/v1/submit", json.dumps({"kind": "ping"}))
+                # served, its reply still unwritten
+                _wait_for(lambda: client.metrics()["counters"].get(
+                    "serve.requests.ok", 0) == 1)
+                assert client.drain()["status"] == "draining"
+                reply = json.loads(ping.getresponse().read())
+            finally:
+                ping.close()
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert reply["ok"] is True
+        assert proc.returncode == 0
+        assert out.rstrip().endswith("drained; bye")
         assert "Traceback" not in err
 
 
