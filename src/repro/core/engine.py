@@ -198,9 +198,6 @@ class ReadHandle:
     def resolved(self) -> bool:
         return self._value is not _UNRESOLVED
 
-    def _resolve(self, value: Any) -> None:
-        self._value = value
-
     def _resolve_span(self, values: Sequence[Any], start: int, stop: int) -> None:
         self._value = values[start]
 

@@ -1231,9 +1231,16 @@ def _add_obs_args(sp: argparse.ArgumentParser) -> None:
     )
 
 
+#: commands that build a matched (local, global) pair, whose gap is g = p/m
+_MATCHED_PAIR_COMMANDS = frozenset({"measure", "schedule", "dynamic", "ledger"})
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in _MATCHED_PAIR_COMMANDS and args.m > args.p:
+        parser.error(f"{args.command}: --m ({args.m}) must not exceed --p "
+                     f"({args.p}), since the gap g = p/m must be >= 1")
     with _observe(args):
         return args.func(args)

@@ -6,12 +6,12 @@ registry is installed via :func:`install_metrics` / :func:`metrics_scope`
 — the default :func:`active_metrics` is ``None`` and instrumented code
 guards on that once per run.
 
-The registry is **mergeable**: :meth:`MetricsRegistry.snapshot` /
-:meth:`MetricsRegistry.delta` let a sweep worker report only what its
-trials added, and :meth:`MetricsRegistry.merge` folds those deltas into
-the parent in task order — counters and histogram buckets are sums (order
-independent) and gauges are last-write-wins (task order), so ``jobs=N``
-aggregates bit-identically to ``jobs=1``.
+The registry is **mergeable**: each sweep trial records into a scratch
+registry and ships its :meth:`MetricsRegistry.to_dict` dump, and
+:meth:`MetricsRegistry.merge` folds those dumps into the parent in task
+order — counters and histogram buckets are sums (order independent) and
+gauges are last-write-wins (task order), so ``jobs=N`` aggregates
+bit-identically to ``jobs=1``.
 
 Histograms use *fixed* bucket bounds chosen at creation (default: decade
 bounds suited to model-time costs).  Fixed bounds are what makes two
@@ -103,7 +103,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms with snapshot-delta-merge."""
+    """Named counters/gauges/histograms, mergeable by dump."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -139,44 +139,9 @@ class MetricsRegistry:
             "histograms": {k: h.to_dict() for k, h in sorted(self._histograms.items())},
         }
 
-    # -- worker-side deltas / parent-side merge ---------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Opaque state capture, to diff against after running trials."""
-        return {
-            "counters": {k: c.value for k, c in self._counters.items()},
-            "histograms": {k: list(h.counts) for k, h in self._histograms.items()},
-            "hist_sums": {k: (h.total, h.count) for k, h in self._histograms.items()},
-        }
-
-    def delta(self, before: Dict[str, Any]) -> Dict[str, Any]:
-        """What was recorded since ``before`` (a :meth:`snapshot`), as a
-        picklable dump suitable for :meth:`merge`.  Gauges carry their
-        current value (last-write-wins under task-ordered merging)."""
-        counters = {}
-        for k, c in self._counters.items():
-            d = c.value - before["counters"].get(k, 0.0)
-            if d:
-                counters[k] = d
-        histograms = {}
-        for k, h in self._histograms.items():
-            prev = before["histograms"].get(k, [0] * len(h.counts))
-            counts = [a - b for a, b in zip(h.counts, prev)]
-            if any(counts):
-                p_total, p_count = before["hist_sums"].get(k, (0.0, 0))
-                histograms[k] = {
-                    "bounds": list(h.bounds),
-                    "counts": counts,
-                    "sum": h.total - p_total,
-                    "count": h.count - p_count,
-                }
-        return {
-            "counters": counters,
-            "gauges": {k: g.value for k, g in self._gauges.items()},
-            "histograms": histograms,
-        }
-
+    # -- parent-side merge -------------------------------------------------
     def merge(self, dump: Dict[str, Any]) -> None:
-        """Fold a :meth:`delta` (or another registry's dump) into this one."""
+        """Fold another registry's :meth:`to_dict` dump into this one."""
         for k, v in dump.get("counters", {}).items():
             self.counter(k).inc(v)
         for k, v in dump.get("gauges", {}).items():

@@ -5,19 +5,25 @@ server's error code and detail — client code branches on ``err.code``
 (``E_QUEUE_FULL`` → back off and retry, ``E_DEADLINE`` → give up,
 ``E_QUARANTINED`` → fix the request) instead of parsing strings.
 
-Transport is TCP by default (``ServeClient("http://host:port")``) or a
-Unix-domain socket (``ServeClient(uds="/path.sock")``) when the daemon
-was started with ``--uds`` — same protocol, same payloads, no open port.
+Transport is TCP (``ServeClient("http://host:port")``, optionally with a
+path prefix) or a Unix-domain socket (``ServeClient(uds="/path.sock")``)
+when the daemon was started with ``--uds`` — same protocol, same
+payloads, no open port.  Both go through one exchange,
+:meth:`ServeClient._call_raw`: a fresh ``http.client`` connection per
+call, one request sent with ``Connection: close``, the whole reply read,
+the connection closed.  Proxy variables (``http_proxy`` and kin) are not
+read.  A reply of HTTP 400 or above raises :class:`ServeRequestError`,
+and a body that is not JSON where JSON is due is ``E_INTERNAL``.
 """
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import socket
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Optional
+from urllib.parse import urlsplit
 
 __all__ = ["ServeClient", "ServeRequestError"]
 
@@ -49,11 +55,21 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
         self.sock = sock
 
 
+def _json_body(raw: bytes, status: int) -> Any:
+    """Decode a reply body; one that is not JSON is ``E_INTERNAL``."""
+    try:
+        return json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise ServeRequestError(
+            "E_INTERNAL", f"non-JSON body (HTTP {status})", status
+        ) from None
+
+
 class ServeClient:
     """Talk to one daemon; all calls are synchronous.
 
-    Exactly one transport: pass ``url`` for TCP or ``uds`` for a
-    Unix-domain socket path.
+    Exactly one transport: pass ``url`` (``http://host[:port][/prefix]``)
+    for TCP or ``uds`` for a Unix-domain socket path.
     """
 
     def __init__(
@@ -68,119 +84,56 @@ class ServeClient:
         self.url = None if url is None else url.rstrip("/")
         self.uds = uds
         self.timeout = timeout
+        if uds is not None:
+            self._connect = functools.partial(_UnixHTTPConnection, uds)
+            self._prefix = ""
+            return
+        # http.client speaks plain HTTP to whatever it is pointed at
+        try:
+            parts = urlsplit(self.url)
+            parts.port  # raises unless the port is an integer in 0-65535
+            ok = (parts.scheme == "http" and bool(parts.hostname)
+                  and "@" not in parts.netloc and not (parts.query or parts.fragment))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"url must be http://host[:port][/prefix], got {url!r}")
+        self._connect = functools.partial(http.client.HTTPConnection, parts.netloc)
+        self._prefix = parts.path
 
     # -- transport -----------------------------------------------------
+    def _call_raw(
+        self, method: str, path: str, body: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
+    ) -> "tuple[int, Dict[str, str], bytes]":
+        """One exchange on a fresh connection: returns ``(status,
+        headers, body bytes)``.  A reply of HTTP 400 or above raises
+        :class:`ServeRequestError` with the daemon's error code."""
+        headers = {"Connection": "close", "Content-Type": "application/json"}
+        data = None if body is None else json.dumps(body).encode()
+        conn = self._connect(timeout=timeout or self.timeout)
+        try:
+            conn.request(method, self._prefix + path, body=data, headers=headers)
+            resp = conn.getresponse()
+            raw = resp.read()
+        finally:
+            conn.close()
+        if resp.status >= 400:
+            err = _json_body(raw, resp.status).get("error", {})
+            raise ServeRequestError(
+                err.get("code", "E_INTERNAL"),
+                err.get("detail", "unknown error"),
+                resp.status,
+                {k: v for k, v in err.items() if k not in ("code", "detail")},
+            )
+        return resp.status, dict(resp.getheaders()), raw
+
     def _call(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
-        if self.uds is not None:
-            return self._call_uds(method, path, body, timeout)
-        data = None if body is None else json.dumps(body).encode()
-        req = urllib.request.Request(
-            f"{self.url}{path}",
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=timeout or self.timeout) as resp:
-                payload = json.loads(resp.read().decode())
-        except urllib.error.HTTPError as exc:
-            # structured shed: the daemon answers errors with a JSON body
-            try:
-                payload = json.loads(exc.read().decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                raise ServeRequestError(
-                    "E_INTERNAL", f"non-JSON error body (HTTP {exc.code})", exc.code
-                )
-            err = payload.get("error", {})
-            raise ServeRequestError(
-                err.get("code", "E_INTERNAL"),
-                err.get("detail", "unknown error"),
-                exc.code,
-                {k: v for k, v in err.items() if k not in ("code", "detail")},
-            )
-        return payload
-
-    def _call_uds(
-        self, method: str, path: str, body: Optional[Dict[str, Any]],
-        timeout: Optional[float],
-    ) -> Dict[str, Any]:
-        data = None if body is None else json.dumps(body).encode()
-        conn = _UnixHTTPConnection(self.uds, timeout=timeout or self.timeout)
-        try:
-            conn.request(
-                method, path, body=data,
-                headers={"Content-Type": "application/json"},
-            )
-            resp = conn.getresponse()
-            raw = resp.read()
-            try:
-                payload = json.loads(raw.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                raise ServeRequestError(
-                    "E_INTERNAL",
-                    f"non-JSON {'error ' if resp.status >= 400 else ''}body "
-                    f"(HTTP {resp.status})",
-                    resp.status,
-                )
-            if resp.status >= 400:
-                err = payload.get("error", {})
-                raise ServeRequestError(
-                    err.get("code", "E_INTERNAL"),
-                    err.get("detail", "unknown error"),
-                    resp.status,
-                    {k: v for k, v in err.items() if k not in ("code", "detail")},
-                )
-            return payload
-        finally:
-            conn.close()
-
-    def _call_raw(
-        self, method: str, path: str, timeout: Optional[float] = None
-    ) -> "tuple[int, Dict[str, str], bytes]":
-        """Non-JSON transport: returns ``(status, headers, body bytes)``.
-        Structured error answers (JSON bodies on >=400) still raise
-        :class:`ServeRequestError`."""
-        if self.uds is not None:
-            conn = _UnixHTTPConnection(self.uds, timeout=timeout or self.timeout)
-            try:
-                conn.request(method, path)
-                resp = conn.getresponse()
-                raw = resp.read()
-                status = resp.status
-                headers = {k: v for k, v in resp.getheaders()}
-            finally:
-                conn.close()
-        else:
-            req = urllib.request.Request(f"{self.url}{path}", method=method)
-            try:
-                with urllib.request.urlopen(
-                    req, timeout=timeout or self.timeout
-                ) as resp:
-                    raw = resp.read()
-                    status = resp.status
-                    headers = dict(resp.headers.items())
-            except urllib.error.HTTPError as exc:
-                raw = exc.read()
-                status = exc.code
-                headers = dict(exc.headers.items()) if exc.headers else {}
-        if status >= 400:
-            try:
-                payload = json.loads(raw.decode())
-                err = payload.get("error", {})
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                raise ServeRequestError(
-                    "E_INTERNAL", f"non-JSON error body (HTTP {status})", status
-                )
-            raise ServeRequestError(
-                err.get("code", "E_INTERNAL"),
-                err.get("detail", "unknown error"),
-                status,
-                {k: v for k, v in err.items() if k not in ("code", "detail")},
-            )
-        return status, headers, raw
+        status, _headers, raw = self._call_raw(method, path, body, timeout)
+        return _json_body(raw, status)
 
     # -- API -----------------------------------------------------------
     def submit(

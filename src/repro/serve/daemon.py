@@ -477,51 +477,53 @@ def _make_handler(server: ReproServer, request_timeout: float):
             )
 
         # -- routes ----------------------------------------------------
-        def do_GET(self) -> None:
+        def handle_one_request(self) -> None:
+            """One request on the connection.  A client that went away —
+            mid-reply, or between requests on a keep-alive connection —
+            ends the connection quietly instead of reaching
+            ``socketserver``'s traceback printer."""
             try:
-                path, query = self._query()
-                try:
-                    if path == "/v1/healthz":
-                        self._check_format(query, "json")
-                        self._reply(200, server.healthz())
-                    elif path == "/v1/metrics":
-                        self._get_metrics(query)
-                    elif path == "/v1/events":
-                        self._get_events(query)
-                    elif path == "/v1/stats":
-                        self._check_format(query, "json")
-                        self._reply(200, server.stats())
-                    else:
-                        raise ServeError(
-                            "E_BAD_REQUEST", f"unknown path {self.path}"
-                        )
-                except ServeError as err:
-                    self._reply_error(err)
-            except (BrokenPipeError, ConnectionResetError):  # client went away
-                pass
+                super().handle_one_request()
+            except (BrokenPipeError, ConnectionResetError):
+                self.close_connection = True
+
+        def do_GET(self) -> None:
+            path, query = self._query()
+            try:
+                if path == "/v1/healthz":
+                    self._check_format(query, "json")
+                    self._reply(200, server.healthz())
+                elif path == "/v1/metrics":
+                    self._get_metrics(query)
+                elif path == "/v1/events":
+                    self._get_events(query)
+                elif path == "/v1/stats":
+                    self._check_format(query, "json")
+                    self._reply(200, server.stats())
+                else:
+                    raise ServeError("E_BAD_REQUEST", f"unknown path {self.path}")
+            except ServeError as err:
+                self._reply_error(err)
 
         def do_POST(self) -> None:
-            try:
-                path, _query = self._query()
-                if path == "/v1/submit":
-                    try:
-                        body = self._read_body()
-                    except ServeError as err:
-                        self._reply_error(err)
-                        return
-                    with server.responding():
-                        status, payload = server.submit(body)
-                        self._reply(status, payload)
-                elif path == "/v1/drain":
-                    self._reply(202, {"ok": True, "status": "draining"})
-                    threading.Thread(
-                        target=server.drain, name="repro-serve-drain", daemon=True
-                    ).start()
-                else:
-                    self._reply_error(
-                        ServeError("E_BAD_REQUEST", f"unknown path {self.path}")
-                    )
-            except (BrokenPipeError, ConnectionResetError):
-                pass
+            path, _query = self._query()
+            if path == "/v1/submit":
+                try:
+                    body = self._read_body()
+                except ServeError as err:
+                    self._reply_error(err)
+                    return
+                with server.responding():
+                    status, payload = server.submit(body)
+                    self._reply(status, payload)
+            elif path == "/v1/drain":
+                self._reply(202, {"ok": True, "status": "draining"})
+                threading.Thread(
+                    target=server.drain, name="repro-serve-drain", daemon=True
+                ).start()
+            else:
+                self._reply_error(
+                    ServeError("E_BAD_REQUEST", f"unknown path {self.path}")
+                )
 
     return Handler

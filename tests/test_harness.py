@@ -162,6 +162,13 @@ SIZE_ARGUMENTS = [
     (["chaos", "uniform", "--backoff-base", "0"], 2),
     (["compare", "{missing}", "{missing}"], 2),
     (["compare", "{not_json}", "{not_json}"], 2),
+    # the matched pair's gap g = p/m must be >= 1
+    (["measure", "--p", "4", "--m", "8"], 2),
+    (["schedule", "--p", "4", "--m", "8", "--n", "50"], 2),
+    (["dynamic", "--p", "4", "--m", "8"], 2),
+    (["ledger", "one-to-all", "--p", "4", "--m", "8"], 2),
+    (["table1", "--p", "4", "--m", "8"], 0),
+    (["chaos", "uniform", "--p", "4", "--m", "8"], 0),
     (["schedule", "--n", "0"], 0),
     (["dynamic", "--horizon", "0"], 0),
 ]

@@ -16,7 +16,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import (
@@ -478,6 +478,21 @@ def _param_dicts(known_keys):
     return st.dictionaries(keys, _FIELD, max_size=6)
 
 
+#: a submit body: a request-shaped object with drawn fields, or any value
+_SUBMIT_BODIES = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.one_of(st.sampled_from(KINDS), _JSON_VALUES), "seed": _FIELD},
+        optional={
+            "params": st.one_of(
+                _param_dicts({*SCENARIO_DEFAULTS, "name", "trials"}),
+                _JSON_VALUES),
+            "deadline_s": _FIELD,
+        },
+    ),
+    _JSON_VALUES,
+)
+
+
 class TestSubmitBoundary:
     """Whatever a client sends, the request parser and the experiment
     param check answer with a structured ``E_BAD_REQUEST`` or accept it:
@@ -485,18 +500,9 @@ class TestSubmitBoundary:
 
     def test_build_request_raises_only_serve_errors(self):
         server = ReproServer(port=0)  # bound, never started: no HTTP round trip
-        bodies = st.fixed_dictionaries(
-            {"kind": st.one_of(st.sampled_from(KINDS), _JSON_VALUES), "seed": _FIELD},
-            optional={
-                "params": st.one_of(
-                    _param_dicts({*SCENARIO_DEFAULTS, "name", "trials"}),
-                    _JSON_VALUES),
-                "deadline_s": _FIELD,
-            },
-        )
 
         @settings(max_examples=200, deadline=None)
-        @given(body=st.one_of(bodies, _JSON_VALUES))
+        @given(body=_SUBMIT_BODIES)
         def check(body):
             try:
                 req = server._build_request(body)
@@ -534,6 +540,45 @@ class TestSubmitBoundary:
 
         check()
 
+    def test_http_replies_match_the_in_process_verdict(self, tmp_path):
+        """The same draws sent over TCP and over a Unix socket: a body the
+        parser rejects in process gets its structured 400, a ping its ok,
+        and nothing is a 500, a reset, a hang or a crash.  Accepted
+        scenarios and experiments are skipped: their sizes are unbounded,
+        so a drawn one could ask for minutes of compute."""
+        tcp, tcp_client = make_server()
+        uds = ReproServer(uds=str(tmp_path / "repro.sock"))
+        uds.start()
+        clients = (tcp_client, ServeClient(uds=uds.uds, timeout=60))
+
+        @settings(max_examples=200, deadline=None)
+        @given(body=_SUBMIT_BODIES)
+        def check(body):
+            try:
+                req = tcp._build_request(body)
+            except ServeError as err:
+                verdict = (err.code, err.http_status)
+            else:  # a ping whose deadline cannot lapse while it is served
+                assume(req.kind == "ping" and (
+                    req.deadline is None or req.deadline - req.submitted > 60))
+                verdict = (True, 200)
+            for client in clients:
+                try:
+                    status, _headers, raw = client._call_raw("POST", "/v1/submit", body)
+                    got = (json.loads(raw)["ok"], status)
+                except ServeRequestError as err:
+                    got = (err.code, err.http_status)
+                assert got == verdict, (client.url or client.uds, body)
+
+        try:
+            check()
+            for server in (tcp, uds):
+                counters = server.metrics.snapshot()["counters"]
+                assert counters.get("serve.worker.crashes", 0) == 0
+        finally:
+            tcp.drain(timeout=30)
+            uds.drain(timeout=30)
+
 
 # ----------------------------------------------------------------------
 # daemon surface
@@ -560,6 +605,22 @@ class TestDaemon:
         assert server._drained.is_set()
         with pytest.raises(Exception):  # listener is gone
             client.healthz()
+
+    def test_reset_keep_alive_connection_prints_no_traceback(self, served, capsys):
+        """A client that closes a keep-alive connection with the reply
+        unread resets it; the handler meets the reset on its next
+        request-line read and ends the connection without a traceback."""
+        server, client = served
+        before = set(threading.enumerate())
+        for _ in range(3):
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                # the whole reply sits unread, so closing sends a reset
+                _wait_for(lambda: sock.recv(4096, socket.MSG_PEEK).endswith(b"}"))
+        # the three handler threads have met the reset and ended
+        _wait_for(lambda: not set(threading.enumerate()) - before)
+        assert client.healthz()["ok"] is True
+        assert "Exception occurred" not in capsys.readouterr().err
 
     def test_concurrent_submissions_all_answered(self, served):
         """Every accepted request gets exactly one answer even when many
@@ -1184,6 +1245,71 @@ class TestUnixDomainSocket:
             ServeClient()
         with pytest.raises(ValueError, match="exactly one"):
             ServeClient("http://x", uds="/tmp/x.sock")
+
+
+# ----------------------------------------------------------------------
+# the client: one HTTP exchange on both transports
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["tcp", "uds"])
+def transport(request, tmp_path):
+    """A started daemon and a client on the named transport."""
+    if request.param == "tcp":
+        server, client = make_server()
+    else:
+        server = ReproServer(uds=str(tmp_path / "repro.sock"))
+        server.start()
+        client = ServeClient(uds=server.uds, timeout=60)
+    yield server, client
+    server.drain(timeout=30)
+
+
+class TestClientExchange:
+    def test_non_json_body_is_e_internal(self, transport):
+        server, client = transport
+        with pytest.raises(ServeRequestError) as exc:
+            client._call("GET", "/v1/metrics?format=prom")  # 200, Prometheus text
+        assert (exc.value.code, exc.value.http_status) == ("E_INTERNAL", 200)
+
+    def test_each_call_asks_to_close_its_connection(self, transport):
+        server, client = transport
+        for path in ("/v1/healthz", "/v1/metrics?format=prom"):
+            status, headers, _raw = client._call_raw("GET", path)
+            assert status == 200 and headers["Connection"] == "close", path
+
+    def test_proxy_variables_are_not_read(self, served):
+        """A TCP call goes to the daemon, never to the proxy the
+        environment names (nothing listens on port 9)."""
+        server, _client = served
+        env = _fresh_env()
+        env.update(http_proxy="http://127.0.0.1:9", HTTP_PROXY="http://127.0.0.1:9")
+        for name in ("no_proxy", "NO_PROXY"):
+            env.pop(name, None)
+        code = ("import sys\nfrom repro.serve import ServeClient\n"
+                "print(ServeClient(sys.argv[1], timeout=30).ping()['ok'])\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code, server.url],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert out.returncode == 0 and out.stdout.strip() == "True", out.stderr
+
+    @pytest.mark.parametrize("url", [
+        "https://127.0.0.1:8377", "ftp://127.0.0.1", "127.0.0.1:8377",
+        "http://127.0.0.1:port", "http://127.0.0.1:70000",
+        "http://user@127.0.0.1:8377", "http://127.0.0.1:8377/v1?x=1",
+    ])
+    def test_url_must_be_plain_http(self, url, capsys):
+        from repro.harness import main
+
+        with pytest.raises(ValueError, match=r"http://host\[:port\]"):
+            ServeClient(url)
+        assert main(["top", "--url", url, "--once"]) == 2
+        assert "error: url must be http://host" in capsys.readouterr().err
+
+    def test_url_prefix_leads_every_request_path(self, served):
+        server, _client = served
+        with pytest.raises(ServeRequestError) as exc:
+            ServeClient(server.url + "/api/", timeout=60).healthz()
+        assert exc.value.detail == "unknown path /api/v1/healthz"
 
 
 # ----------------------------------------------------------------------
