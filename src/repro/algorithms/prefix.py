@@ -28,6 +28,7 @@ from repro.core.engine import Machine, RunResult
 from repro.models.bsp_m import BSPm
 from repro.models.qsm_m import QSMm
 from repro.models.self_scheduling import SelfSchedulingBSPm
+from repro.util.intmath import tree_rounds
 
 __all__ = [
     "reduce_all",
@@ -41,14 +42,6 @@ __all__ = [
 ]
 
 Op = Callable[[Any, Any], Any]
-
-
-def _tree_rounds(a: int, b: int) -> int:
-    rounds, span = 0, 1
-    while span < a:
-        span *= b
-        rounds += 1
-    return rounds
 
 
 def _default_branching(machine: Machine) -> int:
@@ -73,7 +66,7 @@ def reduce_tree_bsp_program(ctx, op: Op, b: int, value: Any):
     acc = value
     ctx.work(1)
     stride = 1
-    for _ in range(_tree_rounds(p, b)):
+    for _ in range(tree_rounds(p, b)):
         block = stride * b
         if pid % stride == 0 and pid % block != 0:
             ctx.send(pid - pid % block, acc, slot=0)
@@ -98,7 +91,7 @@ def reduce_funnel_bsp_program(ctx, op: Op, a: int, b: int, value: Any):
             acc = op(acc, payload)
             ctx.work(1)
     stride = 1
-    for _ in range(_tree_rounds(a, b)):
+    for _ in range(tree_rounds(a, b)):
         block = stride * b
         if pid < a and pid % stride == 0 and pid % block != 0:
             ctx.send(pid - pid % block, acc, slot=0)
@@ -127,7 +120,7 @@ def reduce_tree_qsm_program(ctx, op: Op, b: int, value: Any):
     acc = value
     ctx.work(1)
     stride = 1
-    for r in range(_tree_rounds(p, b)):
+    for r in range(tree_rounds(p, b)):
         block = stride * b
         if pid % stride == 0 and pid % block != 0:
             ctx.write(("red", r, pid), acc, slot=ctx.stagger_slot())
@@ -176,7 +169,7 @@ def reduce_funnel_qsm_program(ctx, op: Op, a: int, b: int, value: Any):
                 acc = op(acc, v)
                 ctx.work(1)
     stride = 1
-    for r in range(_tree_rounds(a, b)):
+    for r in range(tree_rounds(a, b)):
         block = stride * b
         if pid < a and pid % stride == 0 and pid % block != 0:
             ctx.write(("redm", r, pid), acc, slot=0)
@@ -266,7 +259,7 @@ def _prefix_bsp_program(ctx, op: Op, value: Any):
     subtree total so the downsweep can hand the right child its carry.
     """
     pid, p = ctx.pid, ctx.nprocs
-    rounds = _tree_rounds(p, 2)
+    rounds = tree_rounds(p, 2)
     subtotal = value
     ctx.work(1)
     left_totals: List[Any] = []  # my subtree total before absorbing right child
@@ -309,7 +302,7 @@ def _prefix_qsm_program(ctx, op: Op, value: Any):
     sweep as the BSP program, with each message replaced by a write phase
     plus a read phase (cells keyed by level and receiver)."""
     pid, p = ctx.pid, ctx.nprocs
-    rounds = _tree_rounds(p, 2)
+    rounds = tree_rounds(p, 2)
     subtotal = value
     ctx.work(1)
     left_totals: List[Any] = []

@@ -28,7 +28,7 @@ import numpy as np
 from repro.algorithms.qsm_on_bsp import SharedMemoryProxy, _owner
 from repro.algorithms.sorting import _NEG, _POS, local_sort_work
 from repro.core.engine import Machine, RunResult
-from repro.util.intmath import ceil_div, ilog2
+from repro.util.intmath import ceil_div, ilog2, tree_rounds
 from repro.util.rng import SeedLike, as_generator
 
 __all__ = [
@@ -481,13 +481,11 @@ def run_qsm_on_bsp_scalar(
 
 def reduce_tree_bsp_scalar(ctx, op, b: int, value: Any):
     """Scalar twin of :func:`repro.algorithms.prefix.reduce_tree_bsp_program`."""
-    from repro.algorithms.prefix import _tree_rounds
-
     pid, p = ctx.pid, ctx.nprocs
     acc = value
     ctx.work(1)
     stride = 1
-    for _ in range(_tree_rounds(p, b)):
+    for _ in range(tree_rounds(p, b)):
         block = stride * b
         if pid % stride == 0 and pid % block != 0:
             ctx.send(pid - pid % block, acc, slot=0)
@@ -502,8 +500,6 @@ def reduce_tree_bsp_scalar(ctx, op, b: int, value: Any):
 
 def reduce_funnel_bsp_scalar(ctx, op, a: int, b: int, value: Any):
     """Scalar twin of :func:`repro.algorithms.prefix.reduce_funnel_bsp_program`."""
-    from repro.algorithms.prefix import _tree_rounds
-
     pid, p = ctx.pid, ctx.nprocs
     if pid >= a:
         ctx.send(pid % a, value, slot=pid // a - 1)
@@ -514,7 +510,7 @@ def reduce_funnel_bsp_scalar(ctx, op, a: int, b: int, value: Any):
             acc = op(acc, msg.payload)
             ctx.work(1)
     stride = 1
-    for _ in range(_tree_rounds(a, b)):
+    for _ in range(tree_rounds(a, b)):
         block = stride * b
         if pid < a and pid % stride == 0 and pid % block != 0:
             ctx.send(pid - pid % block, acc, slot=0)
@@ -529,13 +525,11 @@ def reduce_funnel_bsp_scalar(ctx, op, a: int, b: int, value: Any):
 
 def reduce_tree_qsm_scalar(ctx, op, b: int, value: Any):
     """Scalar twin of :func:`repro.algorithms.prefix.reduce_tree_qsm_program`."""
-    from repro.algorithms.prefix import _tree_rounds
-
     pid, p = ctx.pid, ctx.nprocs
     acc = value
     ctx.work(1)
     stride = 1
-    for r in range(_tree_rounds(p, b)):
+    for r in range(tree_rounds(p, b)):
         block = stride * b
         if pid % stride == 0 and pid % block != 0:
             ctx.write(("red", r, pid), acc, slot=ctx.stagger_slot())
@@ -555,8 +549,6 @@ def reduce_tree_qsm_scalar(ctx, op, b: int, value: Any):
 
 def reduce_funnel_qsm_scalar(ctx, op, a: int, b: int, value: Any):
     """Scalar twin of :func:`repro.algorithms.prefix.reduce_funnel_qsm_program`."""
-    from repro.algorithms.prefix import _tree_rounds
-
     pid, p = ctx.pid, ctx.nprocs
     if pid >= a:
         ctx.write(("fun", pid), value, slot=pid // a - 1)
@@ -572,7 +564,7 @@ def reduce_funnel_qsm_scalar(ctx, op, a: int, b: int, value: Any):
             acc = op(acc, h.value)
             ctx.work(1)
     stride = 1
-    for r in range(_tree_rounds(a, b)):
+    for r in range(tree_rounds(a, b)):
         block = stride * b
         if pid < a and pid % stride == 0 and pid % block != 0:
             ctx.write(("redm", r, pid), acc, slot=0)

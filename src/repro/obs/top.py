@@ -10,9 +10,12 @@ Two attachment modes:
   cache hits, shed/retry counters.  Read-only: it submits nothing, so
   attaching to a live daemon never perturbs results.
 * **telemetry file** (``--telemetry sweep.json``): :class:`FileSource`
-  tails a :meth:`repro.sweep.SweepResult.to_json` dump (re-reading on
-  change), rendering utilization, per-worker busy/steal columns, error
-  counters, and the ledger block when the sweep recorded one.
+  tails a :meth:`repro.sweep.SweepResult.to_json` dump, or a CLI
+  ``--json`` record that nests one under ``telemetry`` (``repro chaos
+  --trials N``), re-reading on change, and renders utilization,
+  per-worker busy/steal columns, error counters, and the ledger block
+  when the sweep recorded one.  A file with no sweep telemetry gets the
+  ``unreadable`` frame.
 
 The rendering core is :func:`render_frame` — a pure function from a
 frame dict to text lines — so tests (and ``--once``, which prints a
@@ -127,8 +130,12 @@ class FileSource:
     def __init__(self, path: str) -> None:
         self.path = path
         self._mtime: Optional[float] = None
-        self._data: Optional[Dict[str, Any]] = None
+        self._data: Any = None
         self.last_error: Optional[str] = None
+
+    def _unreadable(self, reason: str) -> Dict[str, Any]:
+        self.last_error = reason
+        return {"source": f"file {self.path}", "status": "unreadable", "error": reason}
 
     def frame(self, poll_s: float = 0.0) -> Dict[str, Any]:
         try:
@@ -139,13 +146,12 @@ class FileSource:
                 self._mtime = mtime
             self.last_error = None
         except (OSError, json.JSONDecodeError) as exc:
-            self.last_error = f"{type(exc).__name__}: {exc}"
-            return {
-                "source": f"file {self.path}",
-                "status": "unreadable",
-                "error": self.last_error,
-            }
+            return self._unreadable(f"{type(exc).__name__}: {exc}")
         d = self._data
+        if isinstance(d, dict) and isinstance(d.get("telemetry"), dict):
+            d = d["telemetry"]  # a CLI --json record nests its sweep telemetry
+        if not isinstance(d, dict) or not isinstance(d.get("trials"), int):
+            return self._unreadable("no sweep telemetry: the file has no integer 'trials'")
         backend = d.get("backend") or {}
         return {
             "source": f"file {self.path}",

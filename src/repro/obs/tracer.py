@@ -198,7 +198,7 @@ class Tracer:
         return len(self.spans)
 
 
-# -- worker-span shipping (sweep backends) ---------------------------------
+# -- worker-span shipping (sweep pool) -------------------------------------
 
 def export_spans(tracer: Tracer) -> Dict[str, Any]:
     """A picklable dump of a scratch tracer's spans for shipping from a

@@ -22,25 +22,14 @@ The structure (matching the bound term by term):
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 from repro.core.engine import Machine, RunResult
 from repro.core.params import MachineParams
-from repro.util.intmath import ceil_div
+from repro.util.intmath import ceil_div, tree_rounds
 from repro.util.validation import check_positive
 
 __all__ = ["sum_and_broadcast", "sum_and_broadcast_program", "tau_bound"]
-
-
-def _tree_rounds(a: int, b: int) -> int:
-    """Number of reduce rounds for ``a`` leaves with branching ``b``."""
-    rounds = 0
-    span = 1
-    while span < a:
-        span *= b
-        rounds += 1
-    return rounds
 
 
 def sum_and_broadcast_program(ctx, a: int, b: int, value: float):
@@ -52,7 +41,7 @@ def sum_and_broadcast_program(ctx, a: int, b: int, value: float):
     """
     p = ctx.nprocs
     pid = ctx.pid
-    rounds = _tree_rounds(a, b)
+    rounds = tree_rounds(a, b)
 
     # --- Stage 1: funnel to aggregators -------------------------------
     if pid >= a:
@@ -136,6 +125,6 @@ def tau_bound(params: MachineParams, branching: int | None = None) -> float:
     L = params.L
     a = min(params.p, m)
     b = branching if branching is not None else max(2, int(L))
-    rounds = _tree_rounds(a, b)
+    rounds = tree_rounds(a, b)
     funnel = max(ceil_div(params.p, a), L)
     return 2 * funnel + 2 * rounds * max(float(b), L)

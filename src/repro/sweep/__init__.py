@@ -4,9 +4,10 @@ seeding and sweep telemetry.
 The layer between a single priced superstep and a paper-scale experiment:
 Monte Carlo trials and parameter grids expand into pure, independently
 seeded :class:`TrialTask` units (:mod:`repro.sweep.spec`), execute where
-``jobs`` places them (:mod:`repro.sweep.backends`) — a work-stealing
-persistent worker pool (``pool-steal``) for ``jobs > 1``, a bit-identical
-in-process run (``serial``) for ``jobs=1`` — and come back as a columnar
+``jobs`` places them — in process (``serial``) for ``jobs=1``
+(:mod:`repro.sweep.runner`), on a work-stealing pool of forked workers
+that each hold one task at a time (``pool-steal``, :mod:`repro.sweep.pool`)
+for ``jobs > 1``, bit-identical either way — and come back as a columnar
 :class:`SweepResult` with wall-time / utilization / steal telemetry
 (:mod:`repro.sweep.telemetry`).  A trial gets everything it shares with
 its siblings (a relation, its offline optimum) through its parameters.

@@ -2,26 +2,23 @@
 contract.
 
 :func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into
-pure, independently seeded tasks and hands them to one of two backends:
-``serial`` (in-process) for ``jobs=1`` or at most one task,
-``pool-steal`` (persistent work-stealing worker pool) otherwise.  The
-runner keeps every determinism guarantee on either placement:
+pure, independently seeded tasks and runs each through one per-trial
+function, :func:`attempt_task`: in this process (``serial``) for
+``jobs=1`` or at most one task, on the forked worker pool of
+:mod:`repro.sweep.pool` (``pool-steal``) otherwise.  The runner keeps
+every determinism guarantee on either placement:
 
-* **ordered reassembly** — backends return outcomes in task order, so
+* **ordered reassembly** — outcomes are taken in task order, so
   ``results[i]`` always belongs to ``tasks()[i]`` no matter which worker
-  finished first: every backend is *bit-identical* to the serial path
+  finished first: the pool is *bit-identical* to the in-process run
   (trial functions are pure and carry their own derived seed);
-* **task-order metrics merge** — per-trial metric scratch dumps merge in
-  task order in every mode, so aggregated metrics are identical at any
-  job count;
-* **task-order span splice and ledger merge** — every backend (serial
-  included) runs each trial against scratch observability instruments
-  (:func:`~repro.sweep.backends.base.execute_task`) and ships the span
-  and load-ledger dumps in the payload; the runner builds the ``trial``
-  span and splices the worker's real spans under it, and merges ledger
-  rows into the active :class:`~repro.obs.ledger.LoadLedger`, in task
-  order — so traces and ledgers are bit-identical across backends and
-  job counts;
+* **task-order metrics merge, span splice and ledger merge** — every
+  trial, in process or on the pool, runs against scratch observability
+  instruments and returns their dumps in its payload; the runner merges
+  metric dumps, builds the ``trial`` span and splices the trial's real
+  spans under it, and merges ledger rows into the active
+  :class:`~repro.obs.ledger.LoadLedger`, in task order — so metrics,
+  traces and ledgers are bit-identical at every job count;
 * **worker-side exception capture** — a failing trial is caught where it
   ran and re-raised in the parent as :class:`TrialExecutionError` naming
   the trial's label, parameters, and exact seed derivation (a
@@ -32,10 +29,9 @@ runner keeps every determinism guarantee on either placement:
   on the first failing trial; ``"skip"`` records the failure in telemetry
   (``results[i] is None``, ``status="skipped"``) and keeps going;
   ``"retry:N"`` re-attempts a failed trial up to ``N`` more times before
-  skipping it.  Failure accounting is **per task**: under the pool
-  backend even a hard worker-process death skips exactly the one
-  in-flight trial — the pool respawns a worker and the shared queue
-  redistributes the rest.
+  skipping it.  Failure accounting is **per task**: on the pool even a
+  hard worker-process death skips exactly the one trial that worker
+  held — the pool forks a replacement and hands it the rest.
 
 ``jobs=0`` / ``jobs=None`` auto-sizes to the machine's usable CPU count.
 """
@@ -44,14 +40,15 @@ from __future__ import annotations
 
 import os
 import time
+import traceback
+from contextlib import ExitStack
 from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.obs.ledger import LoadLedger, active_ledger
-from repro.obs.metrics import active_metrics
-from repro.obs.tracer import active_tracer, splice_spans
-from repro.sweep.backends import PoolStealBackend, SerialBackend
+from repro.obs.ledger import LoadLedger, active_ledger, ledger_scope
+from repro.obs.metrics import MetricsRegistry, active_metrics, metrics_scope
+from repro.obs.tracer import Tracer, active_tracer, export_spans, splice_spans, tracing
 from repro.sweep.spec import SweepSpec, TrialTask
 from repro.sweep.telemetry import SweepResult, TrialRecord
 from repro.util.rng import describe_seed
@@ -120,9 +117,83 @@ def parse_on_error(policy: str):
     )
 
 
-def _raise_trial_error(payload):
-    label, params_desc, seed_desc, cause_repr, tb = payload[:5]
-    raise TrialExecutionError(label, params_desc, seed_desc, cause_repr, tb)
+def describe_params(params: dict) -> str:
+    """Compact, log-safe parameter description (arrays and relations are
+    named by type/size instead of dumped)."""
+    parts = []
+    for k, v in params.items():
+        r = repr(v)
+        if len(r) > 60:
+            size = getattr(v, "n", None) or getattr(v, "size", None)
+            r = f"<{type(v).__name__}{f' n={size}' if size is not None else ''}>"
+        parts.append(f"{k}={r}")
+    return ", ".join(parts)
+
+
+def error_payload(task: TrialTask, exc: BaseException, tb: str, pid: int) -> tuple:
+    """Everything the parent needs to raise or record a failed trial:
+    ``(label, params, seed, repr(exc), traceback, pid)``."""
+    return (
+        task.label,
+        describe_params(task.params),
+        describe_seed(task.seed),
+        repr(exc),
+        tb,
+        pid,
+    )
+
+
+def _execute(task: TrialTask, collect: tuple) -> tuple:
+    """Run one trial and time it.
+
+    Returns ``(value, wall_s, pid, metrics, spans, ledger)``.  ``collect``
+    is ``(metrics, spans, ledger)``: each true entry runs the trial
+    against a *fresh scratch* instrument — a
+    :class:`~repro.obs.metrics.MetricsRegistry`, a
+    :class:`~repro.obs.tracer.Tracer`, a
+    :class:`~repro.obs.ledger.LoadLedger` — installed for the trial's
+    duration (masking whatever the executing process had active), whose
+    dump is the matching payload element (``None`` when not collected).
+    ``ledger`` is ``None`` (no ledger) or the ``per_proc`` of the
+    installed ledger, which the scratch ledger copies, so the
+    per-processor columns the installed ledger keeps survive the merge.
+    """
+    metrics, spans, ledger = collect
+    with ExitStack() as stack:
+        m = stack.enter_context(metrics_scope(MetricsRegistry())) if metrics else None
+        t = stack.enter_context(tracing(Tracer())) if spans else None
+        led = (
+            stack.enter_context(ledger_scope(LoadLedger(per_proc=ledger)))
+            if ledger is not None
+            else None
+        )
+        t0 = time.perf_counter()
+        value = task.run()
+        wall = time.perf_counter() - t0
+        return (
+            value,
+            wall,
+            os.getpid(),
+            None if m is None else m.to_dict(),
+            None if t is None else export_spans(t),
+            None if led is None else led.to_dict(),
+        )
+
+
+def attempt_task(task: TrialTask, collect: tuple, retries: int) -> tuple:
+    """Run one trial, retrying a failure up to ``retries`` more times.
+
+    Returns ``("ok", exec_payload, attempts)`` or ``("err",
+    error_payload, attempts)``.  A retry re-runs the same task with the
+    same derived seed: retries target *environmental* failures, and a
+    deterministic raise fails every attempt.
+    """
+    for attempts in range(1, retries + 2):
+        try:
+            return "ok", _execute(task, collect), attempts
+        except Exception as exc:  # noqa: BLE001 - captured as data
+            failure = error_payload(task, exc, traceback.format_exc(), os.getpid())
+    return "err", failure, attempts
 
 
 def run_sweep(
@@ -133,9 +204,9 @@ def run_sweep(
     """Execute every trial of ``spec`` and return a :class:`SweepResult`.
 
     ``jobs`` alone decides placement: ``serial`` (in-process) when
-    ``jobs == 1`` or there is at most one task, the
-    work-stealing ``pool-steal`` backend otherwise.  The ``results`` list
-    is in task order, and — because trial functions are pure and seeded
+    ``jobs == 1`` or there is at most one task, the work-stealing
+    ``pool-steal`` worker pool otherwise.  The ``results`` list is in
+    task order, and — because trial functions are pure and seeded
     per-task — identical at every job count.
 
     ``on_error`` is ``"raise"`` (abort the sweep with
@@ -144,7 +215,7 @@ def run_sweep(
     ``"retry:N"`` (re-attempt up to ``N`` more times, then skip).  Skips
     and retries are visible in :meth:`SweepResult.telemetry`.  Failure
     accounting is per task: under ``"skip"``/``"retry"`` a hard worker
-    death on the pool backend skips exactly the in-flight trial, never a
+    death on the pool skips exactly the trial that worker held, never a
     chunk, never the sweep.
 
     Installed observers decide only what each trial collects (its
@@ -159,28 +230,44 @@ def run_sweep(
     tracer = active_tracer()
     mreg = active_metrics()
     ledger = active_ledger()
-    be = SerialBackend() if jobs == 1 or len(tasks) <= 1 else PoolStealBackend()
+    pooled = jobs > 1 and len(tasks) > 1
+    backend = "pool-steal" if pooled else "serial"
+    collect = (mreg is not None, tracer is not None, None if ledger is None else ledger.per_proc)
     # the sweep's own accumulator: its summary() becomes the telemetry
     # "ledger" block regardless of what the caller does with the active
     # ledger afterwards
     sweep_ledger = LoadLedger(per_proc=False) if ledger is not None else None
     worker_clocks: dict = {}  # pid -> back-to-back wall offset per worker
 
-    def _append(task: TrialTask, payload, attempts: int = 1) -> None:
-        value, wall, pid, delta, spans, ledger_dump = payload
-        results[task.index] = value
-        records[task.index] = (
-            TrialRecord(
+    def _take(task: TrialTask, outcome: tuple) -> None:
+        """Raise, skip or merge one trial's outcome, in task order."""
+        status, payload, attempts = outcome
+        if status == "err":
+            if mode == "raise":
+                raise TrialExecutionError(*payload[:5])
+            records[task.index] = TrialRecord(
                 index=task.index,
                 point=task.point,
                 trial=task.trial,
-                wall_time=wall,
-                worker=pid,
+                wall_time=0.0,
+                worker=payload[5],
                 attempts=attempts,
+                status="skipped",
+                error=payload[3],
             )
+            return
+        value, wall, pid, delta, spans, ledger_dump = payload
+        results[task.index] = value
+        records[task.index] = TrialRecord(
+            index=task.index,
+            point=task.point,
+            trial=task.trial,
+            wall_time=wall,
+            worker=pid,
+            attempts=attempts,
         )
-        # per-trial dumps merge in task order on every backend, so gauges
-        # and float sums resolve identically at any job count
+        # per-trial dumps merge in task order on either placement, so
+        # gauges and float sums resolve identically at any job count
         if delta is not None and mreg is not None:
             mreg.merge(delta)
         if spans is not None and tracer is not None:
@@ -221,68 +308,43 @@ def run_sweep(
         if model_total:
             trial_span.model_dur = model_total
 
-    def _append_skipped(task: TrialTask, payload, attempts: int) -> None:
-        cause_repr = payload[3]
-        pid = payload[5] if len(payload) > 5 else -1
-        results[task.index] = None
-        records[task.index] = (
-            TrialRecord(
-                index=task.index,
-                point=task.point,
-                trial=task.trial,
-                wall_time=0.0,
-                worker=pid,
-                attempts=attempts,
-                status="skipped",
-                error=cause_repr,
-            )
-        )
-
     sweep_span = (
         tracer.begin(
             "sweep", cat="sweep", track="sweep",
-            sweep=spec.name, jobs=jobs, trials=len(tasks), backend=be.name,
+            sweep=spec.name, jobs=jobs, trials=len(tasks), backend=backend,
         )
         if tracer is not None
         else None
     )
-    stats = {}
+    stats: dict = {}
     try:
-        outcomes, stats = be.run(
-            tasks,
-            jobs=jobs,
-            collect_metrics=mreg is not None,
-            mode=mode,
-            retries=retries,
-            collect_spans=tracer is not None,
-            collect_ledger=None if ledger is None else ledger.per_proc,
-        )
-        for task, outcome in zip(tasks, outcomes):
-            if outcome is None:
-                continue  # raise-mode early stop: never reached
-            status, payload, attempts = outcome
-            if status == "err":
-                if mode == "raise":
-                    _raise_trial_error(payload)
-                _append_skipped(task, payload, attempts)
-            else:
-                _append(task, payload, attempts)
+        if pooled:
+            from repro.sweep.pool import run_pool
+
+            outcomes, stats = run_pool(tasks, jobs, collect, mode, retries)
+            for task, outcome in zip(tasks, outcomes):
+                if outcome is not None:  # None: unfinished when "raise" stopped the pool
+                    _take(task, outcome)
+        else:
+            for task in tasks:
+                _take(task, attempt_task(task, collect, retries))
+            stats = {
+                "name": backend,
+                "workers": 1,
+                "tasks_per_worker": {os.getpid(): len(tasks)},
+                "steals": 0,
+                "worker_deaths": 0,
+            }
     finally:
         if sweep_span is not None:
             tracer.end(
                 sweep_span,
                 completed=sum(1 for r in records if r is not None),
-                backend=be.name,
+                backend=backend,
                 steals=stats.get("steals", 0),
                 worker_deaths=stats.get("worker_deaths", 0),
             )
 
-    if any(r is None for r in records):
-        # raise-mode early stop on a non-serial backend: unreached tasks
-        # were never executed; keep only the executed prefix, task order
-        keep = [i for i, r in enumerate(records) if r is not None]
-        results = [results[i] for i in keep]
-        records = [records[i] for i in keep]
     return SweepResult(
         name=spec.name,
         jobs=jobs,
@@ -291,7 +353,7 @@ def run_sweep(
         records=records,
         point_keys=spec.point_keys,
         seed=_describe_root_seed(spec.seed),
-        backend=be.name,
+        backend=backend,
         backend_stats=stats,
         ledger=sweep_ledger.summary() if sweep_ledger is not None else None,
     )

@@ -73,10 +73,12 @@ class SweepResult:
     #: root seed of the sweep — an int, a replayable ``SeedSequence(...)``
     #: expression string, or None when the spec was unseeded
     seed: Any = None
-    #: name of the executor backend that ran the sweep
+    #: where the sweep ran: ``serial`` (in process) or ``pool-steal``
     backend: str = "serial"
-    #: the backend's execution report (worker task counts, steals, worker
-    #: deaths) — see ``repro.sweep.backends.base.new_stats``
+    #: the placement's execution report: ``name``, ``workers``,
+    #: ``tasks_per_worker`` (pid -> task count), ``steals`` and
+    #: ``worker_deaths`` — built by ``run_sweep`` in process and by
+    #: ``repro.sweep.pool.run_pool`` on the pool
     backend_stats: Dict[str, Any] = field(default_factory=dict)
     #: merged :meth:`~repro.obs.ledger.LoadLedger.summary` accumulated
     #: from per-trial dumps in task order (``None``: no ledger was active)

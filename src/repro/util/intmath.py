@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ceil_div", "ilog2", "ilog", "log_star", "next_pow2", "lg", "safe_log_ratio"]
+__all__ = [
+    "ceil_div", "ilog2", "ilog", "tree_rounds", "log_star", "next_pow2", "lg", "safe_log_ratio",
+]
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -62,6 +64,22 @@ def ilog(n: int, base: int) -> int:
         power *= base
         k += 1
     return k
+
+
+def tree_rounds(a: int, b: int) -> int:
+    """Rounds of a ``b``-ary reduction (or broadcast) tree over ``a``
+    leaves: ``ceil(log_b a)``, and 0 for at most one leaf.
+
+    >>> tree_rounds(1, 2)
+    0
+    >>> tree_rounds(8, 2)
+    3
+    >>> tree_rounds(9, 2)
+    4
+    >>> tree_rounds(64, 4)
+    3
+    """
+    return 0 if a <= 1 else ilog(a - 1, b) + 1
 
 
 def log_star(n: float) -> int:

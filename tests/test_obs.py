@@ -1024,3 +1024,31 @@ class TestCLI:
         assert "repro top" in out and "trials 2" in out
         # exactly one source is required
         assert main(["top", "--once"]) == 2
+
+    #: how each CLI writes a JSON file ``repro top --telemetry`` may be given
+    CLI_FILES = {
+        "chaos": ["chaos", "uniform", "--trials", "3", "--json"],
+        "experiment": ["experiment", "unbalanced_send", "--json"],
+        "ledger": ["measure", "--p", "16", "--m", "4", "--ledger"],
+    }
+
+    @pytest.mark.parametrize("kind", ["chaos", "experiment", "ledger", "list"])
+    def test_top_once_reads_cli_files(self, kind, tmp_path, capsys):
+        """A chaos record nests its sweep telemetry under ``telemetry`` and
+        renders it; an experiment record, a ledger dump and a JSON list
+        hold none and get the ``unreadable`` frame, never a traceback."""
+        from repro.harness import main
+
+        path = tmp_path / f"{kind}.json"
+        if kind == "list":
+            path.write_text("[1, 2]\n")
+        else:
+            assert main(self.CLI_FILES[kind] + [str(path)]) == 0
+        capsys.readouterr()
+        assert main(["top", "--telemetry", str(path), "--once"]) == 0
+        out = capsys.readouterr().out
+        if kind == "chaos":
+            assert "trials 3" in out and "busy_s" in out  # the worker table
+            assert "[unreadable]" not in out
+        else:
+            assert "[unreadable]" in out and "no sweep telemetry" in out

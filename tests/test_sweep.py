@@ -2,6 +2,10 @@
 pool-vs-serial bit-identity, worker-crash surfacing, telemetry."""
 
 import json
+import multiprocessing
+import multiprocessing.connection
+import os
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +68,40 @@ def _die(x, seed):
 
         os._exit(13)  # hard worker death, no traceback, no cleanup
     return x
+
+
+def _exit_at_next_read(x, seed, delay):
+    time.sleep(0.05)  # tasks are still pending when x=1 reports: its worker gets one
+    if x == 1:
+        from multiprocessing.connection import Connection
+
+        def exit_worker(self, *args):
+            time.sleep(delay)
+            os._exit(9)
+
+        # this worker exits at its next pipe read: after it has sent this
+        # result, before it reads another task index
+        Connection._recv_bytes = exit_worker
+    return x
+
+
+def _exit_mid_send(x, seed):
+    if x == 1:
+        import struct
+        from multiprocessing.connection import Connection
+
+        def cut_short(self, buf):
+            # the length header promises one byte more than is ever sent
+            os.write(self.fileno(), struct.pack("!i", len(buf) + 1) + bytes(buf))
+            os._exit(9)
+
+        Connection._send_bytes = cut_short
+    return x
+
+
+def _sweep_workers():
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-sweep-worker-")]
 
 
 class TestDeriveSeedSequence:
@@ -343,6 +381,79 @@ class TestOnErrorPolicy:
         spec = SweepSpec(name="s", fn=_double, grid=[{"x": 1}])
         with pytest.raises(ValueError, match="on_error"):
             run_sweep(spec, jobs=1, on_error="explode")
+
+
+class TestPoolRetirement:
+    """No pool worker outlives its sweep, however the sweep ends, and both
+    placements report the same ``backend_stats`` keys."""
+
+    GRID = [{"x": i} for i in range(6)]
+
+    def test_raise_leaves_no_worker(self):
+        spec = SweepSpec(name="crashy", fn=_boom, grid=self.GRID)
+        with pytest.raises(TrialExecutionError):
+            run_sweep(spec, jobs=2)
+        assert _sweep_workers() == []
+
+    def test_hard_death_leaves_no_worker(self):
+        spec = SweepSpec(name="deadly", fn=_die, grid=self.GRID)
+        res = run_sweep(spec, jobs=2, on_error="skip")
+        assert _sweep_workers() == []
+        assert res.backend_stats["worker_deaths"] == 1
+        (rec,) = [t for t in res.records if t.status == "skipped"]
+        assert "WorkerDied" in rec.error
+
+    @pytest.mark.parametrize(
+        "parent_delay, worker_delay",
+        [(0.1, 0.0), (0.0, 0.2)],
+        ids=["sent-after-death", "left-unread"],
+    )
+    def test_death_between_tasks_loses_the_next_task(
+        self, monkeypatch, parent_delay, worker_delay
+    ):
+        """A worker that exits right after reporting is handed the next
+        index either after it died (the send fails) or before (it dies
+        with the index unread).  Neither is an error: the worker's end of
+        pipe records that one task as a ``WorkerDied`` skip."""
+        real_wait = multiprocessing.connection.wait
+
+        def slow_wait(*args, **kwargs):
+            ready = real_wait(*args, **kwargs)
+            time.sleep(parent_delay)
+            return ready
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", slow_wait)
+        spec = SweepSpec(
+            name="exits", fn=_exit_at_next_read, grid=self.GRID,
+            common={"delay": worker_delay},
+        )
+        res = run_sweep(spec, jobs=2, on_error="skip")
+        assert _sweep_workers() == []
+        assert res.backend_stats["worker_deaths"] == 1
+        (rec,) = [t for t in res.records if t.status == "skipped"]
+        assert rec.index >= 2 and "WorkerDied" in rec.error
+        assert res.results == [None if i == rec.index else i for i in range(6)]
+
+    def test_death_mid_send_loses_only_that_task(self):
+        """A worker that dies part-way through sending a result (killed
+        while a large payload is in the pipe) is one ``WorkerDied`` skip,
+        not an error out of the sweep."""
+        spec = SweepSpec(name="cut", fn=_exit_mid_send, grid=self.GRID)
+        res = run_sweep(spec, jobs=2, on_error="skip")
+        assert _sweep_workers() == []
+        assert res.results == [0, None, 2, 3, 4, 5]
+        assert res.backend_stats["worker_deaths"] == 1
+        (rec,) = [t for t in res.records if t.status == "skipped"]
+        assert "WorkerDied" in rec.error
+
+    def test_both_placements_report_the_same_stats_keys(self):
+        spec = SweepSpec(name="s", fn=_double, grid=self.GRID)
+        serial = run_sweep(spec, jobs=1)
+        pooled = run_sweep(spec, jobs=2)
+        keys = ["name", "steals", "tasks_per_worker", "worker_deaths", "workers"]
+        assert sorted(serial.backend_stats) == sorted(pooled.backend_stats) == keys
+        assert serial.backend_stats["tasks_per_worker"] == {os.getpid(): 6}
+        assert sum(pooled.backend_stats["tasks_per_worker"].values()) == 6
 
 
 class TestTelemetry:
