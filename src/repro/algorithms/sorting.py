@@ -116,7 +116,9 @@ def columnsort_reference(keys: Sequence[float], r: int, s: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _columnsort_program(ctx, n: int, r: int, s: int, m_cap: int, per: int, chunk: List[float]):
+def _columnsort_program(
+    ctx, n: int, r: int, s: int, m_cap: int, per: int, chunk: Sequence[float]
+):
     """SPMD columnsort: procs ``0..s-1`` own columns, proc ``s`` owns the
     shift-overflow column, everyone initially holds ``chunk`` of the input.
 
@@ -164,18 +166,18 @@ def _columnsort_program(ctx, n: int, r: int, s: int, m_cap: int, per: int, chunk
         )
     yield
 
-    col = np.full(r, _POS)
+    # only the s + 1 column owners hold a column
     if pid < s:
-        col = fill(col)
+        col = fill(np.full(r, _POS))
     elif pid == s:
         ctx.receive()
+    if pid <= s:
+        rows = np.arange(r)
 
     def sortcol():
         nonlocal col
         col = np.sort(col)
         ctx.work(local_sort_work(r))
-
-    rows = np.arange(r)
 
     def permute(dest_cols: np.ndarray, dest_rows: np.ndarray):
         send_pairs(dest_cols, dest_rows, col, rows)
@@ -246,7 +248,9 @@ def _columnsort_program(ctx, n: int, r: int, s: int, m_cap: int, per: int, chunk
     return mine[got].tolist()
 
 
-def _columnsort_qsm_program(ctx, n: int, r: int, s: int, m_cap: int, per: int, chunk: List[float]):
+def _columnsort_qsm_program(
+    ctx, n: int, r: int, s: int, m_cap: int, per: int, chunk: Sequence[float], base: int = 0
+):
     """Shared-memory columnsort: identical step structure to the BSP
     program, but every permutation is a write phase (cells keyed by the
     *destination* position, which is a fixed function of the step) followed
@@ -256,12 +260,22 @@ def _columnsort_qsm_program(ctx, n: int, r: int, s: int, m_cap: int, per: int, c
     ``p``-wide, permutation phases have at most ``s+1 <= cap`` requesters
     per slot index.
 
-    Each phase's requests go out as one ``read_many``/``write_many`` batch
-    (tuple addresses, so the address column is a list — the batching still
-    collapses the per-request engine overhead to one call per phase).
+    Cells are int64 addresses in one dense space from ``base``: cell
+    ``(step, col, row)`` of write step ``step`` (0, 2, 4, 6 or 8) is
+    ``base + (step // 2)·r(s+1) + col·r + row``, each step on its own
+    plane of ``s + 1`` columns, and the output cell of global rank ``g``
+    is ``base + 5·r(s+1) + g``.  Each phase's requests go out as one
+    ``read_many``/``write_many`` over an int64 array, so the engine's
+    address columns stay arrays (and resolve by fancy indexing on a
+    :class:`~repro.core.engine.DenseSharedMemory`).  Only the ``s + 1``
+    column owners build a column buffer.
     """
     pid, p = ctx.pid, ctx.nprocs
     groups = ceil_div(p, m_cap)
+    plane = r * (s + 1)
+
+    def cells(step: int, linear: np.ndarray) -> np.ndarray:
+        return base + (step // 2) * plane + linear
 
     # ---- distribute ----
     offset = pid * per
@@ -269,55 +283,48 @@ def _columnsort_qsm_program(ctx, n: int, r: int, s: int, m_cap: int, per: int, c
     if nc:
         g = offset + np.arange(nc, dtype=np.int64)
         ctx.write_many(
-            [("cs", 0, int(gg) // r, int(gg) % r) for gg in g],
+            cells(0, g),
             np.asarray(chunk, dtype=np.float64),
             slots=np.arange(nc, dtype=np.int64) * groups + pid // m_cap,
         )
     yield
 
-    rows = np.arange(r)
+    if pid <= s:
+        rows = np.arange(r, dtype=np.int64)
 
     def read_column(step: int):
-        return ctx.read_many(
-            [("cs", step, pid, row) for row in range(r)], slots=rows
-        )
+        return ctx.read_many(cells(step, pid * r + rows), slots=rows)
 
-    def fill(handle, base: np.ndarray) -> np.ndarray:
+    def fill(handle, pads: np.ndarray) -> np.ndarray:
         # unwritten cells read back None and keep the pad value
         for row, v in enumerate(handle.values):
             if v is not None:
-                base[row] = v
-        return base
+                pads[row] = v
+        return pads
 
-    col = np.full(r, _POS)
     handle = read_column(0) if pid < s else None
     yield
     if pid < s:
-        col = fill(handle, col)
+        col = fill(handle, np.full(r, _POS))
 
     def sortcol():
         nonlocal col
         col = np.sort(col)
         ctx.work(local_sort_work(r))
 
-    def write_perm(step: int, dest_cols, dest_rows, valid=None):
-        # Slot = source row index: in the unshift step columns 0 and s have
+    def write_perm(step: int, dest: np.ndarray, valid=None):
+        # dest[row] = destination column * r + destination row.  Slot =
+        # source row index: in the unshift step columns 0 and s have
         # complementary valid row ranges, so using the (uncompacted) row
         # keeps every slot at <= s concurrent writers.
-        sel = rows if valid is None else rows[np.asarray(valid, dtype=bool)]
-        dc = np.asarray(dest_cols, dtype=np.int64)
-        dr = np.asarray(dest_rows, dtype=np.int64)
-        ctx.write_many(
-            [("cs", step, int(dc[k]), int(dr[k])) for k in sel],
-            col[sel],
-            slots=sel,
-        )
+        sel = rows if valid is None else rows[valid]
+        ctx.write_many(cells(step, dest[sel]), col[sel], slots=sel)
 
     # ---- step 1 + 2 (transpose) ----
     if pid < s:
         sortcol()
         kidx = pid * r + rows
-        write_perm(2, kidx % s, kidx // s)
+        write_perm(2, (kidx % s) * r + kidx // s)
     yield
     handle = read_column(2) if pid < s else None
     yield
@@ -327,8 +334,7 @@ def _columnsort_qsm_program(ctx, n: int, r: int, s: int, m_cap: int, per: int, c
     # ---- step 3 + 4 (untranspose) ----
     if pid < s:
         sortcol()
-        k2 = rows * s + pid
-        write_perm(4, k2 // r, k2 % r)
+        write_perm(4, rows * s + pid)
     yield
     handle = read_column(4) if pid < s else None
     yield
@@ -339,49 +345,63 @@ def _columnsort_qsm_program(ctx, n: int, r: int, s: int, m_cap: int, per: int, c
     shift = r // 2
     if pid < s:
         sortcol()
-        kidx = pid * r + rows + shift
-        write_perm(6, kidx // r, kidx % r)
+        write_perm(6, pid * r + rows + shift)
     yield
     handle = read_column(6) if pid <= s else None
     yield
     if pid <= s:
-        base = np.full(r, _POS if pid else _NEG)
+        pads = np.full(r, _POS if pid else _NEG)
         if pid == 0:
-            base[shift:] = _POS
-            base[:shift] = _NEG
-        col = fill(handle, base)
+            pads[shift:] = _POS
+            pads[:shift] = _NEG
+        col = fill(handle, pads)
 
     # ---- step 7 + 8 (unshift) ----
     if pid <= s:
         sortcol()
         kidx = pid * r + rows - shift
-        valid = (kidx >= 0) & (kidx < r * s)
-        write_perm(8, np.where(valid, kidx // r, 0), np.where(valid, kidx % r, 0), valid)
+        write_perm(8, kidx, (kidx >= 0) & (kidx < r * s))
     yield
     handle = read_column(8) if pid < s else None
     yield
-    sorted_col = None
-    if pid < s:
-        sorted_col = fill(handle, np.full(r, _POS))
 
     # ---- collect ----
     per_proc = ceil_div(n, p)
+    out = base + 5 * plane
     if pid < s:
+        sorted_col = fill(handle, np.full(r, _POS))
         g = pid * r + rows
-        gs = g[g < n]  # compacted: the k-th valid write uses slot k
+        keep = g < n  # compacted: the k-th valid write uses slot k
         ctx.write_many(
-            [("out", int(gg) // per_proc, int(gg) % per_proc) for gg in gs],
-            sorted_col[rows[g < n]],
-            slots=np.arange(gs.size, dtype=np.int64),
+            out + g[keep],
+            sorted_col[keep],
+            slots=np.arange(int(keep.sum()), dtype=np.int64),
         )
     yield
-    mine_idx = [j for j in range(per_proc) if pid * per_proc + j < n]
-    out_handle = ctx.read_many(
-        [("out", pid, j) for j in mine_idx],
-        slots=ctx.stagger_slots(len(mine_idx)),
-    )
+    mine = pid * per_proc + np.arange(per_proc, dtype=np.int64)
+    mine = mine[mine < n]
+    out_handle = ctx.read_many(out + mine, slots=ctx.stagger_slots(mine.size))
     yield
     return [v for v in out_handle.values if v is not None]
+
+
+def _qsm_cell_base(machine: Machine, n: int, r: int, s: int) -> int:
+    """First address of QSM columnsort's cell space, ``5·r(s+1) + n`` int
+    addresses (see :func:`_columnsort_qsm_program`).
+
+    An empty shared memory is backed by a dense array over exactly that
+    space (:meth:`~repro.core.engine.Machine.use_dense_memory`), so every
+    phase resolves by fancy indexing.  A memory that already holds cells
+    is kept, and the space starts past its highest integer address: no
+    existing cell is overwritten, and no cell the sort leaves unwritten
+    reads back anything but ``None``.
+    """
+    mem = machine.shared_memory
+    if not mem:
+        machine.use_dense_memory(5 * r * (s + 1) + n)
+        return 0
+    top = max((int(k) for k in mem if isinstance(k, (int, np.integer))), default=-1)
+    return max(top + 1, 0)
 
 
 def columnsort(
@@ -394,8 +414,10 @@ def columnsort(
     Returns ``(run_result, sorted_keys)``; processor ``i``'s final block is
     ``result.results[i]``.  Keys must be finite floats (``±inf`` are the
     pad sentinels).  On QSM machines the permutations move through shared
-    memory (write phase + read phase); on BSP machines they are
-    point-to-point messages — same structure, same Θ(n/m) communication.
+    memory (write phase + read phase) in int64 cells, and an empty memory
+    is backed by a dense array over exactly those cells; on BSP machines
+    they are point-to-point messages — same structure, same Θ(n/m)
+    communication.
     """
     keys = np.asarray(keys, dtype=np.float64)
     if keys.size and not np.all(np.isfinite(keys)):
@@ -427,15 +449,15 @@ def columnsort(
         return res, np.asarray(res.results[0], dtype=np.float64)
 
     per_proc = ceil_div(n, p)
-    chunks = [
-        [float(x) for x in keys[i * per_proc : (i + 1) * per_proc]] for i in range(p)
-    ]
-    program = _columnsort_qsm_program if machine.uses_shared_memory else _columnsort_program
-    res = machine.run(
-        program,
-        args=(n, r, s, cap, per_proc),
-        per_proc_args=[(c,) for c in chunks],
-    )
+    chunks = [keys[i * per_proc : (i + 1) * per_proc] for i in range(p)]
+    if machine.uses_shared_memory:
+        program = _columnsort_qsm_program
+        base = _qsm_cell_base(machine, n, r, s)
+        per_proc_args = [(c, base) for c in chunks]
+    else:
+        program = _columnsort_program
+        per_proc_args = [(c,) for c in chunks]
+    res = machine.run(program, args=(n, r, s, cap, per_proc), per_proc_args=per_proc_args)
     out: List[float] = []
     for block in res.results:
         if block:

@@ -48,8 +48,10 @@ class CompiledProgram:
 
     ``batch`` is the superstep's sent messages, ``results[pid]`` what
     processor ``pid`` received and ``p`` the processors it spans.  Every
-    replay's record aliases the same ``batch``: records are immutable once
-    a run returns, so replays on any number of machines share it safely.
+    replay's record aliases the same ``batch`` while it is priced and
+    observed, then releases it like a live barrier does: a replayed
+    :class:`~repro.core.engine.RunResult` holds prices and counts, and
+    ``batch`` is where a replayed superstep's columns are read.
     """
 
     __slots__ = ("batch", "results", "p")
@@ -84,7 +86,8 @@ class CompiledProgram:
         Observation follows the pass: each trial's finished record goes
         to the installed tracer, metrics registry and ledger in order
         (:func:`repro.obs.instrument.open_run`, ``path="replay"``), which
-        also sets its ``RunResult.ledger``.
+        also sets its ``RunResult.ledger``.  Then every record releases
+        its batch, as at a live barrier.
         """
         machines = list(machines)
         if not machines:
@@ -133,6 +136,8 @@ class CompiledProgram:
                 break
             observation.observe(run.records[0], start, end)
             run.ledger = observation.close(run.records, wall_end=end)
+        for record in records:
+            record.release()
         return runs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

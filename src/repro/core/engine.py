@@ -26,7 +26,8 @@ yields the program calls methods on its :class:`Proc` context:
 
 At every barrier the engine freezes the superstep into a columnar
 :class:`~repro.core.events.SuperstepRecord`, asks the concrete machine to
-price it, delivers messages, resolves read handles and applies writes.  The
+price it, delivers messages, resolves read handles and applies writes; then
+the record releases its columns and keeps its price and counts.  The
 run's total time is the sum of superstep costs.  Pricing and delivery are
 vectorized over the record's columns; scalar and batch APIs produce
 identical records, costs and stats (a contract pinned by
@@ -701,9 +702,14 @@ class Proc:
 class RunResult:
     """Outcome of running one SPMD program on a machine.
 
+    Each record holds its superstep's price and counts, never its traffic:
+    the batches are released at the barrier (see
+    :class:`~repro.core.events.SuperstepRecord`), so a result's size grows
+    with its superstep count, not with the messages and requests it moved.
     The aggregate properties (``time``, ``total_messages``, ``total_flits``)
-    are memoized on first access — ``records`` is immutable once ``run()``
-    returns, so the full scans happen at most once per result.
+    read only those fields and are memoized on first access — ``records``
+    is immutable once ``run()`` returns, so the full scans happen at most
+    once per result.
     """
 
     params: MachineParams
@@ -1159,6 +1165,10 @@ class Machine:
                     auditor(self, record, procs, delivered)
                 if observe is not None:
                     observe(record, t0, _time.perf_counter())
+                # the superstep's traffic ends here: inboxes keep the
+                # delivered batch until the next barrier, the record keeps
+                # its price and counts
+                record.release()
             index += 1
             first = False
             for proc in procs:

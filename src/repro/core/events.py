@@ -10,13 +10,19 @@ went (work vs. bandwidth vs. latency vs. contention).
 
 Columnar layout
 ---------------
-Records are columnar only: the engine freezes each superstep into
-structure-of-arrays batches (:class:`MessageBatch`, :class:`RequestBatch`)
-holding NumPy ``int64`` columns plus an object payload column, so pricing
-and delivery are single vector operations instead of per-object Python
-loops.  A record holds its three batches (``msg_batch``, ``read_batch``,
-``write_batch``) and nothing else; the one per-object form left is
-:class:`Message`, which a processor's inbox view builds on demand.
+The engine freezes each superstep into structure-of-arrays batches
+(:class:`MessageBatch`, :class:`RequestBatch`) holding NumPy ``int64``
+columns plus an object payload column, so pricing and delivery are single
+vector operations instead of per-object Python loops; the one per-object
+form left is :class:`Message`, which a processor's inbox view builds on
+demand.
+
+A superstep's traffic ends at its barrier.  Everything that reads the
+columns (pricing, fault injection, delivery, the auditor, the tracer's and
+the ledger's per-processor columns) reads them there; then the record
+drops its three batches (:meth:`SuperstepRecord.release`) and keeps its
+price and four counts.  A run's memory thus grows with one superstep's
+traffic, not with the whole run's.
 """
 
 from __future__ import annotations
@@ -288,9 +294,14 @@ class SuperstepRecord:
     work:
         Per-processor local work amounts.
     msg_batch:
-        All messages sent this superstep (BSP machines).
+        All messages sent this superstep (BSP machines); ``None`` once the
+        record is released.
     read_batch / write_batch:
-        All shared-memory requests (QSM machines).
+        All shared-memory requests (QSM machines); ``None`` once the
+        record is released.
+    n_messages / total_flits / n_reads / n_writes:
+        The batches' sizes, counted when the record is built and kept
+        after it is released.
     cost:
         The model time charged.
     breakdown:
@@ -298,6 +309,12 @@ class SuperstepRecord:
     stats:
         Free-form metrics the cost model wants to expose (``h``, ``kappa``,
         ``c_m``, ``n``, max slot, overload count, ...).
+
+    The batches are read at the barrier only: by the pricing, the fault
+    injector, delivery, the auditor and the observers.  Then the engine
+    (and compiled replay, after its observation pass) calls
+    :meth:`release`, so a :class:`~repro.core.engine.RunResult` holds
+    prices and counts, never traffic.
     """
 
     __slots__ = (
@@ -306,6 +323,10 @@ class SuperstepRecord:
         "cost",
         "breakdown",
         "stats",
+        "n_messages",
+        "total_flits",
+        "n_reads",
+        "n_writes",
         "msg_batch",
         "read_batch",
         "write_batch",
@@ -331,22 +352,15 @@ class SuperstepRecord:
         self.msg_batch = msg_batch if msg_batch is not None else MessageBatch.empty()
         self.read_batch = read_batch if read_batch is not None else RequestBatch.empty()
         self.write_batch = write_batch if write_batch is not None else RequestBatch.empty()
+        self.n_messages = self.msg_batch.n
+        self.total_flits = self.msg_batch.total_flits
+        self.n_reads = self.read_batch.n
+        self.n_writes = self.write_batch.n
 
-    @property
-    def n_messages(self) -> int:
-        return self.msg_batch.n
-
-    @property
-    def n_reads(self) -> int:
-        return self.read_batch.n
-
-    @property
-    def n_writes(self) -> int:
-        return self.write_batch.n
-
-    @property
-    def total_flits(self) -> int:
-        return self.msg_batch.total_flits
+    def release(self) -> None:
+        """Drop the three batches at the end of the barrier; the price and
+        the four counts stay."""
+        self.msg_batch = self.read_batch = self.write_batch = None
 
     @property
     def is_empty(self) -> bool:
@@ -359,11 +373,13 @@ class SuperstepRecord:
         )
 
     def sends_by_proc(self, p: int) -> np.ndarray:
-        """Number of flits sent by each processor (``int64`` array)."""
+        """Number of flits sent by each processor (``int64`` array); at the
+        barrier only."""
         return self.msg_batch.sends_by_proc(p)
 
     def recvs_by_proc(self, p: int) -> np.ndarray:
-        """Number of flits received by each processor (``int64`` array)."""
+        """Number of flits received by each processor (``int64`` array); at
+        the barrier only."""
         return self.msg_batch.recvs_by_proc(p)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

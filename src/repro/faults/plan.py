@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from repro.core.events import MessageBatch, _column_take
+from repro.core.events import MessageBatch
 from repro.obs.metrics import active_metrics
 from repro.util.validation import check_nonnegative, check_prob
 

@@ -118,11 +118,14 @@ def run_pool(tasks: list, jobs: int, collect: tuple, mode: str, retries: int):
                     p.join()
                     conn.close()
                     deaths += 1
+                    idx = in_flight.pop(conn, None)
+                    doing = "holding no task" if idx is None else (
+                        f"while executing task {tasks[idx].label}"
+                    )
                     exc = WorkerDied(
                         f"sweep worker {p.name} (pid {p.pid}) died with exit "
-                        f"code {p.exitcode} while executing a task"
+                        f"code {p.exitcode} {doing}"
                     )
-                    idx = in_flight.pop(conn, None)
                     if idx is not None:
                         outcomes[idx] = ("err", error_payload(tasks[idx], exc, "", p.pid), 1)
                     if mode == "raise":

@@ -12,6 +12,8 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     BSPg,
@@ -43,6 +45,7 @@ from repro.algorithms.sorting import (
     _columnsort_program,
     _columnsort_qsm_program,
     choose_columns,
+    columnsort,
 )
 from repro.util.intmath import ceil_div, ilog2
 from repro.util.rng import as_generator
@@ -138,6 +141,37 @@ def test_columnsort_qsm(cls):
     assert_equivalent_runs(res_s, res_b)
     assert res_s.results == res_b.results
     assert np.array_equal(out_b, np.sort(keys))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cls=st.sampled_from(QSM_MACHINES),
+    p=st.integers(4, 40),
+    m=st.integers(3, 12),
+    n=st.integers(20, 700),
+    seed=st.integers(0, 2**16),
+)
+@example(cls=QSMm, p=16, m=4, n=100, seed=0)  # s = 3, n not a multiple of s^2
+@example(cls=QSMm, p=16, m=4, n=144, seed=0)  # s = 3, n = 16 s^2
+@example(cls=QSMg, p=33, m=9, n=700, seed=1)
+def test_columnsort_qsm_any_shape(cls, p, m, n, seed):
+    """On any (n, p, m) the int64-cell program prices, counts and answers
+    exactly like its tuple-addressed scalar twin (both on a plain dict
+    memory), and ``columnsort`` on its dense memory sorts at that time."""
+    assume(m <= p)
+    params = MachineParams(p=p, m=m, g=2.0, L=3)
+    keys = as_generator(seed).uniform(-50, 50, size=n)
+    res_b, out_b = _run_columnsort(cls(params), keys, _columnsort_qsm_program)
+    res_s, _ = _run_columnsort(cls(params), keys, sr.columnsort_qsm_scalar)
+    assert_equivalent_runs(res_s, res_b)
+    assert [(r.n_reads, r.n_writes) for r in res_s.records] == [
+        (r.n_reads, r.n_writes) for r in res_b.records
+    ]
+    assert res_s.results == res_b.results
+    assert np.array_equal(out_b, np.sort(keys))
+    res_c, out_c = columnsort(cls(params), keys)
+    assert res_c.time == res_s.time
+    assert np.array_equal(out_c, np.sort(keys))
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro import (
     SelfSchedulingBSPm,
 )
 from repro.core.engine import DenseSharedMemory
+from tests.barrier_columns import barrier_columns
 
 P = 16
 MSG_MACHINES = [BSPg, BSPm, SelfSchedulingBSPm]
@@ -145,10 +146,11 @@ def test_mixed_scalar_and_batch_preserves_order():
         yield
         return [m.payload for m in ctx.receive()]
 
-    res = make(BSPg).run(mixed)
+    with barrier_columns() as columns:
+        res = make(BSPg).run(mixed)
     assert res.results[1] == ["a", "b", "c", "d"]
     # auto slots continue across the scalar/batch boundary
-    rec = res.records[0]
+    rec = columns[res.records[0]]
     assert rec.msg_batch.slot.tolist() == [0, 1, 2, 3]
 
 

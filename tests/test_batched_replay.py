@@ -8,8 +8,10 @@ landed:
   order), plus its validation edges;
 * ``machines[0]._price_batch(record, machines)[b]`` ≡
   ``machines[b]._price(record)`` for every record of live runs on the
-  other models (QSM(m), QSM(g), LogP, two-level BSP, PRAM, PRAM(m)), and
-  the model violations a single machine of a batch raises;
+  other models (QSM(m), QSM(g), LogP, two-level BSP, PRAM, PRAM(m)), with
+  each record's columns captured at its barrier
+  (:mod:`tests.barrier_columns`), and the model violations a single
+  machine of a batch raises;
 * ``compile_schedule(sched).replay_batch`` ≡ ``execute_schedule``;
 * the slot-charge kernel ``slot_charge_stats_batched`` row-for-row
   against the ``core/costs.py`` formulas;
@@ -56,6 +58,7 @@ from repro.core.kernels import (
 from repro.scheduling import naive_schedule, unbalanced_send
 from repro.scheduling.execute import compile_schedule, execute_schedule
 from repro.workloads import uniform_random_relation
+from tests.barrier_columns import barrier_columns
 
 
 class _SqrtPenalty(PenaltyFunction):
@@ -385,7 +388,9 @@ class TestReplayBatchSharedMemory:
         span = self.P * self.K
         recorder = QSMm(MachineParams(p=self.P, m=4))
         recorder.use_dense_memory(span)
-        return recorder.run(_qsm_program, args=(self.ROUNDS, self.K, span)).records
+        with barrier_columns() as columns:
+            run = recorder.run(_qsm_program, args=(self.ROUNDS, self.K, span))
+        return columns.of(run)
 
     def test_qsm_m_grid_identity(self, qsm_records):
         pens = [EXPONENTIAL, LINEAR, _SqrtPenalty()]
@@ -448,15 +453,21 @@ class TestReplayBatchOtherModels:
     @pytest.fixture(scope="class")
     def msg_records(self):
         recorder = LogP(MachineParams(p=self.P, g=1.0, o=0.5, L=8.0))
-        return recorder.run(_msg_program, args=(3,)).records
+        with barrier_columns() as columns:
+            run = recorder.run(_msg_program, args=(3,))
+        return columns.of(run)
 
     @pytest.fixture(scope="class")
     def pram_m_records(self):
         recorder = PRAMm(MachineParams(p=self.P, m=16))
-        return recorder.run(_pram_m_program, args=(3,)).records
+        with barrier_columns() as columns:
+            run = recorder.run(_pram_m_program, args=(3,))
+        return columns.of(run)
 
     def _pram_records(self, stride):
-        return PRAM(MachineParams(p=self.P)).run(_pram_program, args=(3, stride)).records
+        with barrier_columns() as columns:
+            run = PRAM(MachineParams(p=self.P)).run(_pram_program, args=(3, stride))
+        return columns.of(run)
 
     def test_logp_mixed_params_identity(self, msg_records):
         machines = [

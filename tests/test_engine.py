@@ -1,9 +1,14 @@
 """Engine semantics: supersteps, delivery, read handles, model rules."""
 
+import numpy as np
 import pytest
 
 from repro import BSPg, BSPm, MachineParams, ModelViolation, ProgramError, QSMg, QSMm
 from repro.core.engine import ReadHandle
+from repro.scheduling import unbalanced_send
+from repro.scheduling.execute import compile_schedule
+from repro.workloads import uniform_random_relation
+from tests.barrier_columns import barrier_columns, replay_columns
 
 
 def make_bspg(p=4, g=2.0, L=1.0):
@@ -324,3 +329,61 @@ class TestRunResultHelpers:
 
         res = make_bspg().run(prog)
         assert res.dominant_components() == {"work": 100.0}
+
+
+class TestRecordRelease:
+    """A superstep's traffic ends at its barrier: a finished record keeps
+    its price and four counts, and no batch, on the live loop and on
+    compiled replay alike."""
+
+    @staticmethod
+    def _assert_counts_without_columns(res, twins):
+        """``twins`` hold each record's columns as its barrier saw them."""
+        assert res.records
+        for rec, twin in zip(res.records, twins, strict=True):
+            assert (rec.msg_batch, rec.read_batch, rec.write_batch) == (None, None, None)
+            assert rec.n_messages == twin.msg_batch.n
+            assert rec.total_flits == int(twin.msg_batch.size.sum())
+            assert rec.n_reads == twin.read_batch.n
+            assert rec.n_writes == twin.write_batch.n
+            assert rec.cost == twin.cost and rec.stats == twin.stats
+        assert res.total_messages == sum(t.msg_batch.n for t in twins)
+        assert res.total_flits == sum(int(t.msg_batch.size.sum()) for t in twins)
+
+    def test_live_message_run(self):
+        def prog(ctx):
+            ctx.send((ctx.pid + 1) % ctx.nprocs, "x", size=3)
+            ctx.send_many([(ctx.pid + 2) % ctx.nprocs] * 2, payloads=["y", "z"])
+            yield
+            ctx.work(len(ctx.receive()))
+            yield
+            ctx.send(0, size=2)
+            yield
+
+        with barrier_columns() as columns:
+            res = make_bspm(p=8, m=4).run(prog)
+        self._assert_counts_without_columns(res, columns.of(res))
+        assert (res.total_messages, res.total_flits) == (32, 56)
+
+    def test_live_shared_memory_run(self):
+        def prog(ctx):
+            ctx.write_many(np.arange(3) + 3 * ctx.pid, [ctx.pid] * 3)
+            yield
+            handle = ctx.read_many(np.arange(2) + 3 * ((ctx.pid + 1) % ctx.nprocs))
+            yield
+            return handle.values
+
+        with barrier_columns() as columns:
+            res = QSMm(MachineParams(p=4, m=2)).run(prog)
+        self._assert_counts_without_columns(res, columns.of(res))
+        assert [(r.n_reads, r.n_writes) for r in res.records] == [(0, 12), (8, 0)]
+        assert res.results[0] == [1, 1]
+
+    def test_compiled_replay(self):
+        rel = uniform_random_relation(8, 300, seed=1)
+        compiled = compile_schedule(unbalanced_send(rel, 4, 0.2, seed=2))
+        machines = [BSPm(MachineParams(p=8, m=m, L=2.0)) for m in (2, 4)]
+        for res in [compiled.replay(machines[0]), *compiled.replay_batch(machines)]:
+            self._assert_counts_without_columns(res, replay_columns(compiled, res))
+            assert res.total_flits == 300
+        assert compiled.batch.n == 300  # the compiled superstep keeps its columns

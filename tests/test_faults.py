@@ -17,8 +17,9 @@ from repro.faults import (
     reliable_route,
 )
 from repro.scheduling import route, route_reliable, unbalanced_send
-from repro.scheduling.execute import execute_schedule
+from repro.scheduling.execute import compile_schedule, execute_schedule
 from repro.workloads import build_relation, uniform_random_relation
+from tests.barrier_columns import barrier_columns, replay_columns
 
 
 def make_machine(p=16, m=4, L=2.0):
@@ -114,8 +115,8 @@ class TestInjectorDeterminism:
         rng = np.random.default_rng(seed)
         rel = uniform_random_relation(p, n, seed=int(rng.integers(1 << 30)))
         sched = unbalanced_send(rel, 4, 0.2, seed=1)
-        mach = make_machine(p=p)
-        return execute_schedule(mach, sched).records[0].msg_batch
+        # the batch a replay of the schedule prices (its record releases it)
+        return compile_schedule(sched).batch
 
     def test_same_plan_same_faults(self):
         batch = self._batch()
@@ -319,8 +320,9 @@ class TestAuditor:
 
     def test_tampered_cost_detected(self):
         mach = make_machine(p=8, m=4)
-        res = mach.run(ring_program, args=(1,))
-        rec = res.records[0]
+        with barrier_columns() as columns:
+            res = mach.run(ring_program, args=(1,))
+        rec = columns[res.records[0]]
         rec.cost += 1.0  # break pricing purity
         with pytest.raises(AuditViolation, match="re-pricing"):
             audit_record(mach, rec, self._fake_procs(rec), None)
@@ -328,8 +330,9 @@ class TestAuditor:
     def test_tampered_ledger_detected(self):
         mach = make_machine(p=8, m=4)
         mach.inject_faults(FaultPlan(seed=1, drop_rate=0.3))
-        res = mach.run(ring_program, args=(1,))
-        rec = res.records[0]
+        with barrier_columns() as columns:
+            res = mach.run(ring_program, args=(1,))
+        rec = columns[res.records[0]]
         assert "fault_injected" in rec.stats
         rec.stats["fault_dropped"] += 1.0
         with pytest.raises(AuditViolation, match="ledger"):
@@ -416,11 +419,12 @@ class TestReliableTransport:
         # the transport's data rounds run the routing program's plan: on a
         # clean machine round 0 is route()'s superstep, column for column
         rel = build_relation(kind, 16, 400, 1.2, 3)
-        got = reliable_route(make_machine(), rel, seed=7).data_runs[0]
-        want, _ = route(make_machine(), rel, seed=7)
+        with barrier_columns() as columns:
+            got = reliable_route(make_machine(), rel, seed=7).data_runs[0]
+        want, sched = route(make_machine(), rel, seed=7)
         assert got.time == want.time
         assert len(got.records) == len(want.records) == 1
-        for rg, rw in zip(got.records, want.records):
+        for rg, rw in zip(columns.of(got), replay_columns(compile_schedule(sched), want)):
             assert (rg.cost, rg.breakdown, rg.work) == (rw.cost, rw.breakdown, rw.work)
             assert list(rg.stats.items()) == list(rw.stats.items())
             for col in ("src", "dest", "size", "slot", "consecutive", "payload"):

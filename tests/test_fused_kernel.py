@@ -10,7 +10,9 @@ engine's original gather loop produced.  Those runs are pinned in
 gather and arena loops both reproduced them exactly.  This module is the
 gate — a full model × {plain, faulted, traced} matrix and a penalty-family
 matrix over scalar-call and columnar-call programs, checked against the
-golden records, plus the replay and arena-reuse contracts.
+golden records, plus the replay and arena-reuse contracts.  A finished
+record holds no columns, so the columns compared here are captured at each
+barrier (:mod:`tests.barrier_columns`); a replay's are its compiled batch.
 """
 
 import dataclasses
@@ -37,6 +39,7 @@ from repro.obs import Tracer, tracing
 from repro.scheduling import unbalanced_send
 from repro.scheduling.execute import compile_schedule, execute_schedule
 from repro.workloads import uniform_random_relation
+from tests.barrier_columns import barrier_columns, replay_columns
 
 P = 8
 SPAN = P * 6
@@ -118,10 +121,11 @@ def _column_equal(a, b):
     return _norm(list(a)) == _norm(list(b))
 
 
-def _assert_records_identical(res_a, res_b):
+def _assert_records_identical(res_a, cols_a, res_b, cols_b):
+    """``cols_*`` are the runs' records with their barrier columns."""
     assert res_a.time == res_b.time
     assert len(res_a.records) == len(res_b.records)
-    for ra, rb in zip(res_a.records, res_b.records):
+    for ra, rb in zip(cols_a, cols_b):
         assert ra.cost == rb.cost
         assert list(ra.stats.items()) == list(rb.stats.items())
         assert ra.breakdown == rb.breakdown
@@ -179,9 +183,10 @@ def _encode_batch(batch, columns):
     return {col: _encode(getattr(batch, col)) for col in columns}
 
 
-def _encode_run(res, machine):
+def _encode_run(res, machine, columns):
     """Everything a run pins: model time, each record's price and frozen
-    columns, the per-processor results and (QSM) the final memory."""
+    columns (as ``columns`` captured them at its barrier), the
+    per-processor results and (QSM) the final memory."""
     return {
         "time": res.time,
         "records": [
@@ -197,7 +202,7 @@ def _encode_run(res, machine):
                 "read": _encode_batch(r.read_batch, ("pid", "addr", "slot", "value")),
                 "write": _encode_batch(r.write_batch, ("pid", "addr", "slot", "value")),
             }
-            for r in res.records
+            for r in columns.of(res)
         ],
         "results": _encode(res.results),
         "memory": (
@@ -223,12 +228,13 @@ def _run_case(model, *, faulted=False, traced=False, penalty=None):
             )
         )
     tracer = Tracer() if traced else None
-    if tracer is not None:
-        with tracing(tracer):
+    with barrier_columns() as columns:
+        if tracer is not None:
+            with tracing(tracer):
+                res = mach.run(program, args=(P,))
+        else:
             res = mach.run(program, args=(P,))
-    else:
-        res = mach.run(program, args=(P,))
-    return _encode_run(res, mach), tracer
+    return _encode_run(res, mach, columns), tracer
 
 
 @pytest.fixture(scope="module")
@@ -285,8 +291,11 @@ def test_direct_routing_matches_trampoline():
     sched = unbalanced_send(rel, 8, 0.2, seed=3)
     res_d = execute_schedule(BSPm(MachineParams(p=32, m=8, L=1)), sched)
     # audit=True forces the live loop (the auditor needs real barriers)
-    res_t = execute_schedule(BSPm(MachineParams(p=32, m=8, L=1)), sched, audit=True)
-    _assert_records_identical(res_d, res_t)
+    with barrier_columns() as columns:
+        res_t = execute_schedule(BSPm(MachineParams(p=32, m=8, L=1)), sched, audit=True)
+    _assert_records_identical(
+        res_d, replay_columns(compile_schedule(sched), res_d), res_t, columns.of(res_t)
+    )
     _assert_results_identical(res_d, res_t)
 
 
@@ -304,8 +313,11 @@ def test_compiled_replay_reprices_under_new_machine():
     ):
         res_rep = compiled.replay(target)
         twin = target.__class__(target.params, penalty=target.penalty)
-        res_live = execute_schedule(twin, sched, audit=True)
-        _assert_records_identical(res_rep, res_live)
+        with barrier_columns() as columns:
+            res_live = execute_schedule(twin, sched, audit=True)
+        _assert_records_identical(
+            res_rep, replay_columns(compiled, res_rep), res_live, columns.of(res_live)
+        )
         _assert_results_identical(res_rep, res_live)
 
 
@@ -345,10 +357,11 @@ def test_nested_run_gets_fresh_arenas(golden):
         yield
         return (yield from steps)
 
-    res = mach.run(outer, args=(P,))
-    assert len(inner) == 1
-    _assert_matches_golden(_encode_run(inner[0], mach), golden["plain-BSPm"])
-    _assert_matches_golden(_encode_run(res, mach), golden["plain-BSPm"])
-    assert mach._arenas is arenas and not mach._arenas_busy
-    rerun = mach.run(_msg_program, args=(P,))
-    _assert_matches_golden(_encode_run(rerun, mach), golden["plain-BSPm"])
+    with barrier_columns() as cols:
+        res = mach.run(outer, args=(P,))
+        assert len(inner) == 1
+        _assert_matches_golden(_encode_run(inner[0], mach, cols), golden["plain-BSPm"])
+        _assert_matches_golden(_encode_run(res, mach, cols), golden["plain-BSPm"])
+        assert mach._arenas is arenas and not mach._arenas_busy
+        rerun = mach.run(_msg_program, args=(P,))
+        _assert_matches_golden(_encode_run(rerun, mach, cols), golden["plain-BSPm"])

@@ -132,6 +132,26 @@ class TestContraction:
         assert len(res.ledger) == res.supersteps
         assert res.ledger.total_charge() == res.time
 
+    def test_memory_budget(self):
+        """4096 nodes on BSP(m) at p = 256 (the table1-programs cell):
+        records release their columns at each barrier, so the traced
+        peak stays under 4 MB (5.7 MB when every superstep's messages
+        stayed on the result)."""
+        import tracemalloc
+
+        succ = random_list(4096, seed=3)
+        machine = BSPm(MachineParams.matched_pair(p=256, m=16, L=8)[1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res, ranks = list_ranking_contraction(machine, succ, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert np.array_equal(ranks, sequential_ranks(succ))
+
     def test_message_volume_is_linear(self):
         """Work-efficiency: total flits O(n), unlike Wyllie's Θ(n lg n)."""
         p = 128

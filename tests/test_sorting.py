@@ -1,14 +1,18 @@
 """Tests for columnsort (Table 1 row 5), reference and engine program."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BSPg, BSPm, MachineParams
+from repro import BSPg, BSPm, MachineParams, QSMm
 from repro.algorithms import choose_columns, columnsort, columnsort_reference
 from repro.algorithms.sorting import local_sort_work
+from repro.core.engine import DenseSharedMemory
 from repro.util.intmath import ceil_div
+from tests.barrier_columns import barrier_columns
 
 
 class TestChooseColumns:
@@ -125,6 +129,65 @@ class TestEngineColumnsort:
         keys = rng.random(64)
         res, out = columnsort(mach, keys)
         assert np.array_equal(out, np.sort(keys))
+
+    def test_qsm_memory_holding_cells_is_kept(self):
+        """On a machine whose memory already holds cells, the sort's cells
+        start past the highest integer address: it sorts at the time a
+        fresh machine takes, and the existing cells survive."""
+        cells = {0: "zero", 7: 7.5, "note": "kept", ("x", 1): 2}
+        mach = QSMm(MachineParams(p=16, m=4))
+        mach.shared_memory.update(cells)
+        keys = np.random.default_rng(5).random(200)
+        res, out = columnsort(mach, keys)
+        assert np.array_equal(out, np.sort(keys))
+        assert {k: mach.shared_memory[k] for k in cells} == cells
+        assert res.time == columnsort(QSMm(MachineParams(p=16, m=4)), keys)[0].time
+
+    def test_qsm_second_sort_reads_none_of_the_first(self):
+        """A second sort of another size on the same machine leaves the
+        first sort's cells behind it: no cell the second sort leaves
+        unwritten (the shift step's pads) reads back a stale key."""
+        mach = QSMm(MachineParams(p=16, m=4))
+        rng = np.random.default_rng(5)
+        for n in (200, 333, 100):
+            keys = rng.random(n)
+            res, out = columnsort(mach, keys)
+            assert np.array_equal(out, np.sort(keys))
+            assert res.time == columnsort(QSMm(MachineParams(p=16, m=4)), keys)[0].time
+
+    def test_qsm_cells_are_dense_int64(self):
+        """An empty QSM memory is backed by a dense array over exactly the
+        sort's cell space, and every phase addresses it with int64 arrays."""
+        n, mach = 500, QSMm(MachineParams(p=32, m=8))
+        with barrier_columns() as columns:
+            res, out = columnsort(mach, np.random.default_rng(6).random(n))
+        r, s = choose_columns(n, 7)
+        assert isinstance(mach.shared_memory, DenseSharedMemory)
+        assert mach.shared_memory.size == 5 * r * (s + 1) + n
+        phases = [b for rec in columns.of(res) for b in (rec.read_batch, rec.write_batch) if b.n]
+        assert len(phases) == 12
+        for batch in phases:
+            assert isinstance(batch.addr, np.ndarray) and batch.addr.dtype == np.int64
+
+    def test_qsm_columnsort_memory_budget(self):
+        """QSM(m) columnsort of 4096 keys at p = 256 (the table1-programs
+        cell): records release their columns at each barrier, the cells
+        are int64 addresses and only the s + 1 column owners hold a
+        buffer, so the traced peak stays under 4 MB (10.6 MB with
+        tuple-keyed cells and retained records)."""
+        keys = np.random.default_rng(1).random(4096)
+        machine = QSMm(MachineParams.matched_pair(p=256, m=16, L=8)[1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res, out = columnsort(machine, keys)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert np.array_equal(out, np.sort(keys))
+        assert res.time == 13309.584680290562
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 1000), n=st.integers(10, 400))

@@ -99,6 +99,18 @@ def _exit_mid_send(x, seed):
     return x
 
 
+def _exit_when_idle(x, seed):
+    if x == 4:
+        import threading
+
+        time.sleep(0.1)  # the other worker takes x=5, the last task, meanwhile
+        # fires after this result is sent, while the worker holds no task
+        threading.Timer(0.05, os._exit, (7,)).start()
+    elif x == 5:
+        time.sleep(0.4)  # still running when its sibling dies
+    return x
+
+
 def _sweep_workers():
     return [p for p in multiprocessing.active_children()
             if p.name.startswith("repro-sweep-worker-")]
@@ -445,6 +457,17 @@ class TestPoolRetirement:
         assert res.backend_stats["worker_deaths"] == 1
         (rec,) = [t for t in res.records if t.status == "skipped"]
         assert "WorkerDied" in rec.error
+
+    def test_death_holding_no_task_is_reported_as_such(self):
+        """A worker that dies after sending its last result, while a
+        sibling still runs, held no task: under ``raise`` the error says
+        so instead of naming a task it was not executing."""
+        from repro.sweep.pool import WorkerDied
+
+        spec = SweepSpec(name="idle", fn=_exit_when_idle, grid=self.GRID)
+        with pytest.raises(WorkerDied, match="died with exit code 7 holding no task"):
+            run_sweep(spec, jobs=2, on_error="raise")
+        assert multiprocessing.active_children() == []
 
     def test_both_placements_report_the_same_stats_keys(self):
         spec = SweepSpec(name="s", fn=_double, grid=self.GRID)
